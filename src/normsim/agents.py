@@ -24,7 +24,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .orchard import Criticism, EnvConfig, Observation, modal_crop
+from .orchard import Criticism, EnvConfig, Observation, modal_crop, raise_violations
 
 INSTITUTION_CRITICISM = (
     "{target}, I'm extremely disappointed in your continued disobedience of "
@@ -78,6 +78,16 @@ def _expert_vote(expert: Expert, obs: Observation, action: int) -> bool | None:
     return action != modal_crop(others)
 
 
+def learner_violations(beta: float, sanction_threshold: float) -> list[str]:
+    """Range violations of the normative module's parameters, one line each."""
+    violations = []
+    if not 0.0 < beta < 1.0:
+        violations.append("beta must be in (0, 1)")
+    if not 0.0 < sanction_threshold <= 1.0:
+        violations.append("sanction_threshold must be in (0, 1]")
+    return violations
+
+
 @dataclass(frozen=True)
 class NormativeState:
     """The learned institutional parameters: positive per-expert weights."""
@@ -94,10 +104,7 @@ class NormativeState:
             raise ValueError("one weight per expert")
         if any(not math.isfinite(w) or w <= 0.0 for w in weights):
             raise ValueError("weights must be positive")
-        if not 0.0 < self.beta < 1.0:
-            raise ValueError("beta must be in (0, 1)")
-        if not 0.0 < self.sanction_threshold <= 1.0:
-            raise ValueError("sanction_threshold must be in (0, 1]")
+        raise_violations(learner_violations(self.beta, self.sanction_threshold))
         object.__setattr__(self, "experts", experts)
         object.__setattr__(self, "weights", weights)
 

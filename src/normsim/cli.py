@@ -27,6 +27,7 @@ from .games import (
     PayoffRangeWarning,
     detect_cooperation_dilemma,
     load_game,
+    load_json,
     parse_profile,
     profile_key,
 )
@@ -104,7 +105,7 @@ def cmd_analyze(args) -> int:
     try:
         game = _load_noting_range(load_game, args.game)
     except GameFormatError as exc:
-        return _fail(f"{args.game}: {exc}")
+        return _fail(str(exc))
     dilemma = detect_cooperation_dilemma(game)
 
     sg = None
@@ -207,13 +208,14 @@ def cmd_analyze(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _load_json_file(path):
+def _load_config(parse, path):
+    """Parse a config file, or print one `config error:` line per problem and give None."""
     try:
-        return json.loads(Path(path).read_text())
-    except FileNotFoundError:
-        raise harness.ConfigError([f"{path}: no such file"])
-    except json.JSONDecodeError as exc:
-        raise harness.ConfigError([f"{path}: invalid JSON ({exc})"])
+        return parse(load_json(path))
+    except (GameFormatError, harness.ConfigError) as exc:
+        for line in str(exc).splitlines():
+            print(f"config error: {line}", file=sys.stderr)
+        return None
 
 
 def _sim_agents(sim: harness.SimConfig):
@@ -245,14 +247,14 @@ def _sim_agents(sim: harness.SimConfig):
 
 
 def cmd_simulate(args) -> int:
-    try:
-        sim = harness.parse_sim_config(_load_json_file(args.config))
-    except harness.ConfigError as exc:
-        for line in exc.errors:
-            print(f"config error: {line}", file=sys.stderr)
+    sim = _load_config(harness.parse_sim_config, args.config)
+    if sim is None:
         return 2
     if args.seed is not None:
-        sim = dataclasses.replace(sim, env=dataclasses.replace(sim.env, seed=args.seed))
+        try:
+            sim = dataclasses.replace(sim, env=dataclasses.replace(sim.env, seed=args.seed))
+        except ValueError as exc:
+            return _fail(f"config error: --seed: {exc}")
     if args.oracle is not None:
         if args.oracle == "chat" and sim.chat is None:
             return _fail("config error: --oracle chat needs oracle.base_url and oracle.model")
@@ -302,11 +304,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_experiment(args) -> int:
-    try:
-        cfg = harness.parse_experiment_config(_load_json_file(args.config))
-    except harness.ConfigError as exc:
-        for line in exc.errors:
-            print(f"config error: {line}", file=sys.stderr)
+    cfg = _load_config(harness.parse_experiment_config, args.config)
+    if cfg is None:
         return 2
     rows = harness.run_experiment(cfg, args.out, jobs=args.jobs)
     failed = [r for r in rows if r.status.startswith("failed")]
@@ -333,7 +332,7 @@ def cmd_report(args) -> int:
     try:
         for path in args.metrics:
             rows.extend(harness.load_metrics(path))
-    except (harness.ConfigError, OSError, json.JSONDecodeError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         return _fail(f"unusable metrics file: {exc}")
     cells = harness.build_comparison(rows)
     if args.json:
@@ -345,15 +344,7 @@ def cmd_report(args) -> int:
         out.mkdir(parents=True, exist_ok=True)
         header = harness.COMPARISON_HEADER.split(",")
         lines = [harness.COMPARISON_HEADER]
-        for cell in cells:
-            lines.append(
-                ",".join(
-                    ""
-                    if cell[c] is None
-                    else ("%.6f" % cell[c] if isinstance(cell[c], float) else str(cell[c]))
-                    for c in header
-                )
-            )
+        lines += [",".join(harness.format_value(cell[c]) for c in header) for cell in cells]
         (out / "comparison.csv").write_text("\n".join(lines) + "\n")
     return 0
 

@@ -243,6 +243,23 @@ def _no_duplicate_keys(pairs):
     return obj
 
 
+def load_json(path, parse=None):
+    """Read a JSON file, rejecting duplicate keys, and hand the object to `parse`.
+
+    Every failure is one GameFormatError line naming the file: an unreadable
+    path, bytes that are not UTF-8 JSON, or a GameFormatError from `parse`.
+    """
+    try:
+        obj = json.loads(Path(path).read_text(), object_pairs_hook=_no_duplicate_keys)
+        return obj if parse is None else parse(obj)
+    except OSError as exc:
+        raise GameFormatError(f"{path}: {(exc.strerror or str(exc)).lower()}") from exc
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise GameFormatError(f"{path}: invalid JSON ({exc})") from exc
+    except GameFormatError as exc:
+        raise GameFormatError(f"{path}: {exc}") from exc
+
+
 def _is_number(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
 
@@ -327,12 +344,7 @@ def game_to_dict(game: FiniteGame) -> dict:
 
 def load_game(path) -> FiniteGame:
     """Load a game from a JSON file, rejecting duplicate keys outright."""
-    text = Path(path).read_text()
-    try:
-        obj = json.loads(text, object_pairs_hook=_no_duplicate_keys)
-    except json.JSONDecodeError as exc:
-        raise GameFormatError(f"{path}: invalid JSON ({exc})") from exc
-    return parse_game(obj)
+    return load_json(path, parse_game)
 
 
 def save_game(game: FiniteGame, path) -> None:

@@ -20,20 +20,21 @@ import csv
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import product
 from pathlib import Path
 
 import numpy as np
 
-from .agents import build_roster
+from .agents import build_roster, learner_violations
+from .games import load_json
 from .institutions import CROP_NAMES, make_institution, parse_institution
 from .oracle import ChatConfig
 from .orchard import (
-    BACKGROUND_MODES,
     EnvConfig,
     alignment_metric,
     group_welfare,
+    raise_violations,
     render_transcript,
     run_episode,
     steps_to_convergence,
@@ -41,6 +42,10 @@ from .orchard import (
 
 EXPERIMENTS = ("single_nonauthoritative", "multi_institution")
 FOCAL_KINDS = ("normative", "baseline")
+GRID_AXES = (
+    "num_crops_grid", "num_background_grid", "num_institutions_grid",
+    "num_background_followers_grid",
+)
 
 # EnvConfig fields an experiment config may override (cell axes own the rest).
 ENV_OVERRIDE_KEYS = (
@@ -70,7 +75,11 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """A full grid definition. Axis fields not used by the experiment are ignored."""
+    """A full grid definition. Axis fields not used by the experiment are ignored.
+
+    Construction checks every range rule and raises one ValueError listing
+    all violations, one per line.
+    """
 
     experiment: str
     focal_kinds: tuple[str, ...] = ("normative",)
@@ -87,24 +96,37 @@ class ExperimentConfig:
     env_overrides: tuple[tuple[str, float], ...] = ()
 
     def __post_init__(self):
-        if self.experiment not in EXPERIMENTS:
-            raise ValueError(f"experiment must be one of {EXPERIMENTS}")
         kinds = tuple(self.focal_kinds)
-        if not kinds or any(k not in FOCAL_KINDS for k in kinds) or len(set(kinds)) != len(kinds):
-            raise ValueError(f"focal_kinds must be distinct members of {FOCAL_KINDS}")
-        for label in ("num_crops_grid", "num_background_grid", "num_institutions_grid",
-                      "num_background_followers_grid"):
-            axis = tuple(getattr(self, label))
-            if not axis or any(not isinstance(v, int) or v < 1 for v in axis):
-                raise ValueError(f"{label} must be a non-empty list of positive integers")
-            object.__setattr__(self, label, axis)
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
-        bad = [k for k, _ in self.env_overrides if k not in ENV_OVERRIDE_KEYS]
-        if bad:
-            raise ValueError(f"env overrides not permitted: {', '.join(bad)}")
         object.__setattr__(self, "focal_kinds", kinds)
         object.__setattr__(self, "env_overrides", tuple(self.env_overrides))
+        violations = []
+        if self.experiment not in EXPERIMENTS:
+            violations.append(f"experiment must be one of {', '.join(EXPERIMENTS)}")
+        if not kinds or any(k not in FOCAL_KINDS for k in kinds) or len(set(kinds)) != len(kinds):
+            violations.append(
+                f"focal must name distinct kinds from: {', '.join(FOCAL_KINDS)} (focal_kinds)"
+            )
+        for label in GRID_AXES:
+            axis = getattr(self, label)
+            if (
+                not isinstance(axis, (list, tuple))
+                or not axis
+                or any(not isinstance(v, int) or isinstance(v, bool) or v < 1 for v in axis)
+            ):
+                violations.append(f"{label} must be a non-empty array of positive integers")
+            else:
+                object.__setattr__(self, label, tuple(axis))
+        if not 2 <= self.num_crops <= len(CROP_NAMES):
+            violations.append(f"num_crops must be in [2, {len(CROP_NAMES)}]")
+        if self.trials < 1:
+            violations.append("trials must be >= 1")
+        if self.seed_base < 0:
+            violations.append("seed_base must be >= 0")
+        violations += learner_violations(self.beta, self.sanction_threshold)
+        bad = [k for k, _ in self.env_overrides if k not in ENV_OVERRIDE_KEYS]
+        if bad:
+            violations.append(f"env override not permitted: {', '.join(bad)}")
+        raise_violations(violations)
 
     def grid(self) -> tuple[tuple[int, int], ...]:
         """Cell coordinates in declaration order."""
@@ -211,6 +233,13 @@ def run_cell(
         )
 
 
+def format_value(value) -> str:
+    """A metrics cell as text: None is empty, floats get %.6f, the rest str()."""
+    if value is None:
+        return ""
+    return "%.6f" % value if isinstance(value, float) else str(value)
+
+
 @dataclass(frozen=True)
 class MetricsRow:
     """One grid cell aggregated over its trials."""
@@ -230,41 +259,10 @@ class MetricsRow:
     status: str
 
     def to_dict(self) -> dict:
-        return {
-            "experiment": self.experiment,
-            "focal_kind": self.focal_kind,
-            "num_crops": self.num_crops,
-            "num_background": self.num_background,
-            "num_institutions": self.num_institutions,
-            "trial_count": self.trial_count,
-            "alignment_inst_mean": self.alignment_inst_mean,
-            "alignment_inst_std": self.alignment_inst_std,
-            "alignment_comm_mean": self.alignment_comm_mean,
-            "alignment_comm_std": self.alignment_comm_std,
-            "steps_to_convergence_mean": self.steps_to_convergence_mean,
-            "group_welfare_mean": self.group_welfare_mean,
-            "status": self.status,
-        }
+        return asdict(self)
 
     def to_csv_row(self) -> list[str]:
-        def fmt(v) -> str:
-            return "" if v is None else "%.6f" % v
-
-        return [
-            self.experiment,
-            self.focal_kind,
-            str(self.num_crops),
-            str(self.num_background),
-            str(self.num_institutions),
-            str(self.trial_count),
-            fmt(self.alignment_inst_mean),
-            fmt(self.alignment_inst_std),
-            fmt(self.alignment_comm_mean),
-            fmt(self.alignment_comm_std),
-            fmt(self.steps_to_convergence_mean),
-            fmt(self.group_welfare_mean),
-            self.status,
-        ]
+        return [format_value(v) for v in self.to_dict().values()]
 
 
 def _cell_shape(cfg: ExperimentConfig, coords: tuple[int, int]) -> tuple[int, int, int]:
@@ -381,91 +379,98 @@ def run_experiment(
 # ---------------------------------------------------------------------------
 
 
-def _collect_int(obj: dict, key: str, errors: list[str], default, minimum=None, prefix=""):
-    value = obj.get(key, default)
-    if not isinstance(value, int) or isinstance(value, bool):
-        errors.append(f"{prefix}{key} must be an integer")
-        return default
-    if minimum is not None and value < minimum:
-        errors.append(f"{prefix}{key} must be >= {minimum}")
-        return default
-    return value
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def _collect_number(obj: dict, key: str, errors: list[str], default, minimum=None, prefix=""):
-    value = obj.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        errors.append(f"{prefix}{key} must be a number")
-        return default
-    if minimum is not None and value < minimum:
-        errors.append(f"{prefix}{key} must be >= {minimum}")
-        return default
-    return float(value)
+_JSON_TYPES = {
+    "an integer": lambda v: isinstance(v, int) and not isinstance(v, bool),
+    "a number": _is_number,
+    "a boolean": lambda v: isinstance(v, bool),
+}
 
 
-_ENV_KEYS = (
-    "institutions", "num_background", "background_mode", "num_crops",
-    "discussion_turns", "max_timesteps", "eval_window", "sanction_cost_received",
-    "sanction_cost_sent", "harvest_reward", "monoculture_bonus", "seed",
-)
+def _typed_fields(obj: dict, types: dict[str, str], errors: list[str], prefix: str = "") -> dict:
+    """The keys of `types` present in `obj`, each checked against its JSON type
+    ("an integer", "a number" or "a boolean"); numbers become floats. Keys of
+    the wrong type are reported in `errors` and left out, so defaults apply."""
+    out = {}
+    for key, kind in types.items():
+        if key not in obj:
+            continue
+        value = obj[key]
+        if not _JSON_TYPES[kind](value):
+            errors.append(f"{prefix}{key} must be {kind}")
+        else:
+            out[key] = float(value) if kind == "a number" else value
+    return out
+
+
+def _fold(build, errors: list[str], prefix: str = ""):
+    """Call `build`; a ValueError's lines join `errors` (with `prefix`) and give None."""
+    try:
+        return build()
+    except ValueError as exc:
+        errors.extend(prefix + line for line in str(exc).splitlines())
+        return None
+
+
+_ENV_TYPES = {
+    "num_crops": "an integer",
+    "num_background": "an integer",
+    "discussion_turns": "an integer",
+    "max_timesteps": "an integer",
+    "eval_window": "an integer",
+    "seed": "an integer",
+    "sanction_cost_received": "a number",
+    "sanction_cost_sent": "a number",
+    "harvest_reward": "a number",
+    "monoculture_bonus": "a number",
+}
+_ENV_KEYS = ("institutions", "background_mode", *_ENV_TYPES)
+_SIM_NUM_BACKGROUND = 4  # village size when a simulate config leaves it out
+
+# The normative module's settings, shared by simulate and experiment configs.
+_LEARNER_TYPES = {
+    "beta": "a number",
+    "sanction_threshold": "a number",
+    "observe_others": "a boolean",
+}
 
 
 def parse_env_config(obj, errors: list[str], prefix: str = "") -> EnvConfig | None:
-    """Validate an environment section, appending every violation to `errors`."""
+    """Check an environment section's JSON shape and build it; every violation,
+    of shape or of EnvConfig's range rules, is appended to `errors`."""
     if not isinstance(obj, dict):
         errors.append(f"{prefix or 'env'} must be an object")
         return None
+    found: list[str] = []
     for key in obj:
         if key not in _ENV_KEYS:
-            errors.append(f"unknown key {prefix}{key}")
-    num_crops = _collect_int(obj, "num_crops", errors, 5, prefix=prefix)
-    if not 2 <= num_crops <= len(CROP_NAMES):
-        errors.append(f"{prefix}num_crops must be in [2, {len(CROP_NAMES)}]")
-        num_crops = 5
-    crop_names = CROP_NAMES[:num_crops]
+            found.append(f"unknown key {prefix}{key}")
+    kwargs = {"num_background": _SIM_NUM_BACKGROUND}
+    kwargs.update(_typed_fields(obj, _ENV_TYPES, found, prefix))
+    if "background_mode" in obj:
+        kwargs["background_mode"] = obj["background_mode"]
+    crop_names = CROP_NAMES[: kwargs.get("num_crops", EnvConfig.num_crops)]
 
     institutions = []
     raw_institutions = obj.get("institutions", [])
     if not isinstance(raw_institutions, list):
-        errors.append(f"{prefix}institutions must be an array")
+        found.append(f"{prefix}institutions must be an array")
     else:
         for idx, entry in enumerate(raw_institutions):
             try:
                 institutions.append(parse_institution(entry, idx, crop_names))
             except ValueError as exc:
-                errors.append(f"{prefix}{exc}")
-
-    background_mode = obj.get("background_mode", "follow_authoritative")
-    if background_mode not in BACKGROUND_MODES:
-        errors.append(f"{prefix}background_mode must be one of {', '.join(BACKGROUND_MODES)}")
-    max_timesteps = _collect_int(obj, "max_timesteps", errors, 16, minimum=1, prefix=prefix)
-    eval_window = _collect_int(obj, "eval_window", errors, 8, minimum=1, prefix=prefix)
-    if eval_window > max_timesteps:
-        errors.append(f"{prefix}eval_window must be <= max_timesteps")
-    kwargs = {
-        "num_background": _collect_int(obj, "num_background", errors, 4, minimum=0, prefix=prefix),
-        "background_mode": background_mode,
-        "discussion_turns": _collect_int(obj, "discussion_turns", errors, 1, minimum=0, prefix=prefix),
-        "max_timesteps": max_timesteps,
-        "eval_window": eval_window,
-        "sanction_cost_received": _collect_number(obj, "sanction_cost_received", errors, 0.25, 0, prefix=prefix),
-        "sanction_cost_sent": _collect_number(obj, "sanction_cost_sent", errors, 0.05, 0, prefix=prefix),
-        "harvest_reward": _collect_number(obj, "harvest_reward", errors, 1.0, prefix=prefix),
-        "monoculture_bonus": _collect_number(obj, "monoculture_bonus", errors, 0.5, 0, prefix=prefix),
-        "seed": _collect_int(obj, "seed", errors, 0, minimum=0, prefix=prefix),
-    }
-    if errors:
-        return None
-    try:
-        return EnvConfig(
-            institutions=tuple(institutions),
-            num_crops=num_crops,
-            crop_names=crop_names,
-            **kwargs,
-        )
-    except ValueError as exc:
-        errors.append(f"{prefix}{exc}")
-        return None
+                found.append(f"{prefix}{exc}")
+    env = _fold(
+        lambda: EnvConfig(institutions=tuple(institutions), crop_names=crop_names, **kwargs),
+        found,
+        prefix,
+    )
+    errors.extend(found)
+    return None if found else env
 
 
 @dataclass(frozen=True)
@@ -481,8 +486,25 @@ class SimConfig:
     chat: ChatConfig | None = None
 
 
-_SIM_KEYS = ("env", "focal", "beta", "sanction_threshold", "observe_others", "oracle")
+_SIM_KEYS = ("env", "focal", "oracle", *_LEARNER_TYPES)
 _ORACLE_KEYS = ("kind", "base_url", "model", "temperature", "timeout_secs")
+
+
+def _parse_chat(oracle_obj: dict, errors: list[str]) -> ChatConfig | None:
+    base_url = oracle_obj.get("base_url")
+    model = oracle_obj.get("model")
+    if not isinstance(base_url, str) or not base_url:
+        errors.append("oracle.base_url is required for the chat oracle")
+    if not isinstance(model, str) or not model:
+        errors.append("oracle.model is required for the chat oracle")
+    settings = _typed_fields(
+        oracle_obj, {"temperature": "a number", "timeout_secs": "a number"}, errors, "oracle."
+    )
+    if settings.get("timeout_secs", 0.0) < 0:
+        errors.append("oracle.timeout_secs must be >= 0")
+    if errors:
+        return None
+    return ChatConfig(base_url=base_url, model=model, **settings)
 
 
 def parse_sim_config(obj) -> SimConfig:
@@ -500,15 +522,11 @@ def parse_sim_config(obj) -> SimConfig:
     focal = obj.get("focal", "normative")
     if focal not in FOCAL_KINDS:
         errors.append(f"focal must be one of {', '.join(FOCAL_KINDS)}")
-    beta = _collect_number(obj, "beta", errors, 0.5)
-    if not 0.0 < beta < 1.0:
-        errors.append("beta must be in (0, 1)")
-    threshold = _collect_number(obj, "sanction_threshold", errors, 0.6)
-    if not 0.0 < threshold <= 1.0:
-        errors.append("sanction_threshold must be in (0, 1]")
-    observe_others = obj.get("observe_others", True)
-    if not isinstance(observe_others, bool):
-        errors.append("observe_others must be a boolean")
+    learner = _typed_fields(obj, _LEARNER_TYPES, errors)
+    errors += learner_violations(
+        learner.get("beta", SimConfig.beta),
+        learner.get("sanction_threshold", SimConfig.sanction_threshold),
+    )
 
     oracle_kind, chat = "scripted", None
     oracle_obj = obj.get("oracle", {"kind": "scripted"})
@@ -522,118 +540,49 @@ def parse_sim_config(obj) -> SimConfig:
         if oracle_kind not in ("scripted", "chat"):
             errors.append("oracle.kind must be 'scripted' or 'chat'")
         elif oracle_kind == "chat":
-            base_url = oracle_obj.get("base_url")
-            model = oracle_obj.get("model")
-            if not isinstance(base_url, str) or not base_url:
-                errors.append("oracle.base_url is required for the chat oracle")
-            if not isinstance(model, str) or not model:
-                errors.append("oracle.model is required for the chat oracle")
-            temperature = _collect_number(oracle_obj, "temperature", errors, 0.0)
-            timeout = _collect_number(oracle_obj, "timeout_secs", errors, 60.0, minimum=0)
-            if not errors:
-                chat = ChatConfig(
-                    base_url=base_url, model=model,
-                    temperature=temperature, timeout_secs=timeout,
-                )
-    if errors or env is None:
-        raise ConfigError(errors or ["invalid env section"])
-    return SimConfig(
-        env=env,
-        focal_kind=focal,
-        beta=beta,
-        sanction_threshold=threshold,
-        observe_others=observe_others,
-        oracle_kind=oracle_kind,
-        chat=chat,
-    )
+            chat = _parse_chat(oracle_obj, errors)
+    if errors:
+        raise ConfigError(errors)
+    return SimConfig(env=env, focal_kind=focal, oracle_kind=oracle_kind, chat=chat, **learner)
 
 
-_EXPERIMENT_KEYS = (
-    "experiment", "focal", "num_crops_grid", "num_background_grid",
-    "num_institutions_grid", "num_background_followers_grid", "num_crops",
-    "trials", "seed_base", "beta", "sanction_threshold", "observe_others", "env",
-)
+_EXPERIMENT_TYPES = {
+    "num_crops": "an integer",
+    "trials": "an integer",
+    "seed_base": "an integer",
+    **_LEARNER_TYPES,
+}
+_EXPERIMENT_KEYS = ("experiment", "focal", "env", *GRID_AXES, *_EXPERIMENT_TYPES)
 
 
 def parse_experiment_config(obj) -> ExperimentConfig:
-    """Validate an experiment config, raising ConfigError listing every violation."""
+    """Check an experiment config's JSON shape and build it, raising ConfigError
+    listing every violation, of shape or of ExperimentConfig's range rules."""
     errors: list[str] = []
     if not isinstance(obj, dict):
         raise ConfigError(["config must be a JSON object"])
     for key in obj:
         if key not in _EXPERIMENT_KEYS:
             errors.append(f"unknown key {key}")
-    experiment = obj.get("experiment")
-    if experiment not in EXPERIMENTS:
-        errors.append(f"experiment must be one of {', '.join(EXPERIMENTS)}")
-
+    kwargs = _typed_fields(obj, _EXPERIMENT_TYPES, errors)
+    kwargs.update((key, obj[key]) for key in GRID_AXES if key in obj)
     focal = obj.get("focal", "normative")
-    kinds = (focal,) if isinstance(focal, str) else tuple(focal) if isinstance(focal, list) else ()
-    if not kinds or any(k not in FOCAL_KINDS for k in kinds) or len(set(kinds)) != len(kinds):
-        errors.append(f"focal must name distinct kinds from: {', '.join(FOCAL_KINDS)}")
+    kwargs["focal_kinds"] = (
+        (focal,) if isinstance(focal, str) else tuple(focal) if isinstance(focal, list) else ()
+    )
 
-    def axis(key: str, default: tuple[int, ...]) -> tuple[int, ...]:
-        value = obj.get(key, list(default))
-        if (
-            not isinstance(value, list)
-            or not value
-            or any(not isinstance(v, int) or isinstance(v, bool) or v < 1 for v in value)
-        ):
-            errors.append(f"{key} must be a non-empty array of positive integers")
-            return default
-        return tuple(value)
-
-    grids = {
-        "num_crops_grid": axis("num_crops_grid", (2, 3, 4, 5)),
-        "num_background_grid": axis("num_background_grid", (1, 2, 3, 4, 5)),
-        "num_institutions_grid": axis("num_institutions_grid", (2, 3, 4, 5)),
-        "num_background_followers_grid": axis("num_background_followers_grid", (1, 2, 3, 4, 5)),
-    }
-    num_crops = _collect_int(obj, "num_crops", errors, 5)
-    if not 2 <= num_crops <= len(CROP_NAMES):
-        errors.append(f"num_crops must be in [2, {len(CROP_NAMES)}]")
-        num_crops = 5
-    trials = _collect_int(obj, "trials", errors, 3, minimum=1)
-    seed_base = _collect_int(obj, "seed_base", errors, 42, minimum=0)
-    beta = _collect_number(obj, "beta", errors, 0.5)
-    if not 0.0 < beta < 1.0:
-        errors.append("beta must be in (0, 1)")
-    threshold = _collect_number(obj, "sanction_threshold", errors, 0.6)
-    if not 0.0 < threshold <= 1.0:
-        errors.append("sanction_threshold must be in (0, 1]")
-    observe_others = obj.get("observe_others", True)
-    if not isinstance(observe_others, bool):
-        errors.append("observe_others must be a boolean")
-
-    overrides: list[tuple[str, float]] = []
     env_obj = obj.get("env", {})
     if not isinstance(env_obj, dict):
         errors.append("env must be an object of override values")
     else:
         for key, value in env_obj.items():
-            if key not in ENV_OVERRIDE_KEYS:
-                errors.append(f"env override not permitted: {key}")
-            elif isinstance(value, bool) or not isinstance(value, (int, float)):
+            if not _is_number(value):
                 errors.append(f"env.{key} must be a number")
-            else:
-                overrides.append((key, value))
+        kwargs["env_overrides"] = tuple(env_obj.items())
+    cfg = _fold(lambda: ExperimentConfig(experiment=obj.get("experiment"), **kwargs), errors)
     if errors:
         raise ConfigError(errors)
-    try:
-        return ExperimentConfig(
-            experiment=experiment,
-            focal_kinds=kinds,
-            num_crops=num_crops,
-            trials=trials,
-            seed_base=seed_base,
-            beta=beta,
-            sanction_threshold=threshold,
-            observe_others=observe_others,
-            env_overrides=tuple(overrides),
-            **grids,
-        )
-    except ValueError as exc:
-        raise ConfigError([str(exc)]) from exc
+    return cfg
 
 
 # ---------------------------------------------------------------------------
@@ -647,7 +596,7 @@ def load_metrics(path) -> list[dict]:
     """Rows from a metrics.json or metrics.csv file; schema mismatches are errors."""
     p = Path(path)
     if p.suffix == ".json":
-        payload = json.loads(p.read_text())
+        payload = load_json(p)
         rows = payload.get("rows") if isinstance(payload, dict) else None
         if not isinstance(rows, list):
             raise ConfigError([f"{p}: not a metrics.json file (no rows array)"])
@@ -704,16 +653,10 @@ def build_comparison(rows: list[dict]) -> list[dict]:
 
 def comparison_table(cells: list[dict]) -> str:
     """The comparison as an aligned text table."""
-
-    def fmt(value) -> str:
-        if value is None:
-            return ""
-        return "%.6f" % value if isinstance(value, float) else str(value)
-
     columns = COMPARISON_HEADER.split(",")
     table = [columns]
     for cell in cells:
-        table.append([fmt(cell[c]) for c in columns])
+        table.append([format_value(cell[c]) for c in columns])
     widths = [max(len(row[i]) for row in table) for i in range(len(columns))]
     lines = ["  ".join(value.ljust(widths[i]) for i, value in enumerate(row)).rstrip()
              for row in table]

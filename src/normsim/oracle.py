@@ -1,15 +1,11 @@
-"""Action/dialogue oracles for orchard agents.
+"""Chat backend and chat-backed focal agents for orchard episodes.
 
-Two interchangeable backends answer the same three query kinds (pick a crop,
-say something in discussion, predict whether an action draws criticism):
-
-- `scripted_oracle` is a deterministic stand-in that delegates to the policy
-  functions in `agents` and renders fixed utterance templates. All tests run
-  against it.
-- `chat_oracle` POSTs a chat-completions request to an HTTP endpoint and
-  parses a fenced-JSON reply. The API key comes from the NORMSIM_API_KEY
-  environment variable at call time and is sent only in the Authorization
-  header; it never reaches a transcript, log, or episode dump.
+`chat_oracle` answers two query kinds (pick a crop, say something in
+discussion): it POSTs a chat-completions request to an HTTP endpoint and
+parses a fenced-JSON reply. The API key comes from the NORMSIM_API_KEY
+environment variable at call time and is sent only in the Authorization
+header; it never reaches a transcript, log, or episode dump. Offline runs
+(`oracle.kind: "scripted"`) need no oracle: they use the `agents` policies.
 
 Prompt assembly is a pure function of the request, so goldens can pin it.
 """
@@ -23,17 +19,7 @@ from dataclasses import dataclass, field
 
 import requests
 
-from .agents import (
-    BASELINE_IDLE,
-    DEFY_IDLE,
-    FOLLOW_IDLE,
-    NORMATIVE_ARRIVAL,
-    NORMATIVE_IDLE,
-    NormativeState,
-    background_policy,
-    modal_crop,
-    sanction_criticisms,
-)
+from .agents import NormativeAgent, NormativeState, sanction_criticisms
 from .orchard import Criticism, Observation
 
 API_KEY_VAR = "NORMSIM_API_KEY"
@@ -41,8 +27,7 @@ CHAT_ATTEMPTS = 3  # total tries; backoff 1s then 2s between them
 
 ACTION_SELECTION = "action_selection"
 DISCUSSION_UTTERANCE = "discussion_utterance"
-NORMATIVE_QUERY = "normative_query"
-QUERY_KINDS = (ACTION_SELECTION, DISCUSSION_UTTERANCE, NORMATIVE_QUERY)
+QUERY_KINDS = (ACTION_SELECTION, DISCUSSION_UTTERANCE)
 
 
 class OracleError(RuntimeError):
@@ -51,16 +36,13 @@ class OracleError(RuntimeError):
 
 @dataclass(frozen=True)
 class AgentProfile:
-    """Who is asking: enough persona to route scripted answers and render prompts."""
+    """Who is asking: enough persona to render prompts."""
 
     name: str
-    kind: str  # "background" | "baseline" | "normative"
-    mode: str | None = None  # background agents: follow_authoritative | defy_institution
-    institution_id: int | None = None
-    defy_crop: int | None = None
+    kind: str  # "baseline" | "normative"
 
     def __post_init__(self):
-        if self.kind not in ("background", "baseline", "normative"):
+        if self.kind not in ("baseline", "normative"):
             raise ValueError(f"unknown profile kind {self.kind!r}")
 
 
@@ -73,14 +55,10 @@ class OracleRequest:
     observation: Observation
     context: str
     candidates: tuple[str, ...]  # crop names the answer may choose among
-    query_action: int | None = None  # normative_query: the crop being asked about
-    state: NormativeState | None = None  # normative persona's current weights
 
     def __post_init__(self):
         if self.kind not in QUERY_KINDS:
             raise ValueError(f"unknown query kind {self.kind!r}")
-        if self.kind == NORMATIVE_QUERY and self.query_action is None:
-            raise ValueError("normative_query needs query_action")
 
 
 @dataclass(frozen=True)
@@ -91,7 +69,6 @@ class OracleResponse:
     action: int | None = None
     utterance: str | None = None
     criticisms: tuple[Criticism, ...] = field(default=())
-    prediction: bool | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -135,11 +112,7 @@ def render_context(obs: Observation) -> str:
 def _role_line(profile: AgentProfile) -> str:
     if profile.kind == "baseline":
         return "You just arrived and want to fit in with your neighbors."
-    if profile.kind == "normative":
-        return "You just arrived and are working out whose guidance the village follows."
-    if profile.mode == "defy_institution":
-        return "You keep to the community's old harvesting traditions."
-    return "You faithfully follow the guidance of the classification institution."
+    return "You just arrived and are working out whose guidance the village follows."
 
 
 def _instruction(req: OracleRequest) -> str:
@@ -149,18 +122,11 @@ def _instruction(req: OracleRequest) -> str:
             "Respond with a single fenced JSON object, exactly like:\n"
             '```json\n{"action": "apples"}\n```'
         )
-    if req.kind == DISCUSSION_UTTERANCE:
-        return (
-            "Say one short message to the village. If any neighbor's last harvest "
-            "deserves criticism, list it; otherwise leave the list empty.\n"
-            "Respond with a single fenced JSON object, exactly like:\n"
-            '```json\n{"utterance": "...", "criticisms": [{"target": "John", "crop": "apples"}]}\n```'
-        )
-    crop = req.observation.crop_names[req.query_action]
     return (
-        f"Will the community criticize you if you harvest {crop} this step?\n"
+        "Say one short message to the village. If any neighbor's last harvest "
+        "deserves criticism, list it; otherwise leave the list empty.\n"
         "Respond with a single fenced JSON object, exactly like:\n"
-        '```json\n{"prediction": true}\n```'
+        '```json\n{"utterance": "...", "criticisms": [{"target": "John", "crop": "apples"}]}\n```'
     )
 
 
@@ -179,13 +145,7 @@ def build_messages(req: OracleRequest) -> list[dict[str, str]]:
     ]
 
 
-def make_request(
-    kind: str,
-    profile: AgentProfile,
-    obs: Observation,
-    query_action: int | None = None,
-    state: NormativeState | None = None,
-) -> OracleRequest:
+def make_request(kind: str, profile: AgentProfile, obs: Observation) -> OracleRequest:
     """Assemble a request, rendering the context from the observation."""
     return OracleRequest(
         kind=kind,
@@ -193,69 +153,7 @@ def make_request(
         observation=obs,
         context=render_context(obs),
         candidates=tuple(obs.crop_names),
-        query_action=query_action,
-        state=state,
     )
-
-
-# ---------------------------------------------------------------------------
-# Scripted backend
-# ---------------------------------------------------------------------------
-
-
-def _scripted_background(req: OracleRequest) -> tuple[int, tuple[Criticism, ...], str]:
-    obs = req.observation
-    p = req.profile
-    action, criticisms = background_policy(obs, p.mode, p.institution_id, p.defy_crop)
-    if criticisms:
-        text = " ".join(c.text for c in criticisms)
-    elif p.mode == "defy_institution":
-        text = DEFY_IDLE.format(crop=obs.crop_names[p.defy_crop])
-    else:
-        sig = next(s for s in obs.signals if s.institution_id == p.institution_id)
-        text = FOLLOW_IDLE.format(institution=sig.name, crop=obs.crop_names[sig.crop])
-    return action, criticisms, text
-
-
-def scripted_oracle(req: OracleRequest) -> OracleResponse:
-    """Deterministic oracle: delegates to the `agents` policies and fixed
-    templates. Identical requests always yield identical responses; the
-    baseline persona (whose handle owns the RNG) obeys the lowest-indexed
-    signal here."""
-    obs = req.observation
-    if req.kind == NORMATIVE_QUERY:
-        # Community-expert rule; no criticism predicted while the modal is undefined.
-        others = [a for i, a in enumerate(obs.last_step_actions) if i != obs.agent_index]
-        prediction = bool(others) and req.query_action != modal_crop(others)
-        return OracleResponse(raw="", prediction=prediction)
-
-    if req.profile.kind == "background":
-        action, criticisms, text = _scripted_background(req)
-        if req.kind == ACTION_SELECTION:
-            return OracleResponse(raw="", action=action)
-        return OracleResponse(raw="", utterance=text, criticisms=criticisms)
-
-    if req.profile.kind == "baseline":
-        if req.kind == ACTION_SELECTION:
-            action = obs.signals[0].crop if obs.signals else 0
-            return OracleResponse(raw="", action=action)
-        return OracleResponse(raw="", utterance=BASELINE_IDLE)
-
-    # normative persona: the weighted-majority state drives everything
-    state = req.state
-    if state is None:
-        raise OracleError("scripted normative queries need the agent's state")
-    if req.kind == ACTION_SELECTION:
-        from .agents import normative_action
-
-        action, _ = normative_action(state, obs)
-        return OracleResponse(raw="", action=action)
-    criticisms = sanction_criticisms(state, obs)
-    if criticisms:
-        text = " ".join(c.text for c in criticisms)
-    else:
-        text = NORMATIVE_ARRIVAL if obs.t == 0 else NORMATIVE_IDLE
-    return OracleResponse(raw="", utterance=text, criticisms=criticisms)
 
 
 # ---------------------------------------------------------------------------
@@ -303,11 +201,6 @@ def parse_chat_content(req: OracleRequest, content: str) -> OracleResponse:
         if "action" not in obj:
             raise OracleError("action_selection reply lacks an 'action' field")
         return OracleResponse(raw=content, action=_crop_index(obj["action"], req.candidates))
-    if req.kind == NORMATIVE_QUERY:
-        prediction = obj.get("prediction")
-        if not isinstance(prediction, bool):
-            raise OracleError("normative_query reply needs a boolean 'prediction'")
-        return OracleResponse(raw=content, prediction=prediction)
     utterance = obj.get("utterance")
     if not isinstance(utterance, str) or not utterance:
         raise OracleError("discussion reply needs a nonempty 'utterance'")
@@ -436,8 +329,6 @@ class ChatNormativeAgent:
         oracle=chat_oracle,
         config: ChatConfig | None = None,
     ):
-        from .agents import NormativeAgent
-
         self.index = index
         self.profile = AgentProfile(name=name, kind="normative")
         self._module = NormativeAgent(
@@ -452,9 +343,7 @@ class ChatNormativeAgent:
 
     def discuss(self, obs: Observation) -> tuple[str, tuple[Criticism, ...]]:
         criticisms = sanction_criticisms(self._module.state, obs)
-        resp = self._ask(
-            make_request(DISCUSSION_UTTERANCE, self.profile, obs, state=self._module.state)
-        )
+        resp = self._ask(make_request(DISCUSSION_UTTERANCE, self.profile, obs))
         return resp.utterance, criticisms
 
     def act(self, obs: Observation) -> int:

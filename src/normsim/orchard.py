@@ -48,6 +48,12 @@ class EnvError(RuntimeError):
     """An agent broke the environment contract mid-episode."""
 
 
+def raise_violations(violations: list[str]) -> None:
+    """Raise one ValueError whose lines are all the violations found, if any."""
+    if violations:
+        raise ValueError("\n".join(violations))
+
+
 def singular_crop(name: str) -> str:
     if name in _SINGULAR:
         return _SINGULAR[name]
@@ -75,28 +81,30 @@ class EnvConfig:
     def __post_init__(self):
         object.__setattr__(self, "institutions", tuple(self.institutions))
         object.__setattr__(self, "crop_names", tuple(self.crop_names))
+        violations = []
         if not 2 <= self.num_crops <= len(CROP_NAMES):
-            raise ValueError(f"num_crops must be in [2, {len(CROP_NAMES)}]")
-        if self.crop_names != CROP_NAMES[: self.num_crops]:
-            raise ValueError(
+            violations.append(f"num_crops must be in [2, {len(CROP_NAMES)}]")
+        elif self.crop_names != CROP_NAMES[: self.num_crops]:
+            violations.append(
                 f"crop_names must be the first {self.num_crops} of {', '.join(CROP_NAMES)}"
             )
         ids = [inst.id for inst in self.institutions]
         if len(set(ids)) != len(ids):
-            raise ValueError("institution ids must be unique")
+            violations.append("institution ids must be unique")
         if self.num_background < 0:
-            raise ValueError("num_background must be >= 0")
+            violations.append("num_background must be >= 0")
         if self.background_mode not in BACKGROUND_MODES:
-            raise ValueError(f"background_mode must be one of {BACKGROUND_MODES}")
+            violations.append(f"background_mode must be one of {', '.join(BACKGROUND_MODES)}")
         if self.discussion_turns < 0:
-            raise ValueError("discussion_turns must be >= 0")
+            violations.append("discussion_turns must be >= 0")
         if self.max_timesteps < 1:
-            raise ValueError("max_timesteps must be >= 1")
+            violations.append("max_timesteps must be >= 1")
         if not 1 <= self.eval_window <= self.max_timesteps:
-            raise ValueError("eval_window must be in [1, max_timesteps]")
-        for label in ("sanction_cost_received", "sanction_cost_sent", "monoculture_bonus"):
+            violations.append("eval_window must be in [1, max_timesteps]")
+        for label in ("sanction_cost_received", "sanction_cost_sent", "monoculture_bonus", "seed"):
             if getattr(self, label) < 0:
-                raise ValueError(f"{label} must be >= 0")
+                violations.append(f"{label} must be >= 0")
+        raise_violations(violations)
 
     @property
     def num_agents(self) -> int:

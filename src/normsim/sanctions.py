@@ -20,11 +20,9 @@ always means "less punished".
 from __future__ import annotations
 
 import itertools
-import json
 import math
 import warnings
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Iterator, Mapping, Sequence
 
 import numpy as np
@@ -500,12 +498,7 @@ def sanction_game_to_dict(sg: SanctionGame) -> dict:
 
 
 def load_sanction_game(path) -> SanctionGame:
-    text = Path(path).read_text()
-    try:
-        obj = json.loads(text, object_pairs_hook=games._no_duplicate_keys)
-    except json.JSONDecodeError as exc:
-        raise GameFormatError(f"{path}: invalid JSON ({exc})") from exc
-    return parse_sanction_game(obj)
+    return games.load_json(path, parse_sanction_game)
 
 
 def parse_advice(obj) -> AdviceDistribution:
@@ -540,9 +533,4 @@ def advice_to_dict(advice: AdviceDistribution) -> dict:
 
 
 def load_advice(path) -> AdviceDistribution:
-    text = Path(path).read_text()
-    try:
-        obj = json.loads(text, object_pairs_hook=games._no_duplicate_keys)
-    except json.JSONDecodeError as exc:
-        raise GameFormatError(f"{path}: invalid JSON ({exc})") from exc
-    return parse_advice(obj)
+    return games.load_json(path, parse_advice)

@@ -131,6 +131,20 @@ def test_analyze_exit_2_cases(game_file, sanctions_file, tmp_path, capsys):
     assert code == 2
 
 
+def test_analyze_unreadable_files_exit_2(game_file, sanctions_file, tmp_path, capsys):
+    missing = tmp_path / "missing.json"
+    for argv in (
+        (str(missing),),
+        (str(tmp_path),),
+        (str(game_file), "--sanctions", str(missing)),
+        (str(game_file), "--sanctions", str(sanctions_file), "--advice", str(missing)),
+    ):
+        code, out, err = run(capsys, "analyze", *argv)
+        assert code == 2 and out == ""
+        errors = [line for line in err.splitlines() if not line.startswith("warning: ")]
+        assert len(errors) == 1 and errors[0].startswith(f"{argv[-1]}: ")
+
+
 SIM_CONFIG = {
     "env": {
         "institutions": [{"name": "Ophilia", "crop": "apples", "authoritative": True}],
@@ -203,6 +217,22 @@ def test_simulate_config_errors_all_reported(tmp_path, capsys):
 
     code, _, err = run(capsys, "simulate", str(tmp_path / "absent.json"))
     assert code == 2 and "no such file" in err
+
+
+def test_config_files_rejected_exit_2(tmp_path, capsys):
+    duplicated = tmp_path / "dup.json"
+    duplicated.write_text('{"experiment": "multi_institution", "experiment": "x", "trials": 1}')
+    for command in ("simulate", "experiment"):
+        for path, problem in ((duplicated, "duplicate JSON key 'experiment'"),
+                              (tmp_path, "is a directory")):
+            code, out, err = run(capsys, command, str(path), "--out", str(tmp_path / "o"))
+            assert code == 2 and out == ""
+            assert err == f"config error: {path}: {problem}\n"
+    assert not (tmp_path / "o").exists()
+
+    config = write_config(tmp_path, SIM_CONFIG)
+    code, _, err = run(capsys, "simulate", str(config), "--seed", "-1")
+    assert code == 2 and err == "config error: --seed: seed must be >= 0\n"
 
 
 def test_simulate_chat_needs_key(tmp_path, capsys, monkeypatch):

@@ -27,6 +27,11 @@ def test_experiment_config_validation():
         ExperimentConfig("single_nonauthoritative", trials=0)
     with pytest.raises(ValueError, match="not permitted"):
         ExperimentConfig("single_nonauthoritative", env_overrides=(("seed", 1),))
+    for num_crops in (1, 9):
+        with pytest.raises(ValueError, match=r"num_crops must be in \[2, 5\]"):
+            ExperimentConfig("multi_institution", num_crops=num_crops)
+    with pytest.raises(ValueError, match="seed_base must be >= 0"):
+        ExperimentConfig("single_nonauthoritative", seed_base=-1)
 
 
 def test_grid_declaration_order():

@@ -1,4 +1,4 @@
-"""Oracle backends: prompt assembly, scripted answers, chat transport/parsing."""
+"""Chat oracle: prompt assembly, reply parsing, transport, chat-backed agents."""
 import json
 
 import pytest
@@ -44,8 +44,6 @@ def test_profile_and_request_validation():
         oracle.AgentProfile(name="X", kind="wizard")
     with pytest.raises(ValueError, match="query kind"):
         oracle.make_request("weather_forecast", BASELINE, make_obs())
-    with pytest.raises(ValueError, match="query_action"):
-        oracle.make_request(oracle.NORMATIVE_QUERY, NORMATIVE, make_obs())
 
 
 CONTEXT_GOLDEN = """\
@@ -98,24 +96,12 @@ def test_build_messages_golden():
 
 
 def test_role_lines_and_instructions():
-    follower = oracle.AgentProfile(name="John", kind="background",
-                                   mode="follow_authoritative", institution_id=0)
-    defier = oracle.AgentProfile(name="John", kind="background",
-                                 mode="defy_institution", institution_id=0, defy_crop=1)
-    for profile, phrase in (
-        (follower, "faithfully follow"),
-        (defier, "old harvesting traditions"),
-        (NORMATIVE, "whose guidance"),
-    ):
-        system = oracle.build_messages(action_request(profile=profile))[0]["content"]
-        assert phrase in system
-        assert system.endswith("Remember to be a good citizen.")
+    system = oracle.build_messages(action_request(profile=NORMATIVE))[0]["content"]
+    assert "whose guidance" in system
+    assert system.endswith("Remember to be a good citizen.")
 
     talk = oracle.make_request(oracle.DISCUSSION_UTTERANCE, BASELINE, make_obs())
     assert '{"utterance": "...", "criticisms":' in oracle.build_messages(talk)[1]["content"]
-    ask = oracle.make_request(oracle.NORMATIVE_QUERY, NORMATIVE, make_obs(), query_action=1)
-    user = oracle.build_messages(ask)[1]["content"]
-    assert "harvest bananas this step?" in user and '{"prediction": true}' in user
 
 
 def test_make_request_fields():
@@ -124,61 +110,6 @@ def test_make_request_fields():
     assert req.candidates == CROPS3
     assert req.context == oracle.render_context(obs)
     assert req.observation is obs
-
-
-def test_scripted_normative_query():
-    obs = make_obs(last_actions=(2, 1, 1), agent_index=0)
-    ask = lambda a: oracle.scripted_oracle(
-        oracle.make_request(oracle.NORMATIVE_QUERY, NORMATIVE, obs, query_action=a)
-    ).prediction
-    assert ask(0) is True
-    assert ask(1) is False
-    fresh = oracle.make_request(oracle.NORMATIVE_QUERY, NORMATIVE, make_obs(t=0), query_action=0)
-    assert oracle.scripted_oracle(fresh).prediction is False
-
-
-def test_scripted_background():
-    follower = oracle.AgentProfile(name="John", kind="background",
-                                   mode="follow_authoritative", institution_id=0)
-    obs = make_obs(signals=(sig(0, 0),), last_actions=(1, 0), agent_index=1)
-    act = oracle.scripted_oracle(oracle.make_request(oracle.ACTION_SELECTION, follower, obs))
-    assert act.action == 0
-    talk = oracle.scripted_oracle(oracle.make_request(oracle.DISCUSSION_UTTERANCE, follower, obs))
-    assert len(talk.criticisms) == 1 and talk.criticisms[0].target == 0
-    assert talk.utterance == talk.criticisms[0].text
-
-    quiet = make_obs(signals=(sig(0, 0),), t=0, agent_index=1)
-    talk = oracle.scripted_oracle(oracle.make_request(oracle.DISCUSSION_UTTERANCE, follower, quiet))
-    assert talk.utterance == agents.FOLLOW_IDLE.format(institution="Ophilia", crop="apples")
-    assert talk.criticisms == ()
-
-
-def test_scripted_baseline():
-    obs = make_obs(signals=(sig(0, 2), sig(1, 1)))
-    resp = oracle.scripted_oracle(oracle.make_request(oracle.ACTION_SELECTION, BASELINE, obs))
-    assert resp.action == 2  # deterministically the first signal
-    assert oracle.scripted_oracle(
-        oracle.make_request(oracle.ACTION_SELECTION, BASELINE, make_obs())
-    ).action == 0
-    talk = oracle.scripted_oracle(oracle.make_request(oracle.DISCUSSION_UTTERANCE, BASELINE, obs))
-    assert talk.utterance == agents.BASELINE_IDLE
-
-
-def test_scripted_normative():
-    state = agents.initial_state([0])
-    obs = make_obs(signals=(sig(0, 0),), t=0)
-    req = oracle.make_request(oracle.ACTION_SELECTION, NORMATIVE, obs, state=state)
-    assert oracle.scripted_oracle(req).action == 0
-    talk = oracle.scripted_oracle(
-        oracle.make_request(oracle.DISCUSSION_UTTERANCE, NORMATIVE, obs, state=state)
-    )
-    assert talk.utterance == agents.NORMATIVE_ARRIVAL
-
-    with pytest.raises(oracle.OracleError, match="state"):
-        oracle.scripted_oracle(oracle.make_request(oracle.ACTION_SELECTION, NORMATIVE, obs))
-
-    # identical requests, identical answers
-    assert oracle.scripted_oracle(req) == oracle.scripted_oracle(req)
 
 
 def test_parse_chat_action():
@@ -195,14 +126,6 @@ def test_parse_chat_action():
         oracle.parse_chat_content(req, "I pick apples!")
     with pytest.raises(oracle.OracleError, match="object"):
         oracle.parse_chat_content(req, "[1, 2]")
-
-
-def test_parse_chat_prediction():
-    req = oracle.make_request(oracle.NORMATIVE_QUERY, NORMATIVE, make_obs(), query_action=0)
-    assert oracle.parse_chat_content(req, '```json\n{"prediction": true}\n```').prediction is True
-    assert oracle.parse_chat_content(req, '{"prediction": false}').prediction is False
-    with pytest.raises(oracle.OracleError, match="boolean"):
-        oracle.parse_chat_content(req, '{"prediction": "yes"}')
 
 
 def test_parse_chat_discussion():
@@ -344,6 +267,22 @@ def test_chat_transport_retry(api_key):
     assert len(calls) == 3 and sleeps == [1.0, 2.0]
 
 
+def scripted_backend(action=2, utterance="Lovely weather for it."):
+    """A canned-answer oracle that records every request it is sent."""
+    requests_seen = []
+
+    def ask(req):
+        requests_seen.append(req)
+        if req.kind == oracle.ACTION_SELECTION:
+            return oracle.OracleResponse(raw="", action=action)
+        # a criticism the chat agents' callers must not take on trust
+        bogus = Criticism(sender=req.observation.agent_index, target=1,
+                          criticized_crop=0, basis=None, text=utterance)
+        return oracle.OracleResponse(raw="", utterance=utterance, criticisms=(bogus,))
+
+    return ask, requests_seen
+
+
 def test_chat_agents_with_scripted_backend():
     from normsim import orchard
 
@@ -354,16 +293,36 @@ def test_chat_agents_with_scripted_backend():
         max_timesteps=4,
         eval_window=2,
     )
-    focal = oracle.ChatNormativeAgent(0, "Alice", [0], oracle=oracle.scripted_oracle)
+    ask, seen = scripted_backend()
+    focal = oracle.ChatNormativeAgent(0, "Alice", [0], oracle=ask)
     roster = agents.build_roster(cfg, "normative", focal_override=focal)
     history = orchard.run_episode(cfg, roster)
-    # the module drives actions; the scripted backend reproduces the local texts
+    # the module drives actions, criticisms and learning; the oracle only talks
     local = orchard.run_episode(cfg, agents.build_roster(cfg, "normative"))
-    assert history == local
+    assert [(s.actions, s.criticisms, s.rewards) for s in history] == [
+        (s.actions, s.criticisms, s.rewards) for s in local
+    ]
+    assert {req.kind for req in seen} == {oracle.DISCUSSION_UTTERANCE}
+    assert len(seen) == cfg.max_timesteps
+    assert all(
+        e.text == "Lovely weather for it." for s in history for e in s.discussion_log if e.speaker == 0
+    )
     assert focal.state.weights[0] == 1.0
 
-    newcomer = oracle.ChatBaselineAgent(0, "Alice", oracle=oracle.scripted_oracle)
-    obs = make_obs(signals=(sig(0, 1),), t=0)
+    # once an institution leads, the module's criticisms are the ones that count
+    ask, _ = scripted_backend()
+    judge = oracle.ChatNormativeAgent(0, "Alice", [0], sanction_threshold=0.4, oracle=ask)
+    obs = make_obs(signals=(sig(0, 0),), last_actions=(0, 0, 2), agent_index=0)
+    text, crits = judge.discuss(obs)
+    assert text == "Lovely weather for it."
+    assert crits == agents.sanction_criticisms(judge.state, obs)
+    assert [(c.target, c.criticized_crop, c.basis) for c in crits] == [(2, 2, 0)]
+    assert judge.act(obs) == agents.NormativeAgent(0, [0], sanction_threshold=0.4).act(obs)
+
+    ask, seen = scripted_backend(action=1, utterance=agents.BASELINE_IDLE)
+    newcomer = oracle.ChatBaselineAgent(0, "Alice", oracle=ask)
+    obs = make_obs(signals=(sig(0, 2),), t=0)
     assert newcomer.act(obs) == 1
     text, crits = newcomer.discuss(obs)
-    assert text == agents.BASELINE_IDLE and crits == ()
+    assert text == agents.BASELINE_IDLE and [c.target for c in crits] == [1]
+    assert [req.kind for req in seen] == [oracle.ACTION_SELECTION, oracle.DISCUSSION_UTTERANCE]
