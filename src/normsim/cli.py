@@ -60,32 +60,11 @@ def _fail(message: str) -> int:
 
 
 def _feasibility_dict(game, report) -> dict:
-    return {
-        "target": profile_key(game, report.target),
-        "enforceable": report.enforceable,
-        "witness": list(report.witness) if report.witness is not None else None,
-        "players": [
-            {
-                "player": p.player,
-                "delta": p.delta,
-                "minimax": p.minimax,
-                "punish_profile": profile_key(game, p.punish_profile),
-                "enforceable": p.enforceable,
-            }
-            for p in report.players
-        ],
-    }
-
-
-def _ce_dict(report) -> dict:
-    return {
-        "mode": report.mode,
-        "holds": report.holds,
-        "worst_violation": report.worst_violation,
-        "violating_player": report.violating_player,
-        "violating_deviation": report.violating_deviation,
-        "violating_recommendation": report.violating_recommendation,
-    }
+    out = dataclasses.asdict(report)
+    out["target"] = profile_key(game, report.target)
+    for entry in out["players"]:
+        entry["punish_profile"] = profile_key(game, entry["punish_profile"])
+    return out
 
 
 def _load_noting_range(loader, path):
@@ -108,9 +87,7 @@ def cmd_analyze(args) -> int:
         return _fail(str(exc))
     dilemma = detect_cooperation_dilemma(game)
 
-    sg = None
-    feasibility = None
-    advice_report = None
+    sg = feasibility = advice_report = None
     try:
         if args.sanctions:
             sg = _load_noting_range(load_sanction_game, args.sanctions)
@@ -119,16 +96,16 @@ def cmd_analyze(args) -> int:
                 or not np.array_equal(sg.base.payoffs, game.payoffs)
             ):
                 return _fail(f"{args.sanctions}: embeds a different base game than {args.game}")
-        target = (
-            parse_profile(game, args.target) if args.target else dilemma.sw_profile
-        )
+        target = parse_profile(game, args.target) if args.target else dilemma.sw_profile
         if sg is not None:
             feasibility = theorem1_feasibility(sg, target)
             if args.advice:
                 advice = load_advice(args.advice)
-                advice_report = verify_correlated_equilibrium(
-                    sg, advice, target, mode=args.mode
-                )
+                try:
+                    advice.validate_for(sg)
+                except ValueError as exc:
+                    return _fail(f"{args.advice}: {exc}")
+                advice_report = verify_correlated_equilibrium(sg, advice, target, mode=args.mode)
         elif args.advice:
             return _fail("--advice needs --sanctions (advice ranges over classifier menus)")
     except GameFormatError as exc:
@@ -157,7 +134,7 @@ def cmd_analyze(args) -> int:
                 ],
             },
             "feasibility": _feasibility_dict(game, feasibility) if feasibility else None,
-            "advice": _ce_dict(advice_report) if advice_report else None,
+            "advice": dataclasses.asdict(advice_report) if advice_report else None,
         }
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:

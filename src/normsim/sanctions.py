@@ -12,17 +12,26 @@ issued. This module provides:
   profile be made a pure Nash equilibrium through the menus?),
 - correlated advice over joint classifier profiles and its verification,
   in both the unconditional (`literal`) and recommendation-conditioned
-  (`conditioned`) senses.
+  (`conditioned`) senses, as linear constraints over the advice support
+  (Papadimitriou & Roughgarden, JACM 2008).
 
 Sanction-game utility is the NEGATIVE of total cost throughout, so "better"
 always means "less punished".
+
+A `SanctionGame` compiles each menu once into read-only arrays: `self_cost[i]`,
+shape (|M_i|, *A), holds entry k's self-cost times the sanctions it issues at a
+profile, and `imposed[i]`, shape (|M_i|, *A, n), the cost it imposes on each
+target there. A cost is always summed in one order: own self-cost first, then
+each player's imposed cost by increasing index. Unsanctioned cells hold -0.0;
+x + -0.0 == x bit for bit, so a sum may run over every player, owner included.
 """
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator, Mapping, Sequence
 
 import numpy as np
@@ -35,6 +44,10 @@ ClassifierProfile = tuple[int, ...]
 
 # Slack for the weak correlated-equilibrium inequality.
 CE_TOLERANCE = 1e-9
+
+# Witness-search blocks start small, so an early witness is cheap, and double
+# up to a cap that bounds their memory; a CE chunk holds at most _CE_CHUNK costs.
+_FIRST_BLOCK, _MAX_BLOCK, _CE_CHUNK = 64, 1 << 14, 1 << 15
 
 
 @dataclass(frozen=True)
@@ -52,7 +65,9 @@ class ClassificationFunction:
     self_cost: float = 0.0  # paid by the owner per sanction issued
 
     def __post_init__(self):
-        pairs = frozenset((tuple(profile), int(target)) for profile, target in self.sanctions)
+        pairs = frozenset(
+            (tuple(map(operator.index, profile)), int(target)) for profile, target in self.sanctions
+        )
         if self.owner < 0:
             raise ValueError("owner must be a player index")
         for profile, target in pairs:
@@ -81,37 +96,51 @@ class SanctionGame:
     """A base game plus one finite classifier menu per player.
 
     Every menu must contain a never-sanction entry, so refusing to punish is
-    always an available strategy.
+    always an available strategy. The menus are compiled into the read-only
+    cost arrays `self_cost` and `imposed` described in the module docstring.
     """
 
     base: FiniteGame
     menus: tuple[tuple[ClassificationFunction, ...], ...]
+    self_cost: tuple[np.ndarray, ...] = field(init=False, repr=False)
+    imposed: tuple[np.ndarray, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
         menus = tuple(tuple(menu) for menu in self.menus)
-        if len(menus) != self.base.num_players:
-            raise ValueError(
-                f"{len(menus)} menus for {self.base.num_players} players"
-            )
-        counts = self.base.num_actions
+        n, counts = self.base.num_players, self.base.num_actions
+        if len(menus) != n:
+            raise ValueError(f"{len(menus)} menus for {n} players")
+        self_costs, imposed = [], []
         for i, menu in enumerate(menus):
             if not menu:
                 raise ValueError(f"player {i} has an empty classifier menu")
             if not any(c.is_never for c in menu):
                 raise ValueError(f"player {i}'s menu lacks a never-sanction entry")
-            for c in menu:
+            issued = np.zeros((len(menu),) + counts, dtype=np.int64)
+            costs = np.full((len(menu),) + counts + (n,), -0.0)
+            for k, c in enumerate(menu):
                 if c.owner != i:
                     raise ValueError(
                         f"classifier owned by player {c.owner} placed in player {i}'s menu"
                     )
                 for profile, target in c.sanctions:
-                    if not 0 <= target < len(menus):
+                    # checked before indexing: numpy would wrap a negative index
+                    if not 0 <= target < n:
                         raise ValueError(f"sanction target {target} is not a player")
                     if len(profile) != len(counts) or any(
                         not 0 <= a < counts[j] for j, a in enumerate(profile)
                     ):
                         raise ValueError(f"sanctioned profile {profile} not in the base game")
+                    issued[(k,) + profile] += 1
+                    costs[(k,) + profile + (target,)] = c.cost
+            rates = np.array([c.self_cost for c in menu], float).reshape((-1,) + (1,) * len(counts))
+            self_costs.append(rates * issued)
+            imposed.append(costs)
+        for array in self_costs + imposed:
+            array.setflags(write=False)
         object.__setattr__(self, "menus", menus)
+        object.__setattr__(self, "self_cost", tuple(self_costs))
+        object.__setattr__(self, "imposed", tuple(imposed))
 
     @property
     def num_players(self) -> int:
@@ -119,7 +148,7 @@ class SanctionGame:
 
 
 def _check_classifiers(sg: SanctionGame, classifiers: Sequence[int]) -> ClassifierProfile:
-    cls = tuple(classifiers)
+    cls = tuple(operator.index(c) for c in classifiers)
     if len(cls) != sg.num_players:
         raise ValueError(f"classifier profile {cls} has wrong length")
     for i, c in enumerate(cls):
@@ -133,22 +162,22 @@ def enumerate_classifier_profiles(sg: SanctionGame) -> Iterator[ClassifierProfil
     return itertools.product(*(range(len(menu)) for menu in sg.menus))
 
 
+def _cost(sg: SanctionGame, cls, profile: tuple, player: int) -> np.ndarray:
+    """`player`'s sanction cost at `profile` under `cls`, summed in the fixed order.
+    Entries of `cls` and `profile` may be index arrays that broadcast together."""
+    cost = sg.self_cost[player][(cls[player],) + profile]
+    for k, imposed in zip(cls, sg.imposed):
+        cost = cost + imposed[(k,) + profile + (player,)]
+    return cost
+
+
 def sanction_cost(
     sg: SanctionGame, classifiers: Sequence[int], base_profile: Sequence[int], player: int
 ) -> float:
     """Total sanction cost borne by `player` at a profile: own issuing self-costs
     plus every other player's sanction that names `player` there."""
     base_profile = games._check_profile(sg.base, base_profile)
-    cls = _check_classifiers(sg, classifiers)
-    own = sg.menus[player][cls[player]]
-    cost = own.self_cost * sum(1 for profile, _ in own.sanctions if profile == base_profile)
-    for j, idx in enumerate(cls):
-        if j == player:
-            continue
-        other = sg.menus[j][idx]
-        if (base_profile, player) in other.sanctions:
-            cost += other.cost
-    return cost
+    return float(_cost(sg, _check_classifiers(sg, classifiers), base_profile, player))
 
 
 def sanction_utility(
@@ -161,14 +190,11 @@ def sanction_utility(
 def apply_transform(sg: SanctionGame, classifiers: Sequence[int]) -> FiniteGame:
     """The base game with each player's realized sanction cost subtracted everywhere."""
     cls = _check_classifiers(sg, classifiers)
-    payoffs = np.array(sg.base.payoffs)
-    for profile in games.enumerate_profiles(sg.base):
-        for i in range(sg.num_players):
-            payoffs[profile + (i,)] -= sanction_cost(sg, cls, profile, i)
+    cost = np.stack([_cost(sg, cls, (...,), i) for i in range(sg.num_players)], axis=-1)
     with warnings.catch_warnings():
         # sanctioned payoffs legitimately go negative; the range note is for inputs
         warnings.simplefilter("ignore", games.PayoffRangeWarning)
-        return FiniteGame(sg.base.action_names, payoffs)
+        return FiniteGame(sg.base.action_names, sg.base.payoffs - cost)
 
 
 def is_dilemma_resolving(base: FiniteGame, transformed: FiniteGame, player: int) -> bool:
@@ -188,19 +214,15 @@ def is_dilemma_resolving(base: FiniteGame, transformed: FiniteGame, player: int)
 
 def sanction_minimax(sg: SanctionGame, base_profile: Sequence[int], player: int) -> float:
     """min over the others' classifiers of the best sanction utility `player`
-    can still secure at `base_profile`, by full menu enumeration."""
+    can still secure at `base_profile`: -(min own self-cost + max cost each
+    other imposes), summed in the fixed order. Float addition is monotone in
+    each operand, so this equals full menu enumeration bit for bit."""
     base_profile = games._check_profile(sg.base, base_profile)
-    others = [j for j in range(sg.num_players) if j != player]
-    worst = math.inf
-    for combo in itertools.product(*(range(len(sg.menus[j])) for j in others)):
-        assignment = dict(zip(others, combo))
-        best = -math.inf
-        for own in range(len(sg.menus[player])):
-            assignment[player] = own
-            cls = tuple(assignment[j] for j in range(sg.num_players))
-            best = max(best, sanction_utility(sg, cls, base_profile, player))
-        worst = min(worst, best)
-    return worst
+    menu_axis = (slice(None),) + base_profile
+    cost = sg.self_cost[player][menu_axis].min()
+    for imposed in sg.imposed:
+        cost += imposed[menu_axis + (player,)].max()
+    return float(-cost)
 
 
 @dataclass(frozen=True)
@@ -225,15 +247,31 @@ class FeasibilityReport:
 def find_nash_witness(sg: SanctionGame, target: Sequence[int]) -> ClassifierProfile | None:
     """Exhaustively search the menus for a classifier profile whose transform
     makes `target` a pure Nash equilibrium. The all-never profile is tried
-    first so an already-stable target gets the zero-sanction witness."""
+    first so an already-stable target gets the zero-sanction witness; the rest
+    follow in lexicographic order, in blocks, judged at the deviations only."""
     target = games._check_profile(sg.base, target)
+
+    def nash(cls) -> np.ndarray:
+        """Which classifier profiles (one index array per player) keep `target` Nash."""
+        ok, cls = True, [k[:, None] for k in cls]
+        for i, t in enumerate(target):
+            dev = target[:i] + (np.arange(sg.base.num_actions[i]),) + target[i + 1 :]
+            utils = sg.base.payoffs[dev + (i,)] - _cost(sg, cls, dev, i)
+            ok = ok & (utils <= utils[:, t, None]).all(axis=1)
+        return ok
+
     never = non_resolving_witness(sg)
-    candidates = itertools.chain(
-        [never], (c for c in enumerate_classifier_profiles(sg) if c != never)
-    )
-    for cls in candidates:
-        if games.is_nash(apply_transform(sg, cls), target):
-            return cls
+    if nash(np.array(never)[:, None])[0]:
+        return never
+    sizes = tuple(len(menu) for menu in sg.menus)
+    total = math.prod(sizes)
+    start, block = 0, _FIRST_BLOCK
+    while start < total:
+        cls = np.unravel_index(np.arange(start, min(start + block, total)), sizes)
+        hits = np.flatnonzero(nash(cls))
+        if hits.size:
+            return tuple(int(k[hits[0]]) for k in cls)
+        start, block = start + block, min(2 * block, _MAX_BLOCK)
     return None
 
 
@@ -258,16 +296,7 @@ def theorem1_feasibility(sg: SanctionGame, target: Sequence[int]) -> Feasibility
             best = min(games.best_response_set(sg.base, i, opp))
             punish = target[:i] + (best,) + target[i + 1 :]
         minimax = sanction_minimax(sg, punish, i)
-        enforceable = delta == 0.0 or -delta > minimax
-        players.append(
-            PlayerFeasibility(
-                player=i,
-                delta=delta,
-                minimax=minimax,
-                punish_profile=punish,
-                enforceable=enforceable,
-            )
-        )
+        players.append(PlayerFeasibility(i, delta, minimax, punish, delta == 0.0 or -delta > minimax))
     all_enforceable = all(p.enforceable for p in players)
     witness = find_nash_witness(sg, target) if all_enforceable else None
     return FeasibilityReport(
@@ -278,10 +307,7 @@ def theorem1_feasibility(sg: SanctionGame, target: Sequence[int]) -> Feasibility
 def non_resolving_witness(sg: SanctionGame) -> ClassifierProfile:
     """The all-never-sanction profile: its transform is the identity, so it never
     resolves a dilemma (and never changes any Nash verdict)."""
-    profile = []
-    for menu in sg.menus:
-        profile.append(next(i for i, c in enumerate(menu) if c.is_never))
-    return tuple(profile)
+    return tuple(next(k for k, c in enumerate(menu) if c.is_never) for menu in sg.menus)
 
 
 def declaration_classifier(
@@ -290,12 +316,13 @@ def declaration_classifier(
     """A classifier that sanctions every other player at every profile where that
     player's own component deviates from `target_profile`."""
     target_profile = games._check_profile(base, target_profile)
-    pairs = set()
-    for profile in games.enumerate_profiles(base):
-        for t in range(base.num_players):
-            if t != owner and profile[t] != target_profile[t]:
-                pairs.add((profile, t))
-    return ClassificationFunction(owner=owner, sanctions=frozenset(pairs), cost=cost, self_cost=self_cost)
+    pairs = frozenset(
+        (profile, t)
+        for profile in games.enumerate_profiles(base)
+        for t in range(base.num_players)
+        if t != owner and profile[t] != target_profile[t]
+    )
+    return ClassificationFunction(owner=owner, sanctions=pairs, cost=cost, self_cost=self_cost)
 
 
 def exhaustive_menu(
@@ -313,17 +340,13 @@ def exhaustive_menu(
         for t in range(base.num_players)
         if t != owner
     )
-    menu = []
-    for size in range(len(pairs) + 1):
-        for combo in itertools.combinations(pairs, size):
-            menu.append(
-                ClassificationFunction(
-                    owner=owner, sanctions=frozenset(combo), cost=cost, self_cost=self_cost
-                )
-            )
-            if len(menu) == limit:
-                return tuple(menu)
-    return tuple(menu)
+    sets = itertools.chain.from_iterable(
+        itertools.combinations(pairs, size) for size in range(len(pairs) + 1)
+    )
+    return tuple(
+        ClassificationFunction(owner=owner, sanctions=frozenset(c), cost=cost, self_cost=self_cost)
+        for c in itertools.islice(sets, limit)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -386,32 +409,32 @@ def verify_correlated_equilibrium(
         raise ValueError(f"unknown mode {mode!r}")
     base_profile = games._check_profile(sg.base, base_profile)
     advice.validate_for(sg)
+    advised = np.array([profile for profile, _ in advice.support], dtype=np.intp)
+    p = np.array([q for _, q in advice.support])
 
-    def util(player: int, cls: ClassifierProfile) -> float:
-        return sanction_utility(sg, cls, base_profile, player)
-
-    worst = 0.0
-    who: int | None = None
-    dev: int | None = None
-    rec: int | None = None
+    worst, who, dev, rec = 0.0, None, None, None
     for i in range(sg.num_players):
-        alternatives = range(len(sg.menus[i]))
         if mode == "literal":
-            groups = [(None, advice.support)]
+            groups = [(None, np.arange(len(p)))]
         else:
-            by_rec: dict[int, list[tuple[ClassifierProfile, float]]] = {}
-            for profile, p in advice.support:
-                if p > 0.0:
-                    by_rec.setdefault(profile[i], []).append((profile, p))
-            groups = sorted(by_rec.items())
-        for recommended, mass in groups:
-            for d in alternatives:
-                margin = sum(
-                    p * (util(i, profile[:i] + (d,) + profile[i + 1 :]) - util(i, profile))
-                    for profile, p in mass
-                )
-                if margin > worst:
-                    worst, who, dev, rec = margin, i, d, recommended
+            rows = np.flatnonzero(p > 0.0)
+            groups = [(int(r), rows[advised[rows, i] == r]) for r in np.unique(advised[rows, i])]
+        menu = np.arange(len(sg.menus[i]))
+        step = max(1, _CE_CHUNK // len(menu))
+        for recommended, rows in groups:
+            # margins[d] sums p * (utility switched to d - utility as advised) over
+            # the rows in order, chunk by chunk and row after row: numpy's pairwise
+            # `sum` would change the last bits
+            margins = np.zeros((1, len(menu)))
+            for chunk in np.split(rows, range(step, len(rows), step)):
+                cls = [advised[chunk, j, None] for j in range(sg.num_players)]
+                advised_u = -_cost(sg, cls, base_profile, i)
+                cls[i] = menu
+                terms = p[chunk, None] * (-_cost(sg, cls, base_profile, i) - advised_u)
+                margins = np.add.accumulate(np.concatenate([margins, terms]), axis=0)[-1:]
+            d = int(np.argmax(margins[0]))
+            if margins[0, d] > worst:
+                worst, who, dev, rec = float(margins[0, d]), i, d, recommended
     if worst <= CE_TOLERANCE:
         return CEReport(mode, True, 0.0, None, None, None)
     return CEReport(mode, False, worst, who, dev, rec)

@@ -145,6 +145,20 @@ def test_analyze_unreadable_files_exit_2(game_file, sanctions_file, tmp_path, ca
         assert len(errors) == 1 and errors[0].startswith(f"{argv[-1]}: ")
 
 
+def test_analyze_advice_outside_menus_exit_2(game_file, sanctions_file, tmp_path, capsys):
+    # each menu of the PD sanction game has two entries
+    for indices in ([0, 2], [-1, 0], [0, 0, 0]):
+        advice = tmp_path / "advice.json"
+        advice.write_text(json.dumps({"support": [{"profile_indices": indices, "p": 1.0}]}))
+        code, out, err = run(
+            capsys, "analyze", str(game_file), "--sanctions", str(sanctions_file),
+            "--advice", str(advice),
+        )
+        assert code == 2 and out == ""
+        errors = [line for line in err.splitlines() if not line.startswith("warning: ")]
+        assert len(errors) == 1 and errors[0].startswith(f"{advice}: ")
+
+
 SIM_CONFIG = {
     "env": {
         "institutions": [{"name": "Ophilia", "crop": "apples", "authoritative": True}],
