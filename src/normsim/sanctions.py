@@ -47,7 +47,7 @@ CE_TOLERANCE = 1e-9
 
 # Witness-search blocks start small, so an early witness is cheap, and double
 # up to a cap that bounds their memory; a CE chunk holds at most _CE_CHUNK costs.
-_FIRST_BLOCK, _MAX_BLOCK, _CE_CHUNK = 64, 1 << 14, 1 << 15
+_FIRST_BLOCK, _MAX_BLOCK, _CE_CHUNK = 64, 1 << 14, 1 << 13
 
 
 @dataclass(frozen=True)
