@@ -102,10 +102,9 @@ def cmd_analyze(args) -> int:
             if args.advice:
                 advice = load_advice(args.advice)
                 try:
-                    advice.validate_for(sg)
-                except ValueError as exc:
+                    advice_report = verify_correlated_equilibrium(sg, advice, target, mode=args.mode)
+                except ValueError as exc:  # here only from advice indices outside the menus
                     return _fail(f"{args.advice}: {exc}")
-                advice_report = verify_correlated_equilibrium(sg, advice, target, mode=args.mode)
         elif args.advice:
             return _fail("--advice needs --sanctions (advice ranges over classifier menus)")
     except GameFormatError as exc:

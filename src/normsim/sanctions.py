@@ -148,7 +148,7 @@ class SanctionGame:
 
 
 def _check_classifiers(sg: SanctionGame, classifiers: Sequence[int]) -> ClassifierProfile:
-    cls = tuple(operator.index(c) for c in classifiers)
+    cls = tuple(map(operator.index, classifiers))
     if len(cls) != sg.num_players:
         raise ValueError(f"classifier profile {cls} has wrong length")
     for i, c in enumerate(cls):
