@@ -19,6 +19,7 @@ Three kinds of villager:
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
@@ -63,19 +64,30 @@ class Expert:
             raise ValueError("institution experts (and only they) need an institution_id")
 
 
+def _signal_for(obs: Observation, institution_id: int):
+    """The signal `institution_id` sent this step; None if it sent none."""
+    return next((s for s in obs.signals if s.institution_id == institution_id), None)
+
+
+def _safe_crop(expert: Expert, obs: Observation) -> int | None:
+    """The one crop `expert` predicts draws no criticism: its institution's
+    declaration, or the modal crop of the other agents' last actions (one O(N)
+    count). None = abstain."""
+    if expert.kind == "institution":
+        sig = _signal_for(obs, expert.institution_id)
+        return None if sig is None else sig.crop
+    actions = obs.last_step_actions
+    others = Counter(actions)
+    if 0 <= obs.agent_index < len(actions):
+        others[actions[obs.agent_index]] -= 1
+    others = +others  # drops the agent's own crop if it was its only harvester
+    return modal_crop(others) if others else None
+
+
 def _expert_vote(expert: Expert, obs: Observation, action: int) -> bool | None:
     """True = predicts criticism of `action`, False = predicts none, None = abstain."""
-    if expert.kind == "institution":
-        sig = next(
-            (s for s in obs.signals if s.institution_id == expert.institution_id), None
-        )
-        if sig is None:
-            return None
-        return action != sig.crop
-    others = [a for i, a in enumerate(obs.last_step_actions) if i != obs.agent_index]
-    if not others:
-        return None
-    return action != modal_crop(others)
+    crop = _safe_crop(expert, obs)
+    return None if crop is None else action != crop
 
 
 def learner_violations(beta: float, sanction_threshold: float) -> list[str]:
@@ -133,11 +145,11 @@ def predict_sanction(ns: NormativeState, obs: Observation, action: int) -> Sanct
     voting = 0.0
     saying_sanction = 0.0
     for expert, weight in zip(ns.experts, ns.weights):
-        vote = _expert_vote(expert, obs, action)
-        if vote is None:
+        crop = _safe_crop(expert, obs)
+        if crop is None:
             continue
         voting += weight
-        if vote:
+        if action != crop:
             saying_sanction += weight
     probability = saying_sanction / voting if voting > 0.0 else 0.0
     return SanctionPrediction(action=action, probability=probability)
@@ -156,31 +168,50 @@ def leading_institution(ns: NormativeState) -> tuple[Expert | None, float]:
     return best, best_weight / total
 
 
+# (last_step_actions, (declared, strays), targets) of the latest scan. All
+# observations of one step share one last_step_actions tuple; holding it keeps
+# its identity from being reused, so `is` proves the scan still applies.
+_last_scan: tuple = ((), None, ())
+
+
+def _last_step_targets(obs: Observation, declared: int, strays: bool) -> tuple:
+    """Last step's (agent, crop) pairs that strayed from `declared` (strays) or
+    harvested it (not strays): one scan per step, not one per villager."""
+    global _last_scan
+    actions, key, targets = _last_scan
+    if actions is obs.last_step_actions and key == (declared, strays):
+        return targets
+    targets = tuple(
+        (j, crop) for j, crop in enumerate(obs.last_step_actions) if (crop != declared) == strays
+    )
+    _last_scan = (obs.last_step_actions, (declared, strays), targets)
+    return targets
+
+
+def _criticize(obs: Observation, targets, basis: int | None, template: str, **fields):
+    """One criticism of each (agent, crop) target except the observer; the
+    template may name the target, its crop and the extra `fields`."""
+    return tuple(
+        Criticism(obs.agent_index, j, crop, basis,
+                  template.format(target=obs.agent_names[j], crop=obs.crop_names[crop], **fields))
+        for j, crop in targets
+        if j != obs.agent_index
+    )
+
+
 def sanction_criticisms(ns: NormativeState, obs: Observation) -> tuple[Criticism, ...]:
     """Criticisms of deviations from the leading institution's declaration, emitted
     only when that expert's weight share clears the threshold."""
     expert, share = leading_institution(ns)
     if expert is None or share <= ns.sanction_threshold or not obs.last_step_actions:
         return ()
-    sig = next((s for s in obs.signals if s.institution_id == expert.institution_id), None)
+    sig = _signal_for(obs, expert.institution_id)
     if sig is None:
         return ()
-    criticisms = []
-    for j, crop in enumerate(obs.last_step_actions):
-        if j == obs.agent_index or crop == sig.crop:
-            continue
-        criticisms.append(
-            Criticism(
-                sender=obs.agent_index,
-                target=j,
-                criticized_crop=crop,
-                basis=expert.institution_id,
-                text=INSTITUTION_CRITICISM.format(
-                    target=obs.agent_names[j], institution=sig.name
-                ),
-            )
-        )
-    return tuple(criticisms)
+    targets = _last_step_targets(obs, sig.crop, strays=True)
+    return _criticize(
+        obs, targets, expert.institution_id, INSTITUTION_CRITICISM, institution=sig.name
+    )
 
 
 def normative_action(ns: NormativeState, obs: Observation) -> tuple[int, tuple[Criticism, ...]]:
@@ -204,10 +235,10 @@ def wm_update(
     every non-abstaining expert that mispredicted is multiplied by beta.
     Weights are never renormalized; shares are computed on demand."""
     weights = list(ns.weights)
+    crops = [_safe_crop(expert, obs) for expert in ns.experts]
     for action, sanctioned in observed:
-        for k, expert in enumerate(ns.experts):
-            vote = _expert_vote(expert, obs, action)
-            if vote is not None and vote != bool(sanctioned):
+        for k, crop in enumerate(crops):
+            if crop is not None and (action != crop) != bool(sanctioned):
                 weights[k] *= ns.beta
     return replace(ns, weights=tuple(weights))
 
@@ -267,11 +298,21 @@ def run_weighted_majority(
 # ---------------------------------------------------------------------------
 
 
-def _signal_for(obs: Observation, institution_id: int):
-    sig = next((s for s in obs.signals if s.institution_id == institution_id), None)
+def _background_action(obs: Observation, mode: str, my_institution: int | None,
+                       defy_crop: int | None):
+    """(signal reacted to, crop harvested) of a background villager."""
+    if my_institution is None:
+        raise ValueError(f"{mode} mode needs an institution to react to")
+    sig = _signal_for(obs, my_institution)
     if sig is None:
-        raise ValueError(f"no signal from institution {institution_id}")
-    return sig
+        raise ValueError(f"no signal from institution {my_institution}")
+    if mode == "follow_authoritative":
+        return sig, sig.crop
+    if mode == "defy_institution":
+        if defy_crop is None or defy_crop == sig.crop:
+            raise ValueError("defy mode needs a defy_crop different from the declaration")
+        return sig, defy_crop
+    raise ValueError(f"unknown background mode {mode!r}")
 
 
 def background_policy(
@@ -283,50 +324,14 @@ def background_policy(
     """Hard-coded villager behavior. Follow mode harvests the declaration and
     criticizes last step's strays; defy mode harvests `defy_crop` and
     criticizes last step's obeyers on community grounds."""
-    if my_institution is None:
-        raise ValueError(f"{mode} mode needs an institution to react to")
-    sig = _signal_for(obs, my_institution)
-    declared = sig.crop
-    criticisms: list[Criticism] = []
+    sig, action = _background_action(obs, mode, my_institution, defy_crop)
     if mode == "follow_authoritative":
-        action = declared
-        for j, crop in enumerate(obs.last_step_actions):
-            if j == obs.agent_index or crop == declared:
-                continue
-            criticisms.append(
-                Criticism(
-                    sender=obs.agent_index,
-                    target=j,
-                    criticized_crop=crop,
-                    basis=my_institution,
-                    text=INSTITUTION_CRITICISM.format(
-                        target=obs.agent_names[j], institution=sig.name
-                    ),
-                )
-            )
-    elif mode == "defy_institution":
-        if defy_crop is None or defy_crop == declared:
-            raise ValueError("defy mode needs a defy_crop different from the declaration")
-        action = defy_crop
-        for j, crop in enumerate(obs.last_step_actions):
-            if j == obs.agent_index or crop != declared:
-                continue
-            criticisms.append(
-                Criticism(
-                    sender=obs.agent_index,
-                    target=j,
-                    criticized_crop=crop,
-                    basis=None,
-                    text=COMMUNITY_CRITICISM.format(
-                        target=obs.agent_names[j],
-                        crop=obs.crop_names[crop],
-                        expected=obs.crop_names[defy_crop],
-                    ),
-                )
-            )
-    else:
-        raise ValueError(f"unknown background mode {mode!r}")
-    return action, tuple(criticisms)
+        targets = _last_step_targets(obs, sig.crop, strays=True)
+        return action, _criticize(obs, targets, my_institution, INSTITUTION_CRITICISM,
+                                  institution=sig.name)
+    targets = _last_step_targets(obs, sig.crop, strays=False)
+    return action, _criticize(obs, targets, None, COMMUNITY_CRITICISM,
+                              expected=obs.crop_names[defy_crop])
 
 
 def baseline_policy(obs: Observation, rng: np.random.Generator) -> int:
@@ -357,11 +362,8 @@ class BackgroundAgent:
         self.institution_id = institution_id
         self.defy_crop = defy_crop
 
-    def _policy(self, obs: Observation):
-        return background_policy(obs, self.mode, self.institution_id, self.defy_crop)
-
     def discuss(self, obs: Observation) -> tuple[str, tuple[Criticism, ...]]:
-        _, criticisms = self._policy(obs)
+        _, criticisms = background_policy(obs, self.mode, self.institution_id, self.defy_crop)
         if criticisms:
             return " ".join(c.text for c in criticisms), criticisms
         sig = _signal_for(obs, self.institution_id)
@@ -372,7 +374,7 @@ class BackgroundAgent:
         return text, ()
 
     def act(self, obs: Observation) -> int:
-        action, _ = self._policy(obs)
+        _, action = _background_action(obs, self.mode, self.institution_id, self.defy_crop)
         return action
 
 

@@ -18,10 +18,11 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
-from itertools import product
+from itertools import product, repeat
 from pathlib import Path
 
 import numpy as np
@@ -347,18 +348,15 @@ def run_experiment(
     ]
     if jobs is None:
         jobs = os.cpu_count() or 1
-    results: dict[tuple[str, tuple[int, int], int], TrialResult] = {}
+    kinds, coords_list, trials = zip(*tasks)
+    args = (repeat(cfg), coords_list, kinds, trials)
     if jobs <= 1:
-        for kind, coords, trial in tasks:
-            results[(kind, coords, trial)] = run_cell(cfg, coords, kind, trial)
+        outcomes = list(map(run_cell, *args))
     else:
+        chunksize = math.ceil(len(tasks) / (4 * jobs))  # a trial takes ms: ~4 chunks per worker
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = {
-                (kind, coords, trial): pool.submit(run_cell, cfg, coords, kind, trial)
-                for kind, coords, trial in tasks
-            }
-            for key, fut in futures.items():
-                results[key] = fut.result()
+            outcomes = list(pool.map(run_cell, *args, chunksize=chunksize))
+    results = dict(zip(tasks, outcomes))
 
     rows: list[MetricsRow] = []
     for kind in cfg.focal_kinds:

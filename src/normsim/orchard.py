@@ -16,6 +16,11 @@ The environment itself draws no randomness; agent policies own their seeded
 generators, so identical configs and policies replay byte-identically.
 Transcripts render in the village-journal layout with a clock advancing 30
 simulated minutes per step from 8:00 AM.
+
+A step costs O(N + criticisms) for N agents: criticisms are grouped by target
+once, the act phase shares one discussion tuple, and no built-in villager
+rescans last step's actions on its own. Only each speaker's copy of the log so
+far is quadratic, a C-level copy that stays small next to the rest.
 """
 from __future__ import annotations
 
@@ -178,8 +183,9 @@ class AgentHandle(Protocol):
     def act(self, obs: Observation) -> int: ...
 
 
-def modal_crop(actions: Sequence[int]) -> int:
-    """Most common crop; ties go to the lowest index."""
+def modal_crop(actions: Sequence[int] | Counter) -> int:
+    """Most common crop (of a crop sequence, or of a Counter of positive crop
+    counts); ties go to the lowest index."""
     if not actions:
         raise ValueError("no actions")
     counts = Counter(actions)
@@ -215,8 +221,11 @@ def step(prev: WorldState | None, agents: Sequence[AgentHandle], cfg: EnvConfig)
     signals = tuple(declare(inst, t, cfg.crop_names) for inst in cfg.institutions)
     last_actions = () if prev is None else prev.actions
     last_criticisms = () if prev is None else prev.criticisms
+    received_by: dict[int, list[Criticism]] = {}
+    for c in last_criticisms:
+        received_by.setdefault(c.target, []).append(c)
 
-    def obs_for(idx: int, so_far: list[DiscussionEntry]) -> Observation:
+    def obs_for(idx: int, so_far: tuple[DiscussionEntry, ...]) -> Observation:
         return Observation(
             t=t,
             agent_index=idx,
@@ -225,22 +234,23 @@ def step(prev: WorldState | None, agents: Sequence[AgentHandle], cfg: EnvConfig)
             signals=signals,
             last_step_actions=last_actions,
             last_step_criticisms=last_criticisms,
-            own_received_criticisms=tuple(c for c in last_criticisms if c.target == idx),
-            discussion_so_far=tuple(so_far),
+            own_received_criticisms=tuple(received_by.get(idx, ())),
+            discussion_so_far=so_far,
         )
 
     log: list[DiscussionEntry] = []
     for _ in range(cfg.discussion_turns):
         for idx, agent in enumerate(agents):
-            text, criticisms = agent.discuss(obs_for(idx, log))
+            text, criticisms = agent.discuss(obs_for(idx, tuple(log)))
             criticisms = tuple(criticisms)
             for c in criticisms:
                 _validate_criticism(c, idx, cfg, last_actions)
             log.append(DiscussionEntry(speaker=idx, text=text, criticisms=criticisms))
+    discussion = tuple(log)
 
     actions = []
     for idx, agent in enumerate(agents):
-        chosen = agent.act(obs_for(idx, log))
+        chosen = agent.act(obs_for(idx, discussion))
         try:
             crop = operator.index(chosen)
         except TypeError:
@@ -250,7 +260,7 @@ def step(prev: WorldState | None, agents: Sequence[AgentHandle], cfg: EnvConfig)
         actions.append(crop)
     actions = tuple(actions)
 
-    criticisms = tuple(c for entry in log for c in entry.criticisms)
+    criticisms = tuple(c for entry in discussion for c in entry.criticisms)
     received = Counter(c.target for c in criticisms)
     sent = Counter(c.sender for c in criticisms)
     frac = actions.count(modal_crop(actions)) / len(actions)
@@ -264,7 +274,7 @@ def step(prev: WorldState | None, agents: Sequence[AgentHandle], cfg: EnvConfig)
     return WorldState(
         t=t,
         signals=signals,
-        discussion_log=tuple(log),
+        discussion_log=discussion,
         actions=actions,
         criticisms=criticisms,
         rewards=rewards,

@@ -79,6 +79,7 @@ class ClassificationFunction:
         for value, label in ((self.cost, "cost"), (self.self_cost, "self_cost")):
             if not math.isfinite(value) or value < 0.0:
                 raise ValueError(f"{label} must be finite and >= 0, got {value}")
+            object.__setattr__(self, label, value + 0.0)  # -0.0 would sign a zero minimax
         object.__setattr__(self, "sanctions", pairs)
 
     @property

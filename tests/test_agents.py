@@ -183,6 +183,63 @@ def test_wm_update_oracle_values():
     assert once.beta == ns.beta and once.experts == ns.experts
 
 
+def test_wm_update_computes_community_crop_once(monkeypatch):
+    calls = []
+
+    def counting_modal_crop(actions):
+        calls.append(actions)
+        return orchard.modal_crop(actions)
+
+    monkeypatch.setattr(agents, "modal_crop", counting_modal_crop)
+    actions = tuple(j % 3 for j in range(321))
+    obs = make_obs(signals=(sig(0, 0),), last_actions=actions, agent_index=0)
+    observed = [(actions[j], j % 2 == 0) for j in range(1, 321)]
+    agents.wm_update(agents.initial_state([0]), obs, observed)
+    assert len(calls) == 1  # not once per observed outcome
+
+
+class ScanCountingActions(tuple):
+    """Last step's actions, counting how often something iterates over all of them."""
+
+    scans = 0
+
+    def __iter__(self):
+        ScanCountingActions.scans += 1
+        return super().__iter__()
+
+
+def scans_in_one_step(num_background, mode, focal_kind):
+    """Full scans of last step's actions during one step in which every
+    villager criticizes the focal agent."""
+    if mode == "follow_authoritative":
+        insts = (institutions.make_institution(0, 0, authoritative=True),)
+        actions = (1,) + (0,) * num_background  # the focal agent strayed
+    else:
+        insts = (institutions.make_institution(0, 0),)
+        actions = (0,) + (1,) * num_background  # the focal agent obeyed
+    cfg = orchard.EnvConfig(
+        institutions=insts, num_background=num_background, background_mode=mode
+    )
+    roster = agents.build_roster(cfg, focal_kind)
+    prev = orchard.WorldState(
+        t=0, signals=(), discussion_log=(), actions=ScanCountingActions(actions),
+        criticisms=(), rewards=(),
+    )
+    ScanCountingActions.scans = 0
+    state = orchard.step(prev, roster, cfg)
+    assert len(state.criticisms) == num_background
+    return ScanCountingActions.scans
+
+
+@pytest.mark.parametrize("focal_kind", ["normative", "baseline"])
+@pytest.mark.parametrize("mode", orchard.BACKGROUND_MODES)
+def test_step_scans_last_actions_a_fixed_number_of_times(mode, focal_kind):
+    # a villager that rescans last step's actions makes the step O(N^2)
+    scans = scans_in_one_step(320, mode, focal_kind)
+    assert scans == scans_in_one_step(20, mode, focal_kind)
+    assert scans <= 8
+
+
 def test_derive_outcomes():
     crit_other = Criticism(sender=2, target=1, criticized_crop=1, basis=None, text="x")
     crit_own = Criticism(sender=0, target=2, criticized_crop=2, basis=None, text="y")

@@ -1,6 +1,7 @@
 """Sanction games: costs, transforms, enforceability, and advice checks."""
 import itertools
 import json
+import math
 
 import numpy as np
 import pytest
@@ -132,6 +133,20 @@ def test_classifier_validation(pd):
         # menus without a never-sanction entry
         decl = sanctions.declaration_classifier(pd, 0, (0, 0), 1.0)
         sanctions.SanctionGame(base=pd, menus=((decl,), (sanctions.never_sanction(1),)))
+
+
+def test_negative_zero_costs_keep_minimax_sign(pd):
+    # -0.0 passes the >= 0 check; it must not flip the sign of a zero minimax
+    def game(zero):
+        return sanctions.SanctionGame(base=pd, menus=declaration_menus(pd, (0, 0), zero, zero))
+
+    plus, minus = game(0.0), game(-0.0)
+    for profile in itertools.product((0, 1), repeat=2):
+        for player in (0, 1):
+            a = sanctions.sanction_minimax(plus, profile, player)
+            b = sanctions.sanction_minimax(minus, profile, player)
+            assert a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+    assert math.copysign(1.0, minus.menus[0][1].cost) == 1.0
 
 
 def test_exhaustive_menu_shape(pd):
