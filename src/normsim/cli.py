@@ -238,7 +238,10 @@ def cmd_simulate(args) -> int:
     if sim.oracle_kind == "chat" and not os.environ.get(API_KEY_VAR):
         return _fail(f"config error: the chat oracle needs the {API_KEY_VAR} environment variable")
 
-    agents = _sim_agents(sim)
+    try:
+        agents = _sim_agents(sim)
+    except ValueError as exc:  # a roster the config cannot staff
+        return _fail(f"config error: {exc}")
     try:
         history = run_episode(sim.env, agents)
     except Exception as exc:  # noqa: BLE001 - report, don't trace-dump

@@ -21,14 +21,14 @@ import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from itertools import product, repeat
 from pathlib import Path
 
 import numpy as np
 
 from .agents import build_roster, learner_violations
-from .games import load_json
+from .games import _is_number, load_json
 from .institutions import CROP_NAMES, make_institution, parse_institution
 from .oracle import ChatConfig
 from .orchard import (
@@ -48,15 +48,25 @@ GRID_AXES = (
     "num_background_followers_grid",
 )
 
-# EnvConfig fields an experiment config may override (cell axes own the rest).
-ENV_OVERRIDE_KEYS = (
-    "discussion_turns",
-    "max_timesteps",
-    "eval_window",
-    "sanction_cost_received",
-    "sanction_cost_sent",
-    "harvest_reward",
-    "monoculture_bonus",
+# The config field annotations a JSON scalar fills, with the JSON kind and its
+# check. Annotations are strings: every config module imports
+# `from __future__ import annotations`.
+_JSON_KINDS = {
+    "int": ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool)),
+    "float": ("a number", _is_number),  # finite
+    "bool": ("a boolean", lambda v: isinstance(v, bool)),
+}
+
+
+def _settings(cls) -> dict[str, str]:
+    """The integer, number and boolean fields of a config dataclass, each with
+    its annotation, in declaration order."""
+    return {f.name: f.type for f in fields(cls) if f.init and f.type in _JSON_KINDS}
+
+
+# EnvConfig settings an experiment may override: all but those each cell sets.
+ENV_OVERRIDE_KEYS = tuple(
+    key for key in _settings(EnvConfig) if key not in ("num_crops", "num_background", "seed")
 )
 
 METRICS_HEADER = (
@@ -171,7 +181,6 @@ def cell_env(cfg: ExperimentConfig, coords: tuple[int, int], seed: int) -> EnvCo
         num_background=num_background,
         background_mode=mode,
         num_crops=num_crops,
-        crop_names=CROP_NAMES[:num_crops],
         seed=seed,
         **overrides,
     )
@@ -377,27 +386,21 @@ def run_experiment(
 # ---------------------------------------------------------------------------
 
 
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-_JSON_TYPES = {
-    "an integer": lambda v: isinstance(v, int) and not isinstance(v, bool),
-    "a number": _is_number,
-    "a boolean": lambda v: isinstance(v, bool),
-}
-
-
-def _typed_fields(obj: dict, types: dict[str, str], errors: list[str], prefix: str = "") -> dict:
-    """The keys of `types` present in `obj`, each checked against its JSON type
-    ("an integer", "a number" or "a boolean"); numbers become floats. Keys of
-    the wrong type are reported in `errors` and left out, so defaults apply."""
+def _read_settings(obj: dict, cls, errors: list[str], prefix: str = "", other_keys=None) -> dict:
+    """The settings of `cls` (see `_settings`) present in the JSON object `obj`,
+    each checked against its JSON kind; numbers must be finite and become
+    floats. Wrong types are reported in `errors` and left out, so defaults
+    apply. Unless `other_keys` is None, every key that is neither a setting nor
+    one of `other_keys` is reported as unknown."""
+    settings = _settings(cls)
     out = {}
-    for key, kind in types.items():
-        if key not in obj:
+    for key, value in obj.items():
+        if key not in settings:
+            if other_keys is not None and key not in other_keys:
+                errors.append(f"unknown key {prefix}{key}")
             continue
-        value = obj[key]
-        if not _JSON_TYPES[kind](value):
+        kind, check = _JSON_KINDS[settings[key]]
+        if not check(value):
             errors.append(f"{prefix}{key} must be {kind}")
         else:
             out[key] = float(value) if kind == "a number" else value
@@ -413,29 +416,6 @@ def _fold(build, errors: list[str], prefix: str = ""):
         return None
 
 
-_ENV_TYPES = {
-    "num_crops": "an integer",
-    "num_background": "an integer",
-    "discussion_turns": "an integer",
-    "max_timesteps": "an integer",
-    "eval_window": "an integer",
-    "seed": "an integer",
-    "sanction_cost_received": "a number",
-    "sanction_cost_sent": "a number",
-    "harvest_reward": "a number",
-    "monoculture_bonus": "a number",
-}
-_ENV_KEYS = ("institutions", "background_mode", *_ENV_TYPES)
-_SIM_NUM_BACKGROUND = 4  # village size when a simulate config leaves it out
-
-# The normative module's settings, shared by simulate and experiment configs.
-_LEARNER_TYPES = {
-    "beta": "a number",
-    "sanction_threshold": "a number",
-    "observe_others": "a boolean",
-}
-
-
 def parse_env_config(obj, errors: list[str], prefix: str = "") -> EnvConfig | None:
     """Check an environment section's JSON shape and build it; every violation,
     of shape or of EnvConfig's range rules, is appended to `errors`."""
@@ -443,11 +423,7 @@ def parse_env_config(obj, errors: list[str], prefix: str = "") -> EnvConfig | No
         errors.append(f"{prefix or 'env'} must be an object")
         return None
     found: list[str] = []
-    for key in obj:
-        if key not in _ENV_KEYS:
-            found.append(f"unknown key {prefix}{key}")
-    kwargs = {"num_background": _SIM_NUM_BACKGROUND}
-    kwargs.update(_typed_fields(obj, _ENV_TYPES, found, prefix))
+    kwargs = _read_settings(obj, EnvConfig, found, prefix, ("institutions", "background_mode"))
     if "background_mode" in obj:
         kwargs["background_mode"] = obj["background_mode"]
     crop_names = CROP_NAMES[: kwargs.get("num_crops", EnvConfig.num_crops)]
@@ -463,7 +439,7 @@ def parse_env_config(obj, errors: list[str], prefix: str = "") -> EnvConfig | No
             except ValueError as exc:
                 found.append(f"{prefix}{exc}")
     env = _fold(
-        lambda: EnvConfig(institutions=tuple(institutions), crop_names=crop_names, **kwargs),
+        lambda: EnvConfig(institutions=tuple(institutions), **kwargs),
         found,
         prefix,
     )
@@ -484,20 +460,13 @@ class SimConfig:
     chat: ChatConfig | None = None
 
 
-_SIM_KEYS = ("env", "focal", "oracle", *_LEARNER_TYPES)
-_ORACLE_KEYS = ("kind", "base_url", "model", "temperature", "timeout_secs")
-
-
-def _parse_chat(oracle_obj: dict, errors: list[str]) -> ChatConfig | None:
+def _parse_chat(oracle_obj: dict, settings: dict, errors: list[str]) -> ChatConfig | None:
     base_url = oracle_obj.get("base_url")
     model = oracle_obj.get("model")
     if not isinstance(base_url, str) or not base_url:
         errors.append("oracle.base_url is required for the chat oracle")
     if not isinstance(model, str) or not model:
         errors.append("oracle.model is required for the chat oracle")
-    settings = _typed_fields(
-        oracle_obj, {"temperature": "a number", "timeout_secs": "a number"}, errors, "oracle."
-    )
     if settings.get("timeout_secs", 0.0) < 0:
         errors.append("oracle.timeout_secs must be >= 0")
     if errors:
@@ -510,9 +479,7 @@ def parse_sim_config(obj) -> SimConfig:
     errors: list[str] = []
     if not isinstance(obj, dict):
         raise ConfigError(["config must be a JSON object"])
-    for key in obj:
-        if key not in _SIM_KEYS:
-            errors.append(f"unknown key {key}")
+    learner = _read_settings(obj, SimConfig, errors, other_keys=("env", "focal", "oracle"))
     if "env" not in obj:
         errors.append("env section is required")
     env = parse_env_config(obj.get("env", {}), errors, prefix="env.")
@@ -520,7 +487,6 @@ def parse_sim_config(obj) -> SimConfig:
     focal = obj.get("focal", "normative")
     if focal not in FOCAL_KINDS:
         errors.append(f"focal must be one of {', '.join(FOCAL_KINDS)}")
-    learner = _typed_fields(obj, _LEARNER_TYPES, errors)
     errors += learner_violations(
         learner.get("beta", SimConfig.beta),
         learner.get("sanction_threshold", SimConfig.sanction_threshold),
@@ -531,26 +497,17 @@ def parse_sim_config(obj) -> SimConfig:
     if not isinstance(oracle_obj, dict):
         errors.append("oracle must be an object")
     else:
-        for key in oracle_obj:
-            if key not in _ORACLE_KEYS:
-                errors.append(f"unknown key oracle.{key}")
+        settings = _read_settings(
+            oracle_obj, ChatConfig, errors, "oracle.", ("kind", "base_url", "model")
+        )
         oracle_kind = oracle_obj.get("kind", "scripted")
         if oracle_kind not in ("scripted", "chat"):
             errors.append("oracle.kind must be 'scripted' or 'chat'")
         elif oracle_kind == "chat":
-            chat = _parse_chat(oracle_obj, errors)
+            chat = _parse_chat(oracle_obj, settings, errors)
     if errors:
         raise ConfigError(errors)
     return SimConfig(env=env, focal_kind=focal, oracle_kind=oracle_kind, chat=chat, **learner)
-
-
-_EXPERIMENT_TYPES = {
-    "num_crops": "an integer",
-    "trials": "an integer",
-    "seed_base": "an integer",
-    **_LEARNER_TYPES,
-}
-_EXPERIMENT_KEYS = ("experiment", "focal", "env", *GRID_AXES, *_EXPERIMENT_TYPES)
 
 
 def parse_experiment_config(obj) -> ExperimentConfig:
@@ -559,10 +516,9 @@ def parse_experiment_config(obj) -> ExperimentConfig:
     errors: list[str] = []
     if not isinstance(obj, dict):
         raise ConfigError(["config must be a JSON object"])
-    for key in obj:
-        if key not in _EXPERIMENT_KEYS:
-            errors.append(f"unknown key {key}")
-    kwargs = _typed_fields(obj, _EXPERIMENT_TYPES, errors)
+    kwargs = _read_settings(
+        obj, ExperimentConfig, errors, other_keys=("experiment", "focal", "env", *GRID_AXES)
+    )
     kwargs.update((key, obj[key]) for key in GRID_AXES if key in obj)
     focal = obj.get("focal", "normative")
     kwargs["focal_kinds"] = (
@@ -573,10 +529,9 @@ def parse_experiment_config(obj) -> ExperimentConfig:
     if not isinstance(env_obj, dict):
         errors.append("env must be an object of override values")
     else:
-        for key, value in env_obj.items():
-            if not _is_number(value):
-                errors.append(f"env.{key} must be a number")
-        kwargs["env_overrides"] = tuple(env_obj.items())
+        # Keys outside ENV_OVERRIDE_KEYS pass through for ExperimentConfig to refuse.
+        overrides = _read_settings(env_obj, EnvConfig, errors, "env.")
+        kwargs["env_overrides"] = tuple({**env_obj, **overrides}.items())
     cfg = _fold(lambda: ExperimentConfig(experiment=obj.get("experiment"), **kwargs), errors)
     if errors:
         raise ConfigError(errors)

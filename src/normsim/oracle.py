@@ -138,7 +138,7 @@ def build_messages(req: OracleRequest) -> list[dict[str, str]]:
         f"whose orchards grow {crops}. {_role_line(req.profile)} "
         "Remember to be a good citizen."
     )
-    user = render_context(req.observation) + "\n\n" + _instruction(req)
+    user = req.context + "\n\n" + _instruction(req)
     return [
         {"role": "system", "content": system},
         {"role": "user", "content": user},

@@ -27,7 +27,7 @@ from __future__ import annotations
 import json
 import operator
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Protocol, Sequence
 
@@ -70,10 +70,10 @@ class EnvConfig:
     """Everything needed to replay an episode, minus the agent policies."""
 
     institutions: tuple[Institution, ...]
-    num_background: int
+    num_background: int = 4
     background_mode: str = "follow_authoritative"
     num_crops: int = 5
-    crop_names: tuple[str, ...] = CROP_NAMES
+    crop_names: tuple[str, ...] = field(init=False)  # CROP_NAMES[:num_crops]
     discussion_turns: int = 1
     max_timesteps: int = 16
     eval_window: int = 8
@@ -85,14 +85,10 @@ class EnvConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "institutions", tuple(self.institutions))
-        object.__setattr__(self, "crop_names", tuple(self.crop_names))
+        object.__setattr__(self, "crop_names", CROP_NAMES[: self.num_crops])
         violations = []
         if not 2 <= self.num_crops <= len(CROP_NAMES):
             violations.append(f"num_crops must be in [2, {len(CROP_NAMES)}]")
-        elif self.crop_names != CROP_NAMES[: self.num_crops]:
-            violations.append(
-                f"crop_names must be the first {self.num_crops} of {', '.join(CROP_NAMES)}"
-            )
         ids = [inst.id for inst in self.institutions]
         if len(set(ids)) != len(ids):
             violations.append("institution ids must be unique")
@@ -396,30 +392,18 @@ def _policy_to_dict(policy) -> dict:
 
 def episode_to_dict(history: Sequence[WorldState], cfg: EnvConfig) -> dict:
     """Structured dump of the full episode plus the config needed to replay it."""
+    config = {f.name: getattr(cfg, f.name) for f in fields(cfg)}
+    config["institutions"] = [
+        {
+            "id": inst.id,
+            "name": inst.name,
+            "authoritative": inst.authoritative,
+            **_policy_to_dict(inst.policy),
+        }
+        for inst in cfg.institutions
+    ]
     return {
-        "config": {
-            "num_crops": cfg.num_crops,
-            "crop_names": list(cfg.crop_names),
-            "institutions": [
-                {
-                    "id": inst.id,
-                    "name": inst.name,
-                    "authoritative": inst.authoritative,
-                    **_policy_to_dict(inst.policy),
-                }
-                for inst in cfg.institutions
-            ],
-            "num_background": cfg.num_background,
-            "background_mode": cfg.background_mode,
-            "discussion_turns": cfg.discussion_turns,
-            "max_timesteps": cfg.max_timesteps,
-            "eval_window": cfg.eval_window,
-            "sanction_cost_received": cfg.sanction_cost_received,
-            "sanction_cost_sent": cfg.sanction_cost_sent,
-            "harvest_reward": cfg.harvest_reward,
-            "monoculture_bonus": cfg.monoculture_bonus,
-            "seed": cfg.seed,
-        },
+        "config": config,
         "agent_names": list(roster_names(cfg)),
         "steps": [
             {

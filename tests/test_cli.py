@@ -249,6 +249,47 @@ def test_config_files_rejected_exit_2(tmp_path, capsys):
     assert code == 2 and err == "config error: --seed: seed must be >= 0\n"
 
 
+def test_simulate_unstaffable_roster_exit_2(tmp_path, capsys):
+    for env, problem in (
+        ({"institutions": [{"crop": "apples"}], "num_background": 2},
+         "follow_authoritative needs exactly one authoritative institution"),
+        ({"institutions": [], "background_mode": "defy_institution"},
+         "defy_institution needs an institution to defy"),
+    ):
+        config = write_config(tmp_path, {"env": env})
+        code, out, err = run(capsys, "simulate", str(config), "--out", str(tmp_path / "o"))
+        assert code == 2 and out == ""
+        assert err == f"config error: {problem}\n"
+    assert not (tmp_path / "o").exists()
+
+
+def test_non_finite_and_fractional_settings_exit_2(tmp_path, capsys):
+    config = write_config(tmp_path, {
+        **SIM_CONFIG, "env": {**SIM_CONFIG["env"], "harvest_reward": float("nan")},
+    })
+    code, out, err = run(capsys, "simulate", str(config), "--json", "--out", str(tmp_path / "o"))
+    assert code == 2 and out == ""
+    assert err == "config error: env.harvest_reward must be a number\n"
+
+    config = write_config(tmp_path, {
+        **SIM_CONFIG, "oracle": {"kind": "scripted", "temperature": float("inf")},
+    })
+    code, _, err = run(capsys, "simulate", str(config), "--out", str(tmp_path / "o"))
+    assert code == 2 and err == "config error: oracle.temperature must be a number\n"
+
+    config = write_config(tmp_path, {
+        "experiment": "single_nonauthoritative",
+        "num_crops_grid": [2],
+        "num_background_grid": [1],
+        "trials": 1,
+        "env": {"max_timesteps": 8.5},
+    }, "exp.json")
+    code, out, err = run(capsys, "experiment", str(config), "--out", str(tmp_path / "o"))
+    assert code == 2 and out == ""
+    assert err == "config error: env.max_timesteps must be an integer\n"
+    assert not (tmp_path / "o").exists()
+
+
 def test_simulate_chat_needs_key(tmp_path, capsys, monkeypatch):
     monkeypatch.delenv("NORMSIM_API_KEY", raising=False)
     config = write_config(tmp_path, {

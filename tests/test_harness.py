@@ -1,5 +1,8 @@
 """Experiment harness: grids, seeding, aggregation, files, config parsing."""
+import dataclasses
 import json
+from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 import pytest
@@ -342,3 +345,159 @@ def test_parse_experiment_config_collects_every_error():
         "env override not permitted: seed",
     ):
         assert fragment in joined, fragment
+
+
+# ---------------------------------------------------------------------------
+# Config keys and JSON types, section by section (docs/config.md)
+# ---------------------------------------------------------------------------
+
+INT, NUM, BOOL = "an integer", "a number", "a boolean"
+WRONG_TYPES = {
+    INT: ["3", 4.5, 2.0, True, None, float("nan"), float("inf")],
+    NUM: ["1", True, None, [1], float("nan"), float("inf"), float("-inf")],
+    BOOL: [1, 0, "true", None],
+}
+INSTITUTIONS = [{"crop": "apples", "authoritative": True}]
+
+# Each section's documented keys: key -> (JSON kind or None, a valid value).
+ENV_DOC = {
+    "institutions": (None, INSTITUTIONS),
+    "num_background": (INT, 2),
+    "background_mode": (None, "follow_authoritative"),
+    "num_crops": (INT, 3),
+    "discussion_turns": (INT, 2),
+    "max_timesteps": (INT, 10),
+    "eval_window": (INT, 4),
+    "sanction_cost_received": (NUM, 0.5),
+    "sanction_cost_sent": (NUM, 0),
+    "harvest_reward": (NUM, 2),
+    "monoculture_bonus": (NUM, 0.25),
+    "seed": (INT, 7),
+}
+SIM_DOC = {
+    "env": (None, {"institutions": INSTITUTIONS}),
+    "focal": (None, "baseline"),
+    "beta": (NUM, 0.3),
+    "sanction_threshold": (NUM, 1),
+    "observe_others": (BOOL, False),
+    "oracle": (None, {"kind": "scripted"}),
+}
+ORACLE_DOC = {
+    "kind": (None, "scripted"),
+    "base_url": (None, "http://localhost:9"),
+    "model": (None, "m"),
+    "temperature": (NUM, 0.5),
+    "timeout_secs": (NUM, 5),
+}
+EXPERIMENT_DOC = {
+    "experiment": (None, "multi_institution"),
+    "focal": (None, ["normative", "baseline"]),
+    "num_crops_grid": (None, [2]),
+    "num_background_grid": (None, [1]),
+    "num_institutions_grid": (None, [2]),
+    "num_background_followers_grid": (None, [1]),
+    "num_crops": (INT, 4),
+    "trials": (INT, 2),
+    "seed_base": (INT, 5),
+    "beta": (NUM, 0.3),
+    "sanction_threshold": (NUM, 1),
+    "observe_others": (BOOL, False),
+    "env": (None, {}),
+}
+OVERRIDE_DOC = {
+    "discussion_turns": (INT, 2),
+    "max_timesteps": (INT, 10),
+    "eval_window": (INT, 4),
+    "sanction_cost_received": (NUM, 0.5),
+    "sanction_cost_sent": (NUM, 0),
+    "harvest_reward": (NUM, 2),
+    "monoculture_bonus": (NUM, 0.25),
+}
+
+class Section(NamedTuple):
+    doc: dict  # the documented keys
+    cls: type  # the config dataclass behind the section
+    prefix: str  # of the section's error lines
+    base: dict  # a valid section
+    wrap: Callable  # section -> the whole config holding it
+    parse: Callable
+    unknown: str  # the error for a key the section refuses
+
+
+SECTIONS = {
+    "env": Section(
+        ENV_DOC, harness.EnvConfig, "env.", {"institutions": INSTITUTIONS},
+        lambda s: {"env": s}, harness.parse_sim_config, "unknown key env.{}",
+    ),
+    "simulate": Section(
+        SIM_DOC, harness.SimConfig, "", {"env": {"institutions": INSTITUTIONS}},
+        lambda s: s, harness.parse_sim_config, "unknown key {}",
+    ),
+    "oracle": Section(
+        ORACLE_DOC, harness.ChatConfig, "oracle.",
+        {"kind": "chat", "base_url": "http://localhost:9", "model": "m"},
+        lambda s: {"env": {"institutions": INSTITUTIONS}, "oracle": s},
+        harness.parse_sim_config, "unknown key oracle.{}",
+    ),
+    "scripted_oracle": Section(
+        ORACLE_DOC, harness.ChatConfig, "oracle.", {"kind": "scripted"},
+        lambda s: {"env": {"institutions": INSTITUTIONS}, "oracle": s},
+        harness.parse_sim_config, "unknown key oracle.{}",
+    ),
+    "experiment": Section(
+        EXPERIMENT_DOC, ExperimentConfig, "", {"experiment": "single_nonauthoritative"},
+        lambda s: s, harness.parse_experiment_config, "unknown key {}",
+    ),
+    "env_overrides": Section(
+        OVERRIDE_DOC, harness.EnvConfig, "env.", {},
+        lambda s: {"experiment": "single_nonauthoritative", "env": s},
+        harness.parse_experiment_config, "env override not permitted: {}",
+    ),
+}
+
+
+def section_errors(section: str, changes: dict) -> list[str]:
+    sec = SECTIONS[section]
+    try:
+        sec.parse(sec.wrap({**sec.base, **changes}))
+    except ConfigError as exc:
+        return list(exc.errors)
+    return []
+
+
+@pytest.mark.parametrize("section", SECTIONS)
+def test_config_section_accepts_exactly_its_documented_keys(section):
+    sec = SECTIONS[section]
+    for key, (_, value) in sec.doc.items():
+        assert section_errors(section, {key: value}) == [], key
+    # every field of the config class that is not documented is refused
+    candidates = {f.name for f in dataclasses.fields(sec.cls)} | {"bogus"}
+    for key in sorted(candidates - set(sec.doc)):
+        assert sec.unknown.format(key) in section_errors(section, {key: 1}), key
+    docs = (Path(__file__).parents[1] / "docs" / "config.md").read_text()
+    for key in sec.doc:
+        assert f"`{key}`" in docs, key
+
+
+@pytest.mark.parametrize("section", SECTIONS)
+def test_config_section_wrong_types(section):
+    sec = SECTIONS[section]
+    typed = [(key, kind) for key, (kind, _) in sec.doc.items() if kind is not None]
+    assert typed
+    for key, kind in typed:
+        for value in WRONG_TYPES[kind]:
+            errors = section_errors(section, {key: value})
+            assert errors == [f"{sec.prefix}{key} must be {kind}"], (key, value)
+
+
+def test_config_numbers_become_floats():
+    cfg = harness.parse_experiment_config({
+        "experiment": "single_nonauthoritative", "beta": 1 / 4,
+        "env": {"harvest_reward": 2, "max_timesteps": 10},
+    })
+    overrides = dict(cfg.env_overrides)
+    assert overrides == {"harvest_reward": 2.0, "max_timesteps": 10}
+    assert type(overrides["harvest_reward"]) is float and type(overrides["max_timesteps"]) is int
+    sim = harness.parse_sim_config({"env": {"institutions": INSTITUTIONS, "sanction_cost_sent": 0}})
+    assert type(sim.env.sanction_cost_sent) is float and sim.env.num_background == 4
+    assert harness.ENV_OVERRIDE_KEYS == tuple(OVERRIDE_DOC)

@@ -40,10 +40,9 @@ def crit(sender, target, crop, text="called out"):
 def test_env_config_validation():
     inst = institutions.make_institution(0, crop=0)
     with pytest.raises(ValueError, match="num_crops"):
-        follow_cfg(num_crops=1, crop_names=("apples",))
-    with pytest.raises(ValueError, match="crop_names"):
-        orchard.EnvConfig(institutions=(inst,), num_background=1, num_crops=2,
-                          crop_names=("bananas", "apples"))
+        follow_cfg(num_crops=1)
+    assert follow_cfg(num_crops=2).crop_names == ("apples", "bananas")
+    assert follow_cfg().crop_names == institutions.CROP_NAMES
     with pytest.raises(ValueError, match="unique"):
         orchard.EnvConfig(institutions=(inst, inst), num_background=1)
     with pytest.raises(ValueError, match="background_mode"):

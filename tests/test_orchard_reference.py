@@ -322,7 +322,6 @@ def random_episode(rng):
         num_background=int(rng.integers(0, 41)),
         background_mode=mode,
         num_crops=num_crops,
-        crop_names=institutions.CROP_NAMES[:num_crops],
         discussion_turns=int(rng.integers(0, 3)),
         max_timesteps=max_timesteps,
         eval_window=max_timesteps,
