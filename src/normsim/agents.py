@@ -64,9 +64,17 @@ class Expert:
             raise ValueError("institution experts (and only they) need an institution_id")
 
 
+_signal_map: tuple = ((), {})  # (signals, {institution id: signal}) of the latest lookup
+
+
 def _signal_for(obs: Observation, institution_id: int):
-    """The signal `institution_id` sent this step; None if it sent none."""
-    return next((s for s in obs.signals if s.institution_id == institution_id), None)
+    """The signal `institution_id` sent this step; None if it sent none. The map
+    is held by the identity of the step's shared signals tuple, as `_last_scan`
+    below; built from the back, it keeps the first signal of a repeated id."""
+    global _signal_map
+    if _signal_map[0] is not obs.signals:
+        _signal_map = (obs.signals, {s.institution_id: s for s in reversed(obs.signals)})
+    return _signal_map[1].get(institution_id)
 
 
 def _safe_crop(expert: Expert, obs: Observation) -> int | None:

@@ -460,20 +460,6 @@ class SimConfig:
     chat: ChatConfig | None = None
 
 
-def _parse_chat(oracle_obj: dict, settings: dict, errors: list[str]) -> ChatConfig | None:
-    base_url = oracle_obj.get("base_url")
-    model = oracle_obj.get("model")
-    if not isinstance(base_url, str) or not base_url:
-        errors.append("oracle.base_url is required for the chat oracle")
-    if not isinstance(model, str) or not model:
-        errors.append("oracle.model is required for the chat oracle")
-    if settings.get("timeout_secs", 0.0) < 0:
-        errors.append("oracle.timeout_secs must be >= 0")
-    if errors:
-        return None
-    return ChatConfig(base_url=base_url, model=model, **settings)
-
-
 def parse_sim_config(obj) -> SimConfig:
     """Validate a simulate config, raising ConfigError listing every violation."""
     errors: list[str] = []
@@ -503,8 +489,15 @@ def parse_sim_config(obj) -> SimConfig:
         oracle_kind = oracle_obj.get("kind", "scripted")
         if oracle_kind not in ("scripted", "chat"):
             errors.append("oracle.kind must be 'scripted' or 'chat'")
-        elif oracle_kind == "chat":
-            chat = _parse_chat(oracle_obj, settings, errors)
+        if settings.get("timeout_secs", ChatConfig.timeout_secs) <= 0:
+            errors.append("oracle.timeout_secs must be > 0")
+        # built for a scripted config too, so that `--oracle chat` can use it
+        if oracle_kind == "chat" or ("base_url" in oracle_obj and "model" in oracle_obj):
+            for key in ("base_url", "model"):
+                if not isinstance(oracle_obj.get(key), str) or not oracle_obj[key]:
+                    errors.append(f"oracle.{key} is required for the chat oracle")
+            if not errors:
+                chat = ChatConfig(oracle_obj["base_url"], oracle_obj["model"], **settings)
     if errors:
         raise ConfigError(errors)
     return SimConfig(env=env, focal_kind=focal, oracle_kind=oracle_kind, chat=chat, **learner)

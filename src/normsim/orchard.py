@@ -17,10 +17,10 @@ generators, so identical configs and policies replay byte-identically.
 Transcripts render in the village-journal layout with a clock advancing 30
 simulated minutes per step from 8:00 AM.
 
-A step costs O(N + criticisms) for N agents: criticisms are grouped by target
-once, the act phase shares one discussion tuple, and no built-in villager
-rescans last step's actions on its own. Only each speaker's copy of the log so
-far is quadratic, a C-level copy that stays small next to the rest.
+A step costs O(N + criticisms) for N agents. What all agents see alike is built
+once per step, so an `Observation` is a named tuple of shared references, and
+villagers key their per-step caches on the shared tuples' identity. Only each
+speaker's copy of the log so far is quadratic, a C-level copy.
 """
 from __future__ import annotations
 
@@ -28,8 +28,9 @@ import json
 import operator
 from collections import Counter
 from dataclasses import dataclass, field, fields
+from functools import cached_property, lru_cache
 from pathlib import Path
-from typing import Protocol, Sequence
+from typing import NamedTuple, Protocol, Sequence
 
 from .institutions import CROP_NAMES, Institution, InstitutionSignal, declare
 
@@ -89,8 +90,7 @@ class EnvConfig:
         violations = []
         if not 2 <= self.num_crops <= len(CROP_NAMES):
             violations.append(f"num_crops must be in [2, {len(CROP_NAMES)}]")
-        ids = [inst.id for inst in self.institutions]
-        if len(set(ids)) != len(ids):
+        if len(self.institution_ids) != len(self.institutions):
             violations.append("institution ids must be unique")
         if self.num_background < 0:
             violations.append("num_background must be >= 0")
@@ -111,13 +111,21 @@ class EnvConfig:
     def num_agents(self) -> int:
         return 1 + self.num_background
 
+    @cached_property
+    def institution_ids(self) -> frozenset:
+        """The ids a criticism may cite (a property, so not in the dump)."""
+        return frozenset(inst.id for inst in self.institutions)
+
 
 def roster_names(cfg: EnvConfig) -> tuple[str, ...]:
     """Agent display names: the focal agent first, then the background villagers."""
-    names = [FOCAL_NAME]
-    for i in range(cfg.num_background):
-        names.append(BACKGROUND_NAMES[i] if i < len(BACKGROUND_NAMES) else f"Villager{i}")
-    return tuple(names)
+    return _roster_names(cfg.num_background)
+
+
+@lru_cache(maxsize=16)
+def _roster_names(num_background: int) -> tuple[str, ...]:
+    numbered = (f"Villager{i}" for i in range(len(BACKGROUND_NAMES), num_background))
+    return (FOCAL_NAME,) + BACKGROUND_NAMES[:num_background] + tuple(numbered)
 
 
 @dataclass(frozen=True)
@@ -154,10 +162,10 @@ class WorldState:
     rewards: tuple[float, ...]
 
 
-@dataclass(frozen=True)
-class Observation:
-    """What one agent sees when asked to speak or act. Carries no authority
-    ground truth and no other agent's internals."""
+class Observation(NamedTuple):
+    """What one agent sees when asked to speak or act: no authority ground truth,
+    no other agent's internals. Immutable. One step's observations share every
+    tuple but `own_received_criticisms` (and `discussion_so_far` before acting)."""
 
     t: int
     agent_index: int
@@ -190,10 +198,9 @@ def modal_crop(actions: Sequence[int] | Counter) -> int:
 
 
 def _validate_criticism(c: Criticism, speaker: int, cfg: EnvConfig, last_actions: tuple[int, ...]) -> None:
-    n = cfg.num_agents
     if c.sender != speaker:
         raise EnvError(f"criticism sender {c.sender} does not match speaker {speaker}")
-    if not 0 <= c.target < n:
+    if not 0 <= c.target < cfg.num_agents:
         raise EnvError(f"criticism target {c.target} is not an agent")
     if not last_actions:
         raise EnvError("criticism emitted at step 0, which has no prior actions to reference")
@@ -204,7 +211,7 @@ def _validate_criticism(c: Criticism, speaker: int, cfg: EnvConfig, last_actions
             f"criticism names crop {c.criticized_crop} but agent {c.target} "
             f"harvested {last_actions[c.target]} last step"
         )
-    if c.basis is not None and c.basis not in {inst.id for inst in cfg.institutions}:
+    if c.basis is not None and c.basis not in cfg.institution_ids:
         raise EnvError(f"criticism cites unknown institution {c.basis}")
 
 
@@ -220,19 +227,11 @@ def step(prev: WorldState | None, agents: Sequence[AgentHandle], cfg: EnvConfig)
     received_by: dict[int, list[Criticism]] = {}
     for c in last_criticisms:
         received_by.setdefault(c.target, []).append(c)
+    own = {idx: tuple(cs) for idx, cs in received_by.items()}
 
     def obs_for(idx: int, so_far: tuple[DiscussionEntry, ...]) -> Observation:
-        return Observation(
-            t=t,
-            agent_index=idx,
-            agent_names=names,
-            crop_names=cfg.crop_names,
-            signals=signals,
-            last_step_actions=last_actions,
-            last_step_criticisms=last_criticisms,
-            own_received_criticisms=tuple(received_by.get(idx, ())),
-            discussion_so_far=so_far,
-        )
+        return Observation(t, idx, names, cfg.crop_names, signals, last_actions,
+                           last_criticisms, own.get(idx, ()), so_far)
 
     log: list[DiscussionEntry] = []
     for _ in range(cfg.discussion_turns):
@@ -306,14 +305,14 @@ def _clock_label(step_index: int) -> str:
 def render_transcript(history: Sequence[WorldState], cfg: EnvConfig) -> str:
     """The village-journal text for a full episode, from the focal agent's seat."""
     names = roster_names(cfg)
-    lines: list[str] = []
+    per_turn = len(names)
+    harvest = [f"Harvest {fruit} from {fruit} tree" for fruit in map(singular_crop, cfg.crop_names)]
+    steps = []
     for state in history:
-        lines += [_RULE, f"Time: {_clock_label(state.t)}", _RULE, ""]
-        lines.append("classification institution SIGNALS:")
-        for sig in state.signals:
-            lines.append(f"{sig.name}'s Message: {sig.text}")
+        lines = [_RULE, f"Time: {_clock_label(state.t)}", _RULE, "",
+                 "classification institution SIGNALS:"]
+        lines += [f"{sig.name}'s Message: {sig.text}" for sig in state.signals]
         lines += ["", "DISCUSSION PHASE:", ""]
-        per_turn = len(names)
         for turn in range(cfg.discussion_turns):
             lines.append(f"----- Discussion, Turn {turn + 1}/{cfg.discussion_turns} -----")
             for entry in state.discussion_log[turn * per_turn : (turn + 1) * per_turn]:
@@ -321,11 +320,10 @@ def render_transcript(history: Sequence[WorldState], cfg: EnvConfig) -> str:
                 lines.append(f'{prefix}{names[entry.speaker]}: "{entry.text}"')
             lines.append("")
         lines.append("ACTIONS:")
-        for idx, crop in enumerate(state.actions):
-            fruit = singular_crop(cfg.crop_names[crop])
-            lines.append(f"{names[idx]}: Harvest {fruit} from {fruit} tree")
-        lines.append("")
-    return "\n".join(lines) + "\n" if lines else ""
+        lines += [f"{names[idx]}: {harvest[crop]}" for idx, crop in enumerate(state.actions)]
+        lines.append("\n")  # a blank line closes the step
+        steps.append("\n".join(lines))
+    return "".join(steps)
 
 
 # ---------------------------------------------------------------------------

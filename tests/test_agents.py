@@ -31,6 +31,27 @@ def make_obs(signals=(), last_actions=(), agent_index=0, t=1, discussion=(),
     )
 
 
+def linear_signal_for(signals, institution_id):
+    """The lookup `agents._signal_for` replaced: a scan, first match wins."""
+    return next((s for s in signals if s.institution_id == institution_id), None)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_signal_lookup_matches_linear_scan(seed):
+    rng = np.random.default_rng(seed)
+    pool = [()]  # ids drawn from 0..3 repeat often, so duplicates are common
+    for size in rng.integers(1, 7, size=8):
+        pool.append(tuple(sig(int(i), int(c)) for i, c in
+                          zip(rng.integers(4, size=size), rng.integers(3, size=size))))
+    assert any(len({s.institution_id for s in p}) < len(p) for p in pool)
+    for _ in range(400):
+        # consecutive lookups mostly switch tuples, so a stale map would answer
+        signals = pool[int(rng.integers(len(pool)))]
+        obs = make_obs(signals=signals)
+        for inst in rng.permutation(6) - 1:
+            assert agents._signal_for(obs, int(inst)) is linear_signal_for(signals, int(inst))
+
+
 def state_for(expert_specs, weights, **kwargs):
     experts = tuple(
         agents.Expert("community") if spec is None else agents.Expert("institution", spec)

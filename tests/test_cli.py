@@ -304,6 +304,36 @@ def test_simulate_chat_needs_key(tmp_path, capsys, monkeypatch):
     assert code == 2 and "oracle.base_url" in err
 
 
+def test_simulate_oracle_chat_switches_a_scripted_config(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("NORMSIM_API_KEY", raising=False)
+    config = write_config(tmp_path, {
+        **SIM_CONFIG,
+        "oracle": {"kind": "scripted", "base_url": "http://localhost:1", "model": "m"},
+    })
+    code, _, err = run(capsys, "simulate", str(config), "--out", str(tmp_path / "scripted"))
+    assert code == 0 and err == ""
+    # past the chat-config check, stopped only by the missing key
+    code, out, err = run(capsys, "simulate", str(config), "--oracle", "chat",
+                         "--out", str(tmp_path / "o"))
+    assert code == 2 and out == ""
+    assert err == "config error: the chat oracle needs the NORMSIM_API_KEY environment variable\n"
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("kind", ["chat", "scripted"])
+@pytest.mark.parametrize("timeout", [0, -1.5])
+def test_simulate_timeout_must_be_positive_exit_2(tmp_path, capsys, kind, timeout):
+    config = write_config(tmp_path, {
+        **SIM_CONFIG,
+        "oracle": {"kind": kind, "base_url": "http://localhost:1", "model": "m",
+                   "timeout_secs": timeout},
+    })
+    code, out, err = run(capsys, "simulate", str(config), "--out", str(tmp_path / "o"))
+    assert code == 2 and out == ""
+    assert err == "config error: oracle.timeout_secs must be > 0\n"
+    assert not (tmp_path / "o").exists()
+
+
 def test_experiment_and_report(tmp_path, capsys):
     config = write_config(tmp_path, {
         "experiment": "single_nonauthoritative",

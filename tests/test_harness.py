@@ -273,6 +273,32 @@ def test_parse_sim_config_chat():
     assert cfg.env.num_background == 4
 
 
+def test_parse_sim_config_scripted_keeps_chat_settings():
+    cfg = harness.parse_sim_config({
+        "env": {"institutions": [{"crop": "apples"}]},
+        "oracle": {"kind": "scripted", "base_url": "http://localhost:9", "model": "m",
+                   "timeout_secs": 0.5},
+    })
+    assert cfg.oracle_kind == "scripted"
+    assert cfg.chat == harness.ChatConfig(base_url="http://localhost:9", model="m",
+                                          timeout_secs=0.5)
+    # one of the two is not enough, and is no error for the scripted oracle
+    cfg = harness.parse_sim_config({
+        "env": {"institutions": [{"crop": "apples"}]},
+        "oracle": {"kind": "scripted", "base_url": "http://localhost:9"},
+    })
+    assert cfg.chat is None
+    with pytest.raises(ConfigError) as exc:
+        harness.parse_sim_config({
+            "env": {"institutions": [{"crop": "apples"}]},
+            "oracle": {"kind": "scripted", "base_url": "", "model": "m", "timeout_secs": 0},
+        })
+    assert exc.value.errors == (
+        "oracle.timeout_secs must be > 0",
+        "oracle.base_url is required for the chat oracle",
+    )
+
+
 def test_parse_sim_config_collects_every_error():
     with pytest.raises(ConfigError) as exc:
         harness.parse_sim_config({

@@ -149,6 +149,51 @@ def test_observation_contents():
     assert last.agent_names == ("Alice", "John")
 
 
+def test_observation_fields_and_immutability():
+    fields = dict(
+        t=1, agent_index=0, agent_names=("Alice", "John"), crop_names=("apples", "bananas"),
+        signals=(), last_step_actions=(1, 0), last_step_criticisms=(crit(1, 0, 1),),
+        own_received_criticisms=(crit(1, 0, 1),), discussion_so_far=(),
+    )
+    obs = orchard.Observation(**fields)
+    assert {name: getattr(obs, name) for name in fields} == fields
+    assert orchard.Observation(*fields.values()) == obs
+    with pytest.raises(TypeError):
+        orchard.Observation(**{k: v for k, v in fields.items() if k != "signals"})
+    for name in ("t", "signals", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(obs, name, 5)
+    assert obs.t == 1 and obs.signals == ()
+
+
+def test_observations_of_one_step_share_its_data():
+    cfg = follow_cfg(num_background=3, max_timesteps=3, eval_window=1, discussion_turns=2)
+    seen = []
+
+    class Probe(Scripted):
+        def discuss(self, obs):
+            seen.append(("discuss", obs))
+            return super().discuss(obs)
+
+        def act(self, obs):
+            seen.append(("act", obs))
+            return super().act(obs)
+
+    history = orchard.run_episode(cfg, [Probe(i, [0, 1, 0]) for i in range(4)])
+    shared = ("agent_names", "crop_names", "signals", "last_step_actions", "last_step_criticisms")
+    for state in history:
+        step_obs = [obs for _, obs in seen if obs.t == state.t]
+        assert len(step_obs) == 4 * 2 + 4
+        first = step_obs[0]
+        assert first.signals is state.signals
+        if state.t:
+            assert first.last_step_actions is history[state.t - 1].actions
+        for obs in step_obs:
+            assert all(getattr(obs, name) is getattr(first, name) for name in shared)
+        acting = [obs for phase, obs in seen if phase == "act" and obs.t == state.t]
+        assert all(obs.discussion_so_far is state.discussion_log for obs in acting)
+
+
 GOLDEN_TRANSCRIPT = """\
 ==================================================
 Time: 8:00 AM
