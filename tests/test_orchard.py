@@ -179,7 +179,9 @@ def test_observations_of_one_step_share_its_data():
             seen.append(("act", obs))
             return super().act(obs)
 
-    history = orchard.run_episode(cfg, [Probe(i, [0, 1, 0]) for i in range(4)])
+    # John criticizes Alice's step-0 crop at t=1, so step 2 has criticisms to share
+    agents = [Probe(i, [0, 1, 0], {1: (crit(1, 0, 0),)} if i == 1 else None) for i in range(4)]
+    history = orchard.run_episode(cfg, agents)
     shared = ("agent_names", "crop_names", "signals", "last_step_actions", "last_step_criticisms")
     for state in history:
         step_obs = [obs for _, obs in seen if obs.t == state.t]
@@ -188,10 +190,14 @@ def test_observations_of_one_step_share_its_data():
         assert first.signals is state.signals
         if state.t:
             assert first.last_step_actions is history[state.t - 1].actions
+            assert first.last_step_criticisms is history[state.t - 1].criticisms
         for obs in step_obs:
             assert all(getattr(obs, name) is getattr(first, name) for name in shared)
         acting = [obs for phase, obs in seen if phase == "act" and obs.t == state.t]
         assert all(obs.discussion_so_far is state.discussion_log for obs in acting)
+    assert len(history[1].criticisms) == 2  # one per discussion turn
+    alice_at_2 = [obs for _, obs in seen if obs.t == 2 and obs.agent_index == 0]
+    assert [obs.own_received_criticisms for obs in alice_at_2] == [history[1].criticisms] * 3
 
 
 GOLDEN_TRANSCRIPT = """\
