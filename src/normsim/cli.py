@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -333,7 +334,9 @@ def cmd_report(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by every later `main` call."""
     parser = argparse.ArgumentParser(
         prog="normsim",
         description="Sanction-game analysis and normative-agent orchard experiments.",

@@ -290,7 +290,12 @@ def parse_profile(game: FiniteGame, key: str) -> Profile:
 
 def parse_game(obj) -> FiniteGame:
     """Build a game from a parsed JSON object; unknown top-level keys are ignored."""
-    if not isinstance(obj, Mapping):
+    return _parse_game(obj)[0]
+
+
+def _parse_game(obj) -> tuple[FiniteGame, dict[str, Profile]]:
+    """The game, and the profile of each of its utility keys."""
+    if not isinstance(obj, dict):
         raise GameFormatError("game description must be a JSON object")
     players = obj.get("players")
     if not isinstance(players, int) or isinstance(players, bool) or players < 1:
@@ -304,30 +309,28 @@ def parse_game(obj) -> FiniteGame:
     names = _validate_action_names(actions)
 
     utilities = obj.get("utilities")
-    if not isinstance(utilities, Mapping):
+    if not isinstance(utilities, dict):
         raise GameFormatError("'utilities' must be an object keyed by action profiles")
     counts = tuple(len(p) for p in names)
-    expected = {
-        PROFILE_SEPARATOR.join(names[i][a] for i, a in enumerate(profile))
+    # lexicographic, which is the C order of the payoff tensor
+    profiles = {
+        PROFILE_SEPARATOR.join(names[i][a] for i, a in enumerate(profile)): profile
         for profile in itertools.product(*(range(c) for c in counts))
     }
-    given = set(utilities)
-    missing = sorted(expected - given)
-    unknown = sorted(given - expected)
+    missing = sorted(profiles.keys() - utilities.keys())
+    unknown = sorted(utilities.keys() - profiles.keys())
     if missing:
         raise GameFormatError(f"'utilities' is missing profiles: {', '.join(missing[:5])}")
     if unknown:
         raise GameFormatError(f"'utilities' has unknown profiles: {', '.join(unknown[:5])}")
 
-    payoffs = np.empty(counts + (players,))
     for key, values in utilities.items():
         if not isinstance(values, (list, tuple)) or len(values) != players:
             raise GameFormatError(f"'utilities'[{key!r}] must list {players} payoffs")
         if not all(_is_number(v) for v in values):
             raise GameFormatError(f"'utilities'[{key!r}] must contain finite numbers")
-        profile = tuple(names[i].index(part) for i, part in enumerate(key.split(PROFILE_SEPARATOR)))
-        payoffs[profile] = values
-    return FiniteGame(names, payoffs)
+    payoffs = np.array([utilities[key] for key in profiles], dtype=np.float64)
+    return FiniteGame(names, payoffs.reshape(counts + (players,))), profiles
 
 
 def game_to_dict(game: FiniteGame) -> dict:

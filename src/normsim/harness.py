@@ -526,6 +526,12 @@ def parse_experiment_config(obj) -> ExperimentConfig:
         overrides = _read_settings(env_obj, EnvConfig, errors, "env.")
         kwargs["env_overrides"] = tuple({**env_obj, **overrides}.items())
     cfg = _fold(lambda: ExperimentConfig(experiment=obj.get("experiment"), **kwargs), errors)
+    if not errors:  # EnvConfig's range rules, once per runnable cell shape
+        cell_errors: list[str] = []
+        for coords in cfg.grid():
+            if cell_infeasible(cfg, coords) is None:
+                _fold(lambda: cell_env(cfg, coords, seed=0), cell_errors)
+        errors.extend(dict.fromkeys(cell_errors))  # each violation once, not once per cell
     if errors:
         raise ConfigError(errors)
     return cfg

@@ -24,15 +24,23 @@ profile, and `imposed[i]`, shape (|M_i|, *A, n), the cost it imposes on each
 target there. A cost is always summed in one order: own self-cost first, then
 each player's imposed cost by increasing index. Unsanctioned cells hold -0.0;
 x + -0.0 == x bit for bit, so a sum may run over every player, owner included.
+
+JSON format (docs/config.md): a sanction-game file is a game file plus
+"classifiers", one menu per player of {"sanctions": [{"profile": "C,D",
+"target": 1}], "cost", "self_cost"} entries; an advice file is {"support":
+[{"profile_indices": [1, 1], "p": 1.0}]}. Each input is checked once: profile
+keys are looked up in the game parser's key table, and a menu's pairs and the
+advice rows are range-checked as arrays.
 """
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
 import operator
 import warnings
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -47,7 +55,7 @@ CE_TOLERANCE = 1e-9
 
 # Witness-search blocks start small, so an early witness is cheap, and double
 # up to a cap that bounds their memory; a CE chunk holds at most _CE_CHUNK costs.
-_FIRST_BLOCK, _MAX_BLOCK, _CE_CHUNK = 64, 1 << 14, 1 << 13
+_FIRST_BLOCK, _MAX_BLOCK, _CE_CHUNK = 64, 1 << 14, 1 << 15
 
 
 @dataclass(frozen=True)
@@ -117,24 +125,35 @@ class SanctionGame:
                 raise ValueError(f"player {i} has an empty classifier menu")
             if not any(c.is_never for c in menu):
                 raise ValueError(f"player {i}'s menu lacks a never-sanction entry")
+            # one row (entry, target, *profile) per sanctioned pair, range-checked
+            # before any indexing: numpy would wrap a negative index
+            rows = [(k, t, *profile) for k, c in enumerate(menu) for profile, t in c.sanctions]
+            try:
+                pairs = np.array(rows, dtype=np.intp).reshape(len(rows), 2 + n)
+                valid = all(c.owner == i for c in menu) and bool(
+                    ((pairs >= 0) & (pairs < (len(menu), n) + counts)).all()
+                )
+            except (ValueError, OverflowError):  # a profile of the wrong length, a huge index
+                valid = False
+            if not valid:  # raise the first fault, in menu order
+                for c in menu:
+                    if c.owner != i:
+                        raise ValueError(
+                            f"classifier owned by player {c.owner} placed in player {i}'s menu"
+                        )
+                    for profile, target in c.sanctions:
+                        if not 0 <= target < n:
+                            raise ValueError(f"sanction target {target} is not a player")
+                        if len(profile) != n or any(
+                            not 0 <= a < counts[j] for j, a in enumerate(profile)
+                        ):
+                            raise ValueError(f"sanctioned profile {profile} not in the base game")
+            k, target, profile = pairs[:, 0], pairs[:, 1], tuple(pairs[:, 2:].T)
             issued = np.zeros((len(menu),) + counts, dtype=np.int64)
+            np.add.at(issued, (k,) + profile, 1)
             costs = np.full((len(menu),) + counts + (n,), -0.0)
-            for k, c in enumerate(menu):
-                if c.owner != i:
-                    raise ValueError(
-                        f"classifier owned by player {c.owner} placed in player {i}'s menu"
-                    )
-                for profile, target in c.sanctions:
-                    # checked before indexing: numpy would wrap a negative index
-                    if not 0 <= target < n:
-                        raise ValueError(f"sanction target {target} is not a player")
-                    if len(profile) != len(counts) or any(
-                        not 0 <= a < counts[j] for j, a in enumerate(profile)
-                    ):
-                        raise ValueError(f"sanctioned profile {profile} not in the base game")
-                    issued[(k,) + profile] += 1
-                    costs[(k,) + profile + (target,)] = c.cost
-            rates = np.array([c.self_cost for c in menu], float).reshape((-1,) + (1,) * len(counts))
+            costs[(k,) + profile + (target,)] = np.array([c.cost for c in menu])[k]
+            rates = np.array([c.self_cost for c in menu], float).reshape((-1,) + (1,) * n)
             self_costs.append(rates * issued)
             imposed.append(costs)
         for array in self_costs + imposed:
@@ -371,9 +390,16 @@ class AdviceDistribution:
             raise ValueError(f"advice probabilities sum to {total}, expected 1")
         object.__setattr__(self, "support", support)
 
-    def validate_for(self, sg: SanctionGame) -> None:
-        for profile, _ in self.support:
-            _check_classifiers(sg, profile)
+    def validate_for(self, sg: SanctionGame) -> np.ndarray:
+        """The advised menu indices as one (rows, players) array. ValueError
+        names the first row that is not a classifier profile of `sg`."""
+        sizes = [len(menu) for menu in sg.menus]
+        with contextlib.suppress(ValueError):  # rows of different lengths
+            advised = np.array([profile for profile, _ in self.support])
+            if advised.dtype.kind in "iu" and advised.shape[1:] == (len(sizes),):
+                if ((advised >= 0) & (advised < sizes)).all():
+                    return advised.astype(np.intp, copy=False)
+        return np.array([_check_classifiers(sg, cls) for cls, _ in self.support], np.intp)
 
 
 def advice_point_mass(classifiers: Sequence[int]) -> AdviceDistribution:
@@ -409,33 +435,43 @@ def verify_correlated_equilibrium(
     if mode not in ("literal", "conditioned"):
         raise ValueError(f"unknown mode {mode!r}")
     base_profile = games._check_profile(sg.base, base_profile)
-    advice.validate_for(sg)
-    advised = np.array([profile for profile, _ in advice.support], dtype=np.intp)
+    advised = advice.validate_for(sg)
     p = np.array([q for _, q in advice.support])
+    conditioned = mode == "conditioned"
 
     worst, who, dev, rec = 0.0, None, None, None
     for i in range(sg.num_players):
-        if mode == "literal":
-            groups = [(None, np.arange(len(p)))]
-        else:
-            rows = np.flatnonzero(p > 0.0)
-            groups = [(int(r), rows[advised[rows, i] == r]) for r in np.unique(advised[rows, i])]
         menu = np.arange(len(sg.menus[i]))
+        if conditioned:  # one group per recommendation, in advice order within it
+            rows = np.flatnonzero(p > 0.0)
+            rows = rows[np.argsort(advised[rows, i], kind="stable")]
+            opens = np.concatenate(([True], np.diff(advised[rows, i]) != 0))
+            group, recommended = np.cumsum(opens) - 1, advised[rows[opens], i]
+        else:  # one group of every row
+            rows, group = np.arange(len(p)), np.zeros(len(p), np.intp)
+        # margins[g, d] sums p * (utility switched to d - utility as advised) over
+        # group first + g row after row (np.add.at adds in index order; numpy's
+        # pairwise `sum` would change the last bits). A chunk's last group may
+        # go on in the next chunk, so its margins are carried over.
+        first, carry = 0, np.zeros(len(menu))
         step = max(1, _CE_CHUNK // len(menu))
-        for recommended, rows in groups:
-            # margins[d] sums p * (utility switched to d - utility as advised) over
-            # the rows in order, chunk by chunk and row after row: numpy's pairwise
-            # `sum` would change the last bits
-            margins = np.zeros((1, len(menu)))
-            for chunk in np.split(rows, range(step, len(rows), step)):
-                cls = [advised[chunk, j, None] for j in range(sg.num_players)]
-                advised_u = -_cost(sg, cls, base_profile, i)
-                cls[i] = menu
-                terms = p[chunk, None] * (-_cost(sg, cls, base_profile, i) - advised_u)
-                margins = np.add.accumulate(np.concatenate([margins, terms]), axis=0)[-1:]
-            d = int(np.argmax(margins[0]))
-            if margins[0, d] > worst:
-                worst, who, dev, rec = float(margins[0, d]), i, d, recommended
+        for start in range(0, len(rows), step):
+            chunk, g = rows[start : start + step], group[start : start + step] - first
+            cls = [advised[chunk, j, None] for j in range(sg.num_players)]
+            advised_u = -_cost(sg, cls, base_profile, i)
+            cls[i] = menu
+            terms = p[chunk, None] * (-_cost(sg, cls, base_profile, i) - advised_u)
+            margins = np.zeros((g[-1] + 1, len(menu)))
+            margins[0] = carry
+            np.add.at(margins.reshape(-1), (g[:, None] * len(menu) + menu).ravel(), terms.ravel())
+            done = margins if start + step >= len(rows) else margins[:-1]
+            if done.size:
+                # the first maximum: lowest recommendation, then lowest deviation
+                g_best, d = divmod(int(np.argmax(done)), len(menu))
+                if done[g_best, d] > worst:
+                    worst, who, dev = float(done[g_best, d]), i, d
+                    rec = int(recommended[first + g_best]) if conditioned else None
+            first, carry = first + len(margins) - 1, margins[-1]
     if worst <= CE_TOLERANCE:
         return CEReport(mode, True, 0.0, None, None, None)
     return CEReport(mode, False, worst, who, dev, rec)
@@ -452,13 +488,12 @@ def institution_environment_check(
 
 
 # ---------------------------------------------------------------------------
-# JSON format: the game file plus a "classifiers" menu array, and advice files
-# holding menu-index profiles with probabilities.
+# JSON format (see the module docstring)
 # ---------------------------------------------------------------------------
 
 
 def parse_sanction_game(obj) -> SanctionGame:
-    base = games.parse_game(obj)
+    base, profiles = games._parse_game(obj)
     raw_menus = obj.get("classifiers")
     if not isinstance(raw_menus, (list, tuple)) or len(raw_menus) != base.num_players:
         raise GameFormatError("'classifiers' must list one menu per player")
@@ -469,18 +504,21 @@ def parse_sanction_game(obj) -> SanctionGame:
         menu = []
         for k, raw in enumerate(raw_menu):
             where = f"'classifiers'[{i}][{k}]"
-            if not isinstance(raw, Mapping):
+            if not isinstance(raw, dict):
                 raise GameFormatError(f"{where} must be an object")
             raw_sanctions = raw.get("sanctions")
             if not isinstance(raw_sanctions, (list, tuple)):
                 raise GameFormatError(f"{where} needs a 'sanctions' array")
             pairs = set()
             for entry in raw_sanctions:
-                if not isinstance(entry, Mapping) or "profile" not in entry or "target" not in entry:
+                if not isinstance(entry, dict) or "profile" not in entry or "target" not in entry:
                     raise GameFormatError(f"{where} sanctions need 'profile' and 'target'")
-                profile = games.parse_profile(base, entry["profile"])
-                target = entry["target"]
-                if not isinstance(target, int) or isinstance(target, bool):
+                key, target = entry["profile"], entry["target"]
+                # parse_profile raises the error for a key that names no profile
+                profile = profiles.get(key) if type(key) is str else None
+                if profile is None:
+                    profile = games.parse_profile(base, key)
+                if type(target) is not int:  # JSON integers only: not bool, not float
                     raise GameFormatError(f"{where} target must be a player index")
                 pairs.add((profile, target))
             cost = raw.get("cost", 0.0)
@@ -526,24 +564,21 @@ def load_sanction_game(path) -> SanctionGame:
 
 
 def parse_advice(obj) -> AdviceDistribution:
-    if not isinstance(obj, Mapping) or not isinstance(obj.get("support"), (list, tuple)):
+    raw = obj.get("support") if isinstance(obj, dict) else None
+    if not isinstance(raw, (list, tuple)):
         raise GameFormatError("advice must be an object with a 'support' array")
     support = []
-    for k, entry in enumerate(obj["support"]):
-        where = f"'support'[{k}]"
-        if not isinstance(entry, Mapping):
-            raise GameFormatError(f"{where} must be an object")
-        indices = entry.get("profile_indices")
-        p = entry.get("p")
-        if not isinstance(indices, (list, tuple)) or not all(
-            isinstance(i, int) and not isinstance(i, bool) for i in indices
-        ):
-            raise GameFormatError(f"{where} needs integer 'profile_indices'")
+    for k, entry in enumerate(raw):
+        if not isinstance(entry, dict):
+            raise GameFormatError(f"'support'[{k}] must be an object")
+        indices, p = entry.get("profile_indices"), entry.get("p")
+        if not isinstance(indices, (list, tuple)) or not all(type(i) is int for i in indices):
+            raise GameFormatError(f"'support'[{k}] needs integer 'profile_indices'")
         if not games._is_number(p):
-            raise GameFormatError(f"{where} needs a numeric probability 'p'")
-        support.append((tuple(indices), float(p)))
+            raise GameFormatError(f"'support'[{k}] needs a numeric probability 'p'")
+        support.append((indices, p))
     try:
-        return AdviceDistribution(support=tuple(support))
+        return AdviceDistribution(support=support)
     except ValueError as exc:
         raise GameFormatError(str(exc)) from exc
 

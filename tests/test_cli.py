@@ -1,5 +1,7 @@
 """CLI subcommands, output text, and exit codes."""
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -73,6 +75,50 @@ def test_analyze_target_override(game_file, sanctions_file, capsys):
     )
     assert code == 0
     assert "feasibility at D,D:" in out
+
+
+def test_parser_is_built_once_and_keeps_no_state(game_file, sanctions_file, tmp_path, capsys):
+    advice = write_advice(tmp_path, (((1, 1), 1.0),))
+    files = [str(game_file), "--sanctions", str(sanctions_file), "--advice", str(advice), "--json"]
+    code, out, _ = run(capsys, "analyze", *files, "--target", "D,D", "--mode", "conditioned")
+    first = json.loads(out)
+    assert first["feasibility"]["target"] == "D,D" and first["advice"]["mode"] == "conditioned"
+    assert code == 1 and not first["advice"]["holds"]  # at D,D, never sanctioning saves self_cost
+
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["analyze", *files, "--mode", "strict"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'strict'" in capsys.readouterr().err
+
+    code, out, _ = run(capsys, "analyze", *files)
+    assert code == 0
+    second = json.loads(out)
+    assert second["feasibility"]["target"] == "C,C" and second["advice"]["mode"] == "literal"
+    assert cli.build_parser() is cli.build_parser()
+
+
+DOCS = Path(__file__).parents[1] / "docs"
+
+
+def test_docs_examples_are_the_documented_files():
+    blocks = re.findall(r"```json\n(.*?)```", (DOCS / "config.md").read_text(), re.S)
+    documented = [json.loads(block) for block in blocks]
+    for name in ("game.json", "sanctions.json", "advice.json"):
+        assert json.loads((DOCS / "examples" / name).read_text()) in documented, name
+
+
+@pytest.mark.parametrize("mode", ["literal", "conditioned"])
+def test_docs_examples_analyze(capsys, mode):
+    examples = DOCS / "examples"
+    code, out, err = run(
+        capsys, "analyze", str(examples / "game.json"),
+        "--sanctions", str(examples / "sanctions.json"),
+        "--advice", str(examples / "advice.json"), "--mode", mode,
+    )
+    assert code == 0
+    assert err.count("payoffs fall outside [0, 1]") == 2
+    assert "enforceable: yes (all players); witness classifier indices 1,1" in out
+    assert f"advice check ({mode}): holds" in out
 
 
 def test_analyze_advice_holds(game_file, sanctions_file, tmp_path, capsys):
@@ -373,19 +419,39 @@ def test_experiment_config_error(tmp_path, capsys):
     assert code == 2 and "config error: experiment must be one of" in err
 
 
-def test_experiment_failed_cells_exit_1(tmp_path, capsys):
+def test_experiment_failed_cells_exit_1(tmp_path, capsys, monkeypatch):
+    from normsim import agents
+
+    def broken_act(self, obs):
+        raise RuntimeError("orchard on fire")
+
+    monkeypatch.setattr(agents.NormativeAgent, "act", broken_act)
     config = write_config(tmp_path, {
         "experiment": "single_nonauthoritative",
         "num_crops_grid": [2],
         "num_background_grid": [1],
         "trials": 1,
-        "env": {"max_timesteps": 4, "eval_window": 12},
+        "env": {"max_timesteps": 4, "eval_window": 2},
     }, "doomed.json")
     code, out, err = run(capsys, "experiment", str(config), "--out",
                          str(tmp_path / "doomed_out"), "--jobs", "1")
     assert code == 1
     assert "1 failed" in out
     assert "failed cell single_nonauthoritative/normative" in err
+
+
+@pytest.mark.parametrize("env, grid, error", [
+    ({"max_timesteps": 4}, {}, "eval_window must be in [1, max_timesteps]"),
+    ({"max_timesteps": 4, "eval_window": 12}, {}, "eval_window must be in [1, max_timesteps]"),
+    ({}, {"num_crops_grid": [2, 6]}, "num_crops must be in [2, 5]"),
+])
+def test_experiment_cells_that_cannot_run_are_config_errors(tmp_path, capsys, env, grid, error):
+    config = write_config(tmp_path, {
+        "experiment": "single_nonauthoritative", "env": env, **grid,
+    }, "cells.json")
+    code, out, err = run(capsys, "experiment", str(config), "--out", str(tmp_path / "out"))
+    assert (code, out, err) == (2, "", f"config error: {error}\n")
+    assert not (tmp_path / "out").exists()
 
 
 def test_report_rejects_mixed_schema(tmp_path, capsys):

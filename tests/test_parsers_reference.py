@@ -1,0 +1,484 @@
+"""The game-file parsers and the menu compile against the versions they replaced.
+
+The `ref_*` functions below are the earlier implementations, kept verbatim as
+the reference (the sanction-game parser calls `ref_parse_game` in place of
+`games.parse_game`). Over seeded valid inputs the current code must build
+equal objects, payoff and cost bits included; over seeded malformed inputs it
+must raise the same exception class with the same message.
+"""
+import copy
+import itertools
+from typing import Mapping
+
+import numpy as np
+import pytest
+
+from normsim import games, sanctions
+from normsim.games import (
+    PROFILE_SEPARATOR,
+    FiniteGame,
+    GameFormatError,
+    _is_number,
+    _validate_action_names,
+)
+from normsim.sanctions import (
+    AdviceDistribution,
+    ClassificationFunction,
+    SanctionGame,
+    _check_classifiers,
+)
+from test_sanctions_reference import (
+    random_advice,
+    random_sanction_game,
+    ref_verify_correlated_equilibrium,
+    same_array,
+    same_report,
+)
+
+# ---------------------------------------------------------------------------
+# Reference: the per-entry parsers and the per-pair menu compile
+# ---------------------------------------------------------------------------
+
+
+def ref_parse_game(obj) -> FiniteGame:
+    """Build a game from a parsed JSON object; unknown top-level keys are ignored."""
+    if not isinstance(obj, Mapping):
+        raise GameFormatError("game description must be a JSON object")
+    players = obj.get("players")
+    if not isinstance(players, int) or isinstance(players, bool) or players < 1:
+        raise GameFormatError("'players' must be a positive integer")
+    actions = obj.get("actions")
+    if not isinstance(actions, (list, tuple)) or len(actions) != players:
+        raise GameFormatError("'actions' must list one action-name array per player")
+    for i, per_player in enumerate(actions):
+        if not isinstance(per_player, (list, tuple)):
+            raise GameFormatError(f"'actions'[{i}] must be an array of names")
+    names = _validate_action_names(actions)
+
+    utilities = obj.get("utilities")
+    if not isinstance(utilities, Mapping):
+        raise GameFormatError("'utilities' must be an object keyed by action profiles")
+    counts = tuple(len(p) for p in names)
+    expected = {
+        PROFILE_SEPARATOR.join(names[i][a] for i, a in enumerate(profile))
+        for profile in itertools.product(*(range(c) for c in counts))
+    }
+    given = set(utilities)
+    missing = sorted(expected - given)
+    unknown = sorted(given - expected)
+    if missing:
+        raise GameFormatError(f"'utilities' is missing profiles: {', '.join(missing[:5])}")
+    if unknown:
+        raise GameFormatError(f"'utilities' has unknown profiles: {', '.join(unknown[:5])}")
+
+    payoffs = np.empty(counts + (players,))
+    for key, values in utilities.items():
+        if not isinstance(values, (list, tuple)) or len(values) != players:
+            raise GameFormatError(f"'utilities'[{key!r}] must list {players} payoffs")
+        if not all(_is_number(v) for v in values):
+            raise GameFormatError(f"'utilities'[{key!r}] must contain finite numbers")
+        profile = tuple(names[i].index(part) for i, part in enumerate(key.split(PROFILE_SEPARATOR)))
+        payoffs[profile] = values
+    return FiniteGame(names, payoffs)
+
+
+def ref_parse_sanction_game(obj) -> SanctionGame:
+    base = ref_parse_game(obj)
+    raw_menus = obj.get("classifiers")
+    if not isinstance(raw_menus, (list, tuple)) or len(raw_menus) != base.num_players:
+        raise GameFormatError("'classifiers' must list one menu per player")
+    menus = []
+    for i, raw_menu in enumerate(raw_menus):
+        if not isinstance(raw_menu, (list, tuple)) or not raw_menu:
+            raise GameFormatError(f"'classifiers'[{i}] must be a non-empty array")
+        menu = []
+        for k, raw in enumerate(raw_menu):
+            where = f"'classifiers'[{i}][{k}]"
+            if not isinstance(raw, Mapping):
+                raise GameFormatError(f"{where} must be an object")
+            raw_sanctions = raw.get("sanctions")
+            if not isinstance(raw_sanctions, (list, tuple)):
+                raise GameFormatError(f"{where} needs a 'sanctions' array")
+            pairs = set()
+            for entry in raw_sanctions:
+                if not isinstance(entry, Mapping) or "profile" not in entry or "target" not in entry:
+                    raise GameFormatError(f"{where} sanctions need 'profile' and 'target'")
+                profile = games.parse_profile(base, entry["profile"])
+                target = entry["target"]
+                if not isinstance(target, int) or isinstance(target, bool):
+                    raise GameFormatError(f"{where} target must be a player index")
+                pairs.add((profile, target))
+            cost = raw.get("cost", 0.0)
+            self_cost = raw.get("self_cost", 0.0)
+            if not games._is_number(cost) or not games._is_number(self_cost):
+                raise GameFormatError(f"{where} costs must be finite numbers")
+            try:
+                menu.append(
+                    ClassificationFunction(
+                        owner=i, sanctions=frozenset(pairs), cost=float(cost), self_cost=float(self_cost)
+                    )
+                )
+            except ValueError as exc:
+                raise GameFormatError(f"{where}: {exc}") from exc
+        menus.append(tuple(menu))
+    try:
+        return SanctionGame(base=base, menus=tuple(menus))
+    except ValueError as exc:
+        raise GameFormatError(str(exc)) from exc
+
+
+def ref_parse_advice(obj) -> AdviceDistribution:
+    if not isinstance(obj, Mapping) or not isinstance(obj.get("support"), (list, tuple)):
+        raise GameFormatError("advice must be an object with a 'support' array")
+    support = []
+    for k, entry in enumerate(obj["support"]):
+        where = f"'support'[{k}]"
+        if not isinstance(entry, Mapping):
+            raise GameFormatError(f"{where} must be an object")
+        indices = entry.get("profile_indices")
+        p = entry.get("p")
+        if not isinstance(indices, (list, tuple)) or not all(
+            isinstance(i, int) and not isinstance(i, bool) for i in indices
+        ):
+            raise GameFormatError(f"{where} needs integer 'profile_indices'")
+        if not games._is_number(p):
+            raise GameFormatError(f"{where} needs a numeric probability 'p'")
+        support.append((tuple(indices), float(p)))
+    try:
+        return AdviceDistribution(support=tuple(support))
+    except ValueError as exc:
+        raise GameFormatError(str(exc)) from exc
+
+
+def ref_validate_for(advice, sg):
+    for profile, _ in advice.support:
+        _check_classifiers(sg, profile)
+
+
+def ref_cost_arrays(base, menus):
+    """`SanctionGame`'s checks and its `self_cost` and `imposed` arrays, pair by pair."""
+    menus = tuple(tuple(menu) for menu in menus)
+    n, counts = base.num_players, base.num_actions
+    if len(menus) != n:
+        raise ValueError(f"{len(menus)} menus for {n} players")
+    self_costs, imposed = [], []
+    for i, menu in enumerate(menus):
+        if not menu:
+            raise ValueError(f"player {i} has an empty classifier menu")
+        if not any(c.is_never for c in menu):
+            raise ValueError(f"player {i}'s menu lacks a never-sanction entry")
+        issued = np.zeros((len(menu),) + counts, dtype=np.int64)
+        costs = np.full((len(menu),) + counts + (n,), -0.0)
+        for k, c in enumerate(menu):
+            if c.owner != i:
+                raise ValueError(
+                    f"classifier owned by player {c.owner} placed in player {i}'s menu"
+                )
+            for profile, target in c.sanctions:
+                # checked before indexing: numpy would wrap a negative index
+                if not 0 <= target < n:
+                    raise ValueError(f"sanction target {target} is not a player")
+                if len(profile) != len(counts) or any(
+                    not 0 <= a < counts[j] for j, a in enumerate(profile)
+                ):
+                    raise ValueError(f"sanctioned profile {profile} not in the base game")
+                issued[(k,) + profile] += 1
+                costs[(k,) + profile + (target,)] = c.cost
+        rates = np.array([c.self_cost for c in menu], float).reshape((-1,) + (1,) * len(counts))
+        self_costs.append(rates * issued)
+        imposed.append(costs)
+    return tuple(self_costs), tuple(imposed)
+
+
+# ---------------------------------------------------------------------------
+# Comparison
+# ---------------------------------------------------------------------------
+
+
+def outcome(fn, *args):
+    """("ok", result) or ("error", exception class, message)."""
+    try:
+        return ("ok", fn(*args))
+    except Exception as exc:  # noqa: BLE001 - the class is what is compared
+        return ("error", type(exc), str(exc))
+
+
+def same_game(a: FiniteGame, b: FiniteGame) -> bool:
+    return a.action_names == b.action_names and same_array(a.payoffs, b.payoffs)
+
+
+def same_sanction_game(a: SanctionGame, b: SanctionGame) -> bool:
+    ref_self, ref_imposed = ref_cost_arrays(b.base, b.menus)
+    return (
+        same_game(a.base, b.base)
+        and a.menus == b.menus
+        and all(same_array(x, y) for x, y in zip(a.self_cost + a.imposed, ref_self + ref_imposed))
+    )
+
+
+def assert_same(new, ref, same):
+    assert new[0] == ref[0], (new, ref)
+    if new[0] == "ok":
+        assert same(new[1], ref[1])
+    else:
+        assert new[1:] == ref[1:]
+
+
+# ---------------------------------------------------------------------------
+# Seeded inputs
+# ---------------------------------------------------------------------------
+
+NAMES = ("C", "D", "rest", "work", "a b", "x-1")
+NUMBERS = (0, 1, 3, -2, 0.5, 0.1, 1.3, -0.0, 2.0, 7)
+
+
+def random_objects(rng):
+    """A valid game, sanction-game and advice JSON object sharing one game."""
+    players = int(rng.integers(1, 4))
+    actions = [list(rng.choice(NAMES, size=int(rng.integers(1, 4)), replace=False))
+               for _ in range(players)]
+    keys = [",".join(a[k] for a, k in zip(actions, profile))
+            for profile in itertools.product(*(range(len(a)) for a in actions))]
+    game = {"players": players, "actions": actions, "utilities": {
+        key: [NUMBERS[int(rng.integers(len(NUMBERS)))] for _ in range(players)]
+        for key in rng.permutation(keys).tolist()
+    }}
+    classifiers = []
+    for owner in range(players):
+        menu = [{"sanctions": []}]
+        for _ in range(int(rng.integers(0, 4))):
+            targets = [t for t in range(players) if t != owner]
+            entry = {"sanctions": [
+                {"profile": keys[int(rng.integers(len(keys)))],
+                 "target": targets[int(rng.integers(len(targets)))]}
+                for _ in range(int(rng.integers(0, 5)) if targets else 0)
+            ]}
+            for name in ("cost", "self_cost"):
+                if rng.random() < 0.8:
+                    entry[name] = abs(NUMBERS[int(rng.integers(len(NUMBERS)))])
+            menu.insert(int(rng.integers(len(menu) + 1)), entry)
+        classifiers.append(menu)
+    sanction_game = {**copy.deepcopy(game), "classifiers": classifiers}
+    rows = int(rng.integers(1, 9))
+    weights = rng.choice((0.0, 0.25, 0.5, 1.0, 3.0), size=rows)
+    if weights.sum() == 0.0:
+        weights[0] = 1.0
+    advice = {"support": [
+        {"profile_indices": [int(rng.integers(len(menu))) for menu in classifiers], "p": float(w)}
+        for w in (weights / weights.sum()).tolist()
+    ]}
+    return game, sanction_game, advice
+
+
+BAD_VALUES = (True, False, None, "1", 1.5, -1, 0, 1, 2, 99, float("nan"), float("inf"), [], {}, [1])
+
+
+def mutate(rng, obj):
+    """A copy of `obj` with one value somewhere inside removed, or replaced by a
+    bad value or by a copy of another value; or with a list shortened or
+    lengthened, a key renamed or an action name changed."""
+    obj = copy.deepcopy(obj)
+    paths = []
+
+    def walk(node, path):
+        paths.append(path)
+        items = node.items() if isinstance(node, dict) else enumerate(node) \
+            if isinstance(node, list) else ()
+        for key, child in items:
+            walk(child, path + (key,))
+
+    walk(obj, ())
+    path = paths[int(rng.integers(len(paths)))]
+    if not path:
+        return BAD_VALUES[int(rng.integers(len(BAD_VALUES)))]
+    parent = obj
+    for key in path[:-1]:
+        parent = parent[key]
+    key, roll = path[-1], rng.random()
+    if roll < 0.1 and isinstance(parent, dict):
+        del parent[key]
+    elif roll < 0.2 and isinstance(parent[key], list):
+        if parent[key] and rng.random() < 0.5:
+            parent[key].pop()
+        else:
+            parent[key].append(copy.deepcopy(parent[key][0]) if parent[key] else 0)
+    elif roll < 0.3 and isinstance(parent, dict) and isinstance(key, str):
+        parent[key + ",x" if rng.random() < 0.5 else "x"] = parent.pop(key)  # unknown key
+    elif roll < 0.4 and isinstance(parent[key], str):
+        if rng.random() < 0.5:
+            parent[key] = "Z" + parent[key]  # an unknown action name
+        else:
+            parent[key] += ",C"  # a profile key of the wrong length
+    elif roll < 0.55:  # a copy of another node: a sanction list in a never entry, say
+        other = obj
+        for step in paths[int(rng.integers(1, len(paths)))]:
+            other = other[step]
+        parent[key] = copy.deepcopy(other)
+    else:
+        parent[key] = BAD_VALUES[int(rng.integers(len(BAD_VALUES)))]
+    return obj
+
+
+@pytest.mark.parametrize("seed", range(200))
+def test_parsers_match_reference(seed):
+    rng = np.random.default_rng(seed)
+    game, sanction_game, advice = random_objects(rng)
+    assert_same(outcome(games.parse_game, game), outcome(ref_parse_game, game), same_game)
+    sg = outcome(sanctions.parse_sanction_game, sanction_game)
+    assert_same(sg, outcome(ref_parse_sanction_game, sanction_game), same_sanction_game)
+    parsed = outcome(sanctions.parse_advice, advice)
+    assert_same(parsed, outcome(ref_parse_advice, advice), lambda a, b: a.support == b.support)
+    assert sg[0] == parsed[0] == "ok"
+    assert_same(outcome(parsed[1].validate_for, sg[1]), outcome(ref_validate_for, parsed[1], sg[1]),
+                lambda advised, _: advised.tolist() == [list(p) for p, _ in parsed[1].support])
+
+    for _ in range(8):
+        bad = mutate(rng, game)
+        assert_same(outcome(games.parse_game, bad), outcome(ref_parse_game, bad), same_game)
+        bad = mutate(rng, sanction_game)
+        assert_same(outcome(sanctions.parse_sanction_game, bad),
+                    outcome(ref_parse_sanction_game, bad), same_sanction_game)
+        bad = mutate(rng, advice)
+        new, ref = outcome(sanctions.parse_advice, bad), outcome(ref_parse_advice, bad)
+        assert_same(new, ref, lambda a, b: a.support == b.support)
+        if new[0] == "ok":  # out-of-range or wrong-length index lists fail against the game
+            assert_same(outcome(new[1].validate_for, sg[1]),
+                        outcome(ref_validate_for, ref[1], sg[1]), lambda a, b: True)
+
+
+def test_mutations_reach_every_error():
+    """The seeded mutations above hit each kind of malformed input."""
+    messages = set()
+    for seed in range(200):
+        rng = np.random.default_rng(seed)
+        game, sanction_game, advice = random_objects(rng)
+        sg = sanctions.parse_sanction_game(sanction_game)
+        for _ in range(8):
+            for parse, obj in ((games.parse_game, game),
+                               (sanctions.parse_sanction_game, sanction_game),
+                               (sanctions.parse_advice, advice)):
+                result = outcome(parse, mutate(rng, obj))
+                if result[0] == "ok" and parse is sanctions.parse_advice:
+                    result = outcome(result[1].validate_for, sg)
+                if result[0] == "error":
+                    messages.add(result[2])
+    joined = "\n".join(messages)
+    for fragment in (
+        "must be a positive integer",  # players: wrong type or a bool
+        "'actions' must list",
+        "must contain finite numbers",  # NaN, Infinity, bools and strings as payoffs
+        "'utilities' is missing profiles",
+        "'utilities' has unknown profiles",
+        "unknown action",  # a sanction profile key naming no action
+        "actions for",  # a sanction profile key of the wrong length
+        "target must be a player index",  # a bool, float or string target
+        "is not a player",  # an out-of-range target
+        "self-targeting sanctions",
+        "costs must be finite numbers",
+        "lacks a never-sanction entry",
+        "needs integer 'profile_indices'",  # bools or floats as indices
+        "needs a numeric probability 'p'",
+        "must be finite and >= 0",
+        "advice probabilities sum to",
+        "has wrong length",  # an index list too short or too long
+        "not in player",  # an index outside its menu
+    ):
+        assert fragment in joined, fragment
+
+
+# ---------------------------------------------------------------------------
+# Menus built by hand: the compile's checks and arrays
+# ---------------------------------------------------------------------------
+
+
+def corrupt_menus(rng, sg):
+    """sg's menus, in half the cases with up to two faults: an entry of another
+    owner, or a pair whose target or profile is out of range (or whose profile
+    has the wrong length). Which fault wins then depends on the check order."""
+    menus = [list(menu) for menu in sg.menus]
+    counts = sg.base.num_actions
+    for _ in range(int(rng.integers(3)) if rng.random() < 0.5 else 0):
+        i = int(rng.integers(len(menus)))
+        k = int(rng.integers(len(menus[i]) + 1))
+        if rng.random() < 0.2:
+            menus[i].insert(k, sanctions.never_sanction(i + 1))
+            continue
+        profile = tuple(int(rng.integers(n)) for n in counts)
+        target = int(rng.choice([t for t in range(len(counts) + 2) if t != i]))
+        bad = [
+            (profile, len(counts) + 1 + int(rng.integers(3))),  # target past the last player
+            (profile[:-1], target),
+            (profile + (0,), target),
+            (profile[:-1] + (counts[-1],), target),
+            (profile[:-1] + (-1,), target),
+            (profile, 10**30),
+        ][int(rng.integers(6))]
+        c = menus[i][min(k, len(menus[i]) - 1)]
+        menus[i][min(k, len(menus[i]) - 1)] = ClassificationFunction(
+            c.owner, c.sanctions | {bad}, c.cost, c.self_cost
+        )
+    return menus
+
+
+@pytest.mark.parametrize("seed", range(200))
+def test_menu_compile_matches_reference(seed):
+    rng = np.random.default_rng(seed)
+    sg = random_sanction_game(rng)
+    menus = corrupt_menus(rng, sg)
+    new = outcome(SanctionGame, sg.base, menus)
+    ref = outcome(ref_cost_arrays, sg.base, menus)
+    assert new[0] == ref[0], (new, ref)
+    if new[0] == "ok":
+        assert all(same_array(x, y) for x, y in zip(new[1].self_cost + new[1].imposed,
+                                                    ref[1][0] + ref[1][1]))
+    else:
+        assert new[1:] == ref[1:]
+
+
+def test_advice_by_hand_keeps_its_checks(pd_sg3):
+    """Library callers get the same ValueError or TypeError from validate_for as before."""
+    for support in (
+        (((0, 5), 1.0),),
+        (((0, 0), 0.5), ((0, 0, 1), 0.5)),  # rows of different lengths
+        (((0,), 0.5), ((1,), 0.5)),  # rows of the same wrong length
+        (((0, -1), 1.0),),
+        (((1.0, 0), 1.0),),  # not an index
+        (((True, 1), 1.0),),  # operator.index accepts a bool
+        (((0, 2**63), 1.0),),
+        (((), 1.0),),
+    ):
+        advice = AdviceDistribution(support=support)
+        rows = [[int(k) for k in row] for row, _ in advice.support]
+        assert_same(outcome(advice.validate_for, pd_sg3), outcome(ref_validate_for, advice, pd_sg3),
+                    lambda advised, _: advised.tolist() == rows)
+
+
+# ---------------------------------------------------------------------------
+# CE chunks: groups split across chunks, chunks holding several groups
+# ---------------------------------------------------------------------------
+
+
+def long_advice(rng, sg):
+    """Up to 40 rows, duplicates and zero probabilities included."""
+    sizes = [len(menu) for menu in sg.menus]
+    rows = [tuple(int(rng.integers(s)) for s in sizes) for _ in range(int(rng.integers(1, 41)))]
+    weights = rng.choice((0.0, 0.1, 0.3, 0.7, 1.0), size=len(rows))
+    if weights.sum() == 0.0:
+        weights[0] = 0.7
+    return AdviceDistribution(support=tuple(zip(rows, (weights / weights.sum()).tolist())))
+
+
+@pytest.mark.parametrize("chunk", (1, 2, 3, 5, 8, 13, 64))
+def test_ce_chunk_boundaries(monkeypatch, chunk):
+    monkeypatch.setattr(sanctions, "_CE_CHUNK", chunk)
+    for seed in range(60):
+        rng = np.random.default_rng(seed)
+        sg = random_sanction_game(rng)
+        counts = sg.base.num_actions
+        for advice in (random_advice(rng, sg), long_advice(rng, sg)):
+            base_profile = tuple(int(rng.integers(c)) for c in counts)
+            for mode in ("literal", "conditioned"):
+                assert same_report(
+                    sanctions.verify_correlated_equilibrium(sg, advice, base_profile, mode),
+                    ref_verify_correlated_equilibrium(sg, advice, base_profile, mode),
+                )
