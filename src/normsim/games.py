@@ -261,7 +261,10 @@ def load_json(path, parse=None):
 
 
 def _is_number(x) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+    try:
+        return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+    except OverflowError:  # an int too large for a float
+        return False
 
 
 def profile_key(game: FiniteGame, profile: Sequence[int]) -> str:

@@ -11,8 +11,9 @@ Two experiment families are built in:
 
 Trials are embarrassingly parallel; workers return plain records and the
 parent sorts them by cell coordinates before aggregating and writing files,
-so output bytes cannot depend on scheduling. Every float in metrics.csv is
-rendered with %.6f and the across-trial std is the population std (ddof=0).
+so output bytes cannot depend on scheduling; the process pool is imported
+only for `jobs > 1`. Every float in metrics.csv is rendered with %.6f and the
+across-trial std is the population std (ddof=0).
 """
 from __future__ import annotations
 
@@ -20,7 +21,6 @@ import csv
 import json
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields
 from itertools import product, repeat
 from pathlib import Path
@@ -362,6 +362,7 @@ def run_experiment(
     if jobs <= 1:
         outcomes = list(map(run_cell, *args))
     else:
+        from concurrent.futures import ProcessPoolExecutor
         chunksize = math.ceil(len(tasks) / (4 * jobs))  # a trial takes ms: ~4 chunks per worker
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             outcomes = list(pool.map(run_cell, *args, chunksize=chunksize))

@@ -6,6 +6,7 @@ parses a fenced-JSON reply. The API key comes from the NORMSIM_API_KEY
 environment variable at call time and is sent only in the Authorization
 header; it never reaches a transcript, log, or episode dump. Offline runs
 (`oracle.kind: "scripted"`) need no oracle: they use the `agents` policies.
+`requests` is imported only inside `chat_oracle`, so they never load it.
 
 Prompt assembly is a pure function of the request, so goldens can pin it.
 """
@@ -16,8 +17,6 @@ import os
 import re
 import time
 from dataclasses import dataclass, field
-
-import requests
 
 from .agents import NormativeAgent, NormativeState, sanction_criticisms
 from .orchard import Criticism, Observation
@@ -230,15 +229,18 @@ def chat_oracle(
     req: OracleRequest,
     config: ChatConfig,
     *,
-    post=requests.post,
+    post=None,
     sleep=time.sleep,
 ) -> OracleResponse:
     """One chat-completion round trip with up to CHAT_ATTEMPTS tries.
 
     Transport failures, 5xx statuses, and parse failures retry with 1s/2s
     backoff; any 4xx aborts immediately (auth problems are not transient).
-    `post` and `sleep` are injectable for tests.
+    `post` and `sleep` are injectable for tests; `post=None` means
+    `requests.post`, and `requests` is imported here, on the chat path only.
     """
+    import requests
+    post = requests.post if post is None else post
     api_key = os.environ.get(API_KEY_VAR)
     if not api_key:
         raise OracleError(f"chat oracle needs the {API_KEY_VAR} environment variable")

@@ -514,10 +514,10 @@ def parse_sanction_game(obj) -> SanctionGame:
                 if not isinstance(entry, dict) or "profile" not in entry or "target" not in entry:
                     raise GameFormatError(f"{where} sanctions need 'profile' and 'target'")
                 key, target = entry["profile"], entry["target"]
+                if type(key) is not str:
+                    raise GameFormatError(f"{where} profile must be a profile key string")
                 # parse_profile raises the error for a key that names no profile
-                profile = profiles.get(key) if type(key) is str else None
-                if profile is None:
-                    profile = games.parse_profile(base, key)
+                profile = profiles.get(key) or games.parse_profile(base, key)
                 if type(target) is not int:  # JSON integers only: not bool, not float
                     raise GameFormatError(f"{where} target must be a player index")
                 pairs.add((profile, target))

@@ -103,7 +103,9 @@ DOCS = Path(__file__).parents[1] / "docs"
 def test_docs_examples_are_the_documented_files():
     blocks = re.findall(r"```json\n(.*?)```", (DOCS / "config.md").read_text(), re.S)
     documented = [json.loads(block) for block in blocks]
-    for name in ("game.json", "sanctions.json", "advice.json"):
+    names = ("simulate.json", "experiment.json", "game.json", "sanctions.json", "advice.json")
+    assert sorted(path.name for path in (DOCS / "examples").iterdir()) == sorted(names)
+    for name in names:
         assert json.loads((DOCS / "examples" / name).read_text()) in documented, name
 
 
@@ -203,6 +205,38 @@ def test_analyze_advice_outside_menus_exit_2(game_file, sanctions_file, tmp_path
         assert code == 2 and out == ""
         errors = [line for line in err.splitlines() if not line.startswith("warning: ")]
         assert len(errors) == 1 and errors[0].startswith(f"{advice}: ")
+
+
+def test_analyze_values_the_parsers_crashed_on_exit_2(tmp_path, capsys):
+    """A sanction profile that is not a string, and JSON integers too large for
+    a float as a payoff, a cost or an advice probability."""
+    examples = DOCS / "examples"
+    game, sanction_game = str(examples / "game.json"), str(examples / "sanctions.json")
+    huge = 10 ** 400
+    cases = [
+        ("game.json", ("utilities", "C,D", 1), huge),
+        ("sanctions.json", ("utilities", "D,C", 0), -huge),
+        ("sanctions.json", ("classifiers", 0, 1, "cost"), huge),
+        ("sanctions.json", ("classifiers", 1, 1, "self_cost"), huge),
+        ("sanctions.json", ("classifiers", 0, 1, "sanctions", 0, "profile"), 5),
+        ("sanctions.json", ("classifiers", 1, 1, "sanctions", 0, "profile"), ["D", "C"]),
+        ("advice.json", ("support", 0, "p"), huge),
+    ]
+    for k, (name, path, value) in enumerate(cases):
+        obj = json.loads((examples / name).read_text())
+        parent = obj
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+        bad = tmp_path / f"{k}_{name}"
+        bad.write_text(json.dumps(obj))
+        argv = {"game.json": (str(bad),),
+                "sanctions.json": (game, "--sanctions", str(bad)),
+                "advice.json": (game, "--sanctions", sanction_game, "--advice", str(bad))}[name]
+        code, out, err = run(capsys, "analyze", *argv)
+        assert code == 2 and out == "", argv
+        errors = [line for line in err.splitlines() if not line.startswith("warning: ")]
+        assert len(errors) == 1 and errors[0].startswith(f"{bad}: "), errors
 
 
 SIM_CONFIG = {
