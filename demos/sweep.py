@@ -16,13 +16,7 @@ GRID_BACKGROUND = (1, 3, 5)
 TRIALS = 2
 
 
-def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--out", help="directory for metrics + transcripts (default: temp)")
-    parser.add_argument("--jobs", type=int, default=1)
-    args = parser.parse_args()
-    out_dir = Path(args.out) if args.out else Path(tempfile.mkdtemp(prefix="normsim_sweep_"))
-
+def sweep(out_dir: Path, jobs: int) -> None:
     cfg = harness.ExperimentConfig(
         "single_nonauthoritative",
         focal_kinds=("normative", "baseline"),
@@ -30,7 +24,7 @@ def main() -> None:
         num_background_grid=GRID_BACKGROUND,
         trials=TRIALS,
     )
-    rows = harness.run_experiment(cfg, out_dir, jobs=args.jobs)
+    rows = harness.run_experiment(cfg, out_dir, jobs=jobs)
     ok = sum(r.status == "ok" for r in rows)
     print(f"{len(rows)} cells ({ok} ok), {TRIALS} trials each; outputs in {out_dir}\n")
 
@@ -40,6 +34,19 @@ def main() -> None:
     print("matches the modal crop of the others. The normative agent sides with")
     print("the community at every village size; the baseline keeps trusting the")
     print("ignored signal and pays for it in welfare (criticisms are costly).")
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__)
+    parser.add_argument("--out", help="directory for metrics + transcripts (default: a temp "
+                        "directory, removed afterwards)")
+    parser.add_argument("--jobs", type=int, default=1)
+    args = parser.parse_args()
+    if args.out:
+        sweep(Path(args.out), args.jobs)
+    else:
+        with tempfile.TemporaryDirectory(prefix="normsim_sweep_") as tmp:
+            sweep(Path(tmp), args.jobs)
 
 
 if __name__ == "__main__":

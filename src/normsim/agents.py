@@ -433,6 +433,34 @@ class NormativeAgent:
         return action
 
 
+def defiance_crop(institution) -> int:
+    """The crop defy-mode villagers harvest: the smallest crop that differs from
+    the defied institution's first declaration."""
+    return 0 if institution.policy.crop_at(0) != 0 else 1
+
+
+def roster_violations(cfg: EnvConfig) -> list[str]:
+    """The rules `build_roster` needs to staff the background villagers, one line
+    per rule broken; with no background villagers none applies."""
+    if cfg.num_background == 0:
+        return []
+    if cfg.background_mode == "follow_authoritative":
+        if sum(inst.authoritative for inst in cfg.institutions) == 1:
+            return []
+        return ["follow_authoritative needs exactly one authoritative institution"]
+    if not cfg.institutions:
+        return ["defy_institution needs an institution to defy"]
+    defied, crop = cfg.institutions[0], defiance_crop(cfg.institutions[0])
+    # A rotation repeats, so one period shows every declaration; a constant
+    # declaration is never its own defiance crop.
+    steps = range(min(cfg.max_timesteps, len(getattr(defied.policy, "crops", ()))))
+    clash = next((t for t in steps if defied.policy.crop_at(t) == crop), None)
+    if clash is None:
+        return []
+    return [f"defy_institution: {defied.name} declares {cfg.crop_names[crop]}, "
+            f"the crop its defiers harvest, at step {clash}"]
+
+
 def build_roster(
     cfg: EnvConfig,
     focal_kind: str,
@@ -444,10 +472,11 @@ def build_roster(
     """The episode's agent handles: the focal agent at index 0, then backgrounds.
 
     Follow-mode backgrounds track the authoritative institution; defy-mode
-    backgrounds defy the first institution with the smallest crop that differs
-    from its initial declaration. `focal_override` swaps in a prebuilt focal
-    handle (e.g. a chat-backed one).
+    backgrounds defy the first institution by harvesting its `defiance_crop`.
+    A config that breaks `roster_violations` raises one ValueError listing them.
+    `focal_override` swaps in a prebuilt focal handle (e.g. a chat-backed one).
     """
+    raise_violations(roster_violations(cfg))
     institution_ids = [inst.id for inst in cfg.institutions]
     if focal_override is not None:
         focal = focal_override
@@ -467,22 +496,9 @@ def build_roster(
     agents: list = [focal]
     if cfg.num_background > 0:
         if cfg.background_mode == "follow_authoritative":
-            authoritative = [inst for inst in cfg.institutions if inst.authoritative]
-            if len(authoritative) != 1:
-                raise ValueError(
-                    "follow_authoritative needs exactly one authoritative institution"
-                )
-            target_id = authoritative[0].id
-            for i in range(cfg.num_background):
-                agents.append(BackgroundAgent(1 + i, cfg.background_mode, target_id))
+            target, crop = next(inst for inst in cfg.institutions if inst.authoritative), None
         else:
-            if not cfg.institutions:
-                raise ValueError("defy_institution needs an institution to defy")
-            defied = cfg.institutions[0]
-            declared = defied.policy.crop_at(0)
-            defy_crop = 0 if declared != 0 else 1
-            for i in range(cfg.num_background):
-                agents.append(
-                    BackgroundAgent(1 + i, cfg.background_mode, defied.id, defy_crop)
-                )
+            target, crop = cfg.institutions[0], defiance_crop(cfg.institutions[0])
+        agents += [BackgroundAgent(1 + i, cfg.background_mode, target.id, crop)
+                   for i in range(cfg.num_background)]
     return agents

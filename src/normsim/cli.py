@@ -23,6 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import harness
+from .agents import build_roster
 from .games import (
     GameFormatError,
     PayoffRangeWarning,
@@ -196,8 +197,6 @@ def _load_config(parse, path):
 
 
 def _sim_agents(sim: harness.SimConfig):
-    from .agents import build_roster
-
     focal_override = None
     if sim.oracle_kind == "chat":
         ids = [inst.id for inst in sim.env.institutions]
@@ -239,10 +238,7 @@ def cmd_simulate(args) -> int:
     if sim.oracle_kind == "chat" and not os.environ.get(API_KEY_VAR):
         return _fail(f"config error: the chat oracle needs the {API_KEY_VAR} environment variable")
 
-    try:
-        agents = _sim_agents(sim)
-    except ValueError as exc:  # a roster the config cannot staff
-        return _fail(f"config error: {exc}")
+    agents = _sim_agents(sim)
     try:
         history = run_episode(sim.env, agents)
     except Exception as exc:  # noqa: BLE001 - report, don't trace-dump

@@ -247,15 +247,18 @@ def load_json(path, parse=None):
     """Read a JSON file, rejecting duplicate keys, and hand the object to `parse`.
 
     Every failure is one GameFormatError line naming the file: an unreadable
-    path, bytes that are not UTF-8 JSON, or a GameFormatError from `parse`.
+    path, bytes that do not decode as JSON, or a GameFormatError from `parse`.
     """
     try:
         obj = json.loads(Path(path).read_text(), object_pairs_hook=_no_duplicate_keys)
-        return obj if parse is None else parse(obj)
     except OSError as exc:
         raise GameFormatError(f"{path}: {(exc.strerror or str(exc)).lower()}") from exc
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except GameFormatError as exc:  # a duplicate key
+        raise GameFormatError(f"{path}: {exc}") from exc
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError, an over-long integer
         raise GameFormatError(f"{path}: invalid JSON ({exc})") from exc
+    try:
+        return obj if parse is None else parse(obj)
     except GameFormatError as exc:
         raise GameFormatError(f"{path}: {exc}") from exc
 
@@ -351,7 +354,3 @@ def game_to_dict(game: FiniteGame) -> dict:
 def load_game(path) -> FiniteGame:
     """Load a game from a JSON file, rejecting duplicate keys outright."""
     return load_json(path, parse_game)
-
-
-def save_game(game: FiniteGame, path) -> None:
-    Path(path).write_text(json.dumps(game_to_dict(game), indent=2, sort_keys=True) + "\n")

@@ -7,7 +7,7 @@ Two experiment families are built in:
   number of background agents.
 - `multi_institution`: several institutions declaring distinct crops, exactly
   one of them authoritative, with a community of followers. Grid axes: number
-  of institutions x number of background followers.
+  of institutions x number of background agents.
 
 Trials are embarrassingly parallel; workers return plain records and the
 parent sorts them by cell coordinates before aggregating and writing files,
@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .agents import build_roster, learner_violations
+from .agents import build_roster, learner_violations, roster_violations
 from .games import _is_number, load_json
 from .institutions import CROP_NAMES, make_institution, parse_institution
 from .oracle import ChatConfig
@@ -43,10 +43,7 @@ from .orchard import (
 
 EXPERIMENTS = ("single_nonauthoritative", "multi_institution")
 FOCAL_KINDS = ("normative", "baseline")
-GRID_AXES = (
-    "num_crops_grid", "num_background_grid", "num_institutions_grid",
-    "num_background_followers_grid",
-)
+GRID_AXES = ("num_crops_grid", "num_background_grid", "num_institutions_grid")
 
 # The config field annotations a JSON scalar fills, with the JSON kind and its
 # check. Annotations are strings: every config module imports
@@ -97,7 +94,6 @@ class ExperimentConfig:
     num_crops_grid: tuple[int, ...] = (2, 3, 4, 5)
     num_background_grid: tuple[int, ...] = (1, 2, 3, 4, 5)
     num_institutions_grid: tuple[int, ...] = (2, 3, 4, 5)
-    num_background_followers_grid: tuple[int, ...] = (1, 2, 3, 4, 5)
     num_crops: int = 5  # crop count for multi_institution cells
     trials: int = 3
     seed_base: int = 42
@@ -143,7 +139,7 @@ class ExperimentConfig:
         """Cell coordinates in declaration order."""
         if self.experiment == "single_nonauthoritative":
             return tuple(product(self.num_crops_grid, self.num_background_grid))
-        return tuple(product(self.num_institutions_grid, self.num_background_followers_grid))
+        return tuple(product(self.num_institutions_grid, self.num_background_grid))
 
 
 def trial_seed(seed_base: int, experiment: str, coords: tuple[int, int], trial: int) -> int:
@@ -419,7 +415,8 @@ def _fold(build, errors: list[str], prefix: str = ""):
 
 def parse_env_config(obj, errors: list[str], prefix: str = "") -> EnvConfig | None:
     """Check an environment section's JSON shape and build it; every violation,
-    of shape or of EnvConfig's range rules, is appended to `errors`."""
+    of shape, of EnvConfig's range rules or of the roster rules, is appended
+    to `errors`."""
     if not isinstance(obj, dict):
         errors.append(f"{prefix or 'env'} must be an object")
         return None
@@ -439,11 +436,9 @@ def parse_env_config(obj, errors: list[str], prefix: str = "") -> EnvConfig | No
                 institutions.append(parse_institution(entry, idx, crop_names))
             except ValueError as exc:
                 found.append(f"{prefix}{exc}")
-    env = _fold(
-        lambda: EnvConfig(institutions=tuple(institutions), **kwargs),
-        found,
-        prefix,
-    )
+    env = _fold(lambda: EnvConfig(institutions=tuple(institutions), **kwargs), found, prefix)
+    if not found:  # the roster rules, once the environment itself is sound
+        found += roster_violations(env)
     errors.extend(found)
     return None if found else env
 
@@ -510,9 +505,10 @@ def parse_experiment_config(obj) -> ExperimentConfig:
     errors: list[str] = []
     if not isinstance(obj, dict):
         raise ConfigError(["config must be a JSON object"])
-    kwargs = _read_settings(
-        obj, ExperimentConfig, errors, other_keys=("experiment", "focal", "env", *GRID_AXES)
-    )
+    kwargs = _read_settings(obj, ExperimentConfig, errors, other_keys=(
+        "experiment", "focal", "env", *GRID_AXES, "num_background_followers_grid"))
+    if "num_background_followers_grid" in obj:  # multi_institution's old second axis
+        errors.append("num_background_followers_grid is now num_background_grid")
     kwargs.update((key, obj[key]) for key in GRID_AXES if key in obj)
     focal = obj.get("focal", "normative")
     kwargs["focal_kinds"] = (

@@ -200,13 +200,6 @@ def sanction_cost(
     return float(_cost(sg, _check_classifiers(sg, classifiers), base_profile, player))
 
 
-def sanction_utility(
-    sg: SanctionGame, classifiers: Sequence[int], base_profile: Sequence[int], player: int
-) -> float:
-    """Sanction-game payoff: negated total cost."""
-    return -sanction_cost(sg, classifiers, base_profile, player)
-
-
 def apply_transform(sg: SanctionGame, classifiers: Sequence[int]) -> FiniteGame:
     """The base game with each player's realized sanction cost subtracted everywhere."""
     cls = _check_classifiers(sg, classifiers)

@@ -431,6 +431,14 @@ def test_build_roster():
         background_mode="defy_institution",
     )
     assert agents.build_roster(defy2, "normative")[1].defy_crop == 0
+    # a defied rotation that reaches the defiers' crop (bananas, at step 1)
+    clash = orchard.EnvConfig(
+        institutions=(institutions.Institution(0, "Ophilia", institutions.RotatingDeclaration((0, 1))),),
+        num_background=1,
+        background_mode="defy_institution",
+    )
+    with pytest.raises(ValueError, match="^defy_institution: Ophilia declares bananas, "):
+        agents.build_roster(clash, "normative")
 
     with pytest.raises(ValueError, match="institution"):
         agents.build_roster(
@@ -441,6 +449,27 @@ def test_build_roster():
     assert len(agents.build_roster(
         orchard.EnvConfig(institutions=(), num_background=0), "normative"
     )) == 1
+
+
+def test_roster_violations():
+    rotation = institutions.Institution(0, "Ophilia", institutions.RotatingDeclaration((2, 0, 1)))
+
+    def env(**settings):
+        return orchard.EnvConfig(institutions=(rotation,), background_mode="defy_institution",
+                                 eval_window=1, **settings)
+
+    # the defiers harvest apples, which the rotation declares at steps 1, 4, 7, ...
+    assert agents.roster_violations(env(max_timesteps=20)) == [
+        "defy_institution: Ophilia declares apples, the crop its defiers harvest, at step 1"
+    ]
+    assert agents.roster_violations(env(max_timesteps=1)) == []  # the episode ends first
+    # without background villagers no rule applies
+    assert agents.roster_violations(env(num_background=0)) == []
+    for mode in orchard.BACKGROUND_MODES:
+        for insts in ((), (rotation,)):
+            cfg = orchard.EnvConfig(institutions=insts, num_background=0, background_mode=mode)
+            assert agents.roster_violations(cfg) == []
+            assert len(agents.build_roster(cfg, "normative")) == 1
 
 
 def test_follow_episode_never_penalizes_obeyed_institution():

@@ -12,7 +12,7 @@ from normsim.sanctions import advice_to_dict, sanction_game_to_dict
 @pytest.fixture
 def game_file(pd, tmp_path):
     path = tmp_path / "pd.json"
-    games.save_game(pd, path)
+    path.write_text(json.dumps(games.game_to_dict(pd)))
     return path
 
 
@@ -170,7 +170,7 @@ def test_analyze_exit_2_cases(game_file, sanctions_file, tmp_path, capsys):
         {(0, 0): (1, 1), (0, 1): (0, 0), (1, 0): (0, 0), (1, 1): (2, 2)},
     )
     other_path = tmp_path / "other.json"
-    games.save_game(other, other_path)
+    other_path.write_text(json.dumps(games.game_to_dict(other)))
     code, _, err = run(capsys, "analyze", str(other_path), "--sanctions", str(sanctions_file))
     assert code == 2 and "different base game" in err
 
@@ -329,12 +329,35 @@ def test_config_files_rejected_exit_2(tmp_path, capsys):
     assert code == 2 and err == "config error: --seed: seed must be >= 0\n"
 
 
+def test_json_integers_too_long_to_convert_exit_2(tmp_path, capsys):
+    """An integer of more than 4,300 digits, as an advice probability and as a seed."""
+    huge = "9" * 5001
+    examples = DOCS / "examples"
+    advice = tmp_path / "advice.json"
+    advice.write_text(f'{{"support": [{{"profile_indices": [1, 1], "p": {huge}}}]}}')
+    code, out, err = run(capsys, "analyze", str(examples / "game.json"), "--sanctions",
+                         str(examples / "sanctions.json"), "--advice", str(advice))
+    errors = [line for line in err.splitlines() if not line.startswith("warning: ")]
+    assert code == 2 and out == "" and len(errors) == 1
+    assert errors[0].startswith(f"{advice}: invalid JSON (")
+
+    config = write_config(tmp_path, {**SIM_CONFIG, "env": {**SIM_CONFIG["env"], "seed": 0}})
+    config.write_text(config.read_text().replace('"seed": 0', f'"seed": {huge}'))
+    code, out, err = run(capsys, "simulate", str(config), "--out", str(tmp_path / "o"))
+    assert code == 2 and out == "" and len(err.splitlines()) == 1
+    assert err.startswith(f"config error: {config}: invalid JSON (")
+    assert not (tmp_path / "o").exists()
+
+
 def test_simulate_unstaffable_roster_exit_2(tmp_path, capsys):
     for env, problem in (
         ({"institutions": [{"crop": "apples"}], "num_background": 2},
          "follow_authoritative needs exactly one authoritative institution"),
         ({"institutions": [], "background_mode": "defy_institution"},
          "defy_institution needs an institution to defy"),
+        ({"institutions": [{"rotation": ["apples", "bananas"]}],
+          "background_mode": "defy_institution"},
+         "defy_institution: Ophilia declares bananas, the crop its defiers harvest, at step 1"),
     ):
         config = write_config(tmp_path, {"env": env})
         code, out, err = run(capsys, "simulate", str(config), "--out", str(tmp_path / "o"))
@@ -478,6 +501,8 @@ def test_experiment_failed_cells_exit_1(tmp_path, capsys, monkeypatch):
     ({"max_timesteps": 4}, {}, "eval_window must be in [1, max_timesteps]"),
     ({"max_timesteps": 4, "eval_window": 12}, {}, "eval_window must be in [1, max_timesteps]"),
     ({}, {"num_crops_grid": [2, 6]}, "num_crops must be in [2, 5]"),
+    ({}, {"num_background_followers_grid": [1]},
+     "num_background_followers_grid is now num_background_grid"),
 ])
 def test_experiment_cells_that_cannot_run_are_config_errors(tmp_path, capsys, env, grid, error):
     config = write_config(tmp_path, {

@@ -42,7 +42,7 @@ def test_grid_declaration_order():
                            num_background_grid=(1, 2))
     assert cfg.grid() == ((2, 1), (2, 2), (3, 1), (3, 2))
     multi = ExperimentConfig("multi_institution", num_institutions_grid=(2, 3),
-                             num_background_followers_grid=(4,))
+                             num_background_grid=(4,))
     assert multi.grid() == ((2, 4), (3, 4))
 
 
@@ -168,7 +168,7 @@ def test_skipped_cells_leave_metrics_empty(tmp_path):
     cfg = ExperimentConfig(
         "multi_institution",
         num_institutions_grid=(2, 6),
-        num_background_followers_grid=(1,),
+        num_background_grid=(1,),
         trials=1,
         env_overrides=(("max_timesteps", 4), ("eval_window", 2)),
     )
@@ -251,7 +251,7 @@ def test_comparison_table_layout():
 
 def test_parse_sim_config_minimal():
     cfg = harness.parse_sim_config(
-        {"env": {"institutions": [{"crop": "apples"}], "num_background": 2}}
+        {"env": {"institutions": [{"crop": "apples", "authoritative": True}], "num_background": 2}}
     )
     assert cfg.focal_kind == "normative" and cfg.oracle_kind == "scripted"
     assert cfg.env.num_background == 2 and cfg.env.num_crops == 5
@@ -261,7 +261,7 @@ def test_parse_sim_config_minimal():
 
 def test_parse_sim_config_chat():
     cfg = harness.parse_sim_config({
-        "env": {"institutions": [{"crop": "apples"}]},
+        "env": {"institutions": [{"crop": "apples", "authoritative": True}]},
         "focal": "baseline",
         "oracle": {"kind": "chat", "base_url": "http://localhost:9", "model": "m",
                    "temperature": 0.5},
@@ -275,7 +275,7 @@ def test_parse_sim_config_chat():
 
 def test_parse_sim_config_scripted_keeps_chat_settings():
     cfg = harness.parse_sim_config({
-        "env": {"institutions": [{"crop": "apples"}]},
+        "env": {"institutions": [{"crop": "apples", "authoritative": True}]},
         "oracle": {"kind": "scripted", "base_url": "http://localhost:9", "model": "m",
                    "timeout_secs": 0.5},
     })
@@ -284,13 +284,13 @@ def test_parse_sim_config_scripted_keeps_chat_settings():
                                           timeout_secs=0.5)
     # one of the two is not enough, and is no error for the scripted oracle
     cfg = harness.parse_sim_config({
-        "env": {"institutions": [{"crop": "apples"}]},
+        "env": {"institutions": [{"crop": "apples", "authoritative": True}]},
         "oracle": {"kind": "scripted", "base_url": "http://localhost:9"},
     })
     assert cfg.chat is None
     with pytest.raises(ConfigError) as exc:
         harness.parse_sim_config({
-            "env": {"institutions": [{"crop": "apples"}]},
+            "env": {"institutions": [{"crop": "apples", "authoritative": True}]},
             "oracle": {"kind": "scripted", "base_url": "", "model": "m", "timeout_secs": 0},
         })
     assert exc.value.errors == (
@@ -421,7 +421,6 @@ EXPERIMENT_DOC = {
     "num_crops_grid": (None, [2]),
     "num_background_grid": (None, [1]),
     "num_institutions_grid": (None, [2]),
-    "num_background_followers_grid": (None, [1]),
     "num_crops": (INT, 4),
     "trials": (INT, 2),
     "seed_base": (INT, 5),

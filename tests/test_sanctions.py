@@ -14,7 +14,6 @@ def test_sanction_cost_oracle_values(pd_sg3):
     # both players declare; player 0 defected at (D,C)
     assert sanctions.sanction_cost(pd_sg3, (1, 1), (1, 0), 0) == 3.0
     assert sanctions.sanction_cost(pd_sg3, (1, 1), (1, 0), 1) == 0.1
-    assert sanctions.sanction_utility(pd_sg3, (1, 1), (1, 0), 0) == -3.0
     # nobody sanctions at the target itself
     assert sanctions.sanction_cost(pd_sg3, (1, 1), (0, 0), 0) == 0.0
     assert sanctions.sanction_cost(pd_sg3, (1, 1), (0, 0), 1) == 0.0
