@@ -15,13 +15,18 @@ Three kinds of villager:
   with the lowest weighted criticism vote and, once a single institution
   expert holds more than `sanction_threshold` of the total weight, criticizes
   deviations from that institution's declaration itself.
+
+Villagers of one kind (mode, institution, defiance crop) act alike in a step,
+so each kind has one per-step crowd script (crop, criticisms, idle line), built
+once and read by each villager. The learner finds each expert's safe crop once
+per update and once per choice.
 """
 from __future__ import annotations
 
 import math
 from collections import Counter
 from dataclasses import dataclass, replace
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -64,17 +69,29 @@ class Expert:
             raise ValueError("institution experts (and only they) need an institution_id")
 
 
-_signal_map: tuple = ((), {})  # (signals, {institution id: signal}) of the latest lookup
+# One step's answers (the signal map, one crowd script per villager kind), held
+# with the tuples all of the step's observations share; holding them keeps
+# their identities from being reused, so `is` proves the answers still apply.
+_step_cache: tuple = ((), (), (), (), {})
+
+
+def _shared(obs: Observation) -> dict:
+    """The answers cached for `obs`'s step, reset to the signal map alone when
+    the step changed. Built from the back, the map keeps the first signal of a
+    repeated id."""
+    global _step_cache
+    signals, actions, names, crops, answers = _step_cache
+    if (signals is not obs.signals or actions is not obs.last_step_actions
+            or names is not obs.agent_names or crops is not obs.crop_names):
+        answers = {"signals": {s.institution_id: s for s in reversed(obs.signals)}}
+        _step_cache = (obs.signals, obs.last_step_actions, obs.agent_names, obs.crop_names,
+                       answers)
+    return answers
 
 
 def _signal_for(obs: Observation, institution_id: int):
-    """The signal `institution_id` sent this step; None if it sent none. The map
-    is held by the identity of the step's shared signals tuple, as `_last_scan`
-    below; built from the back, it keeps the first signal of a repeated id."""
-    global _signal_map
-    if _signal_map[0] is not obs.signals:
-        _signal_map = (obs.signals, {s.institution_id: s for s in reversed(obs.signals)})
-    return _signal_map[1].get(institution_id)
+    """The signal `institution_id` sent this step; None if it sent none."""
+    return _shared(obs)["signals"].get(institution_id)
 
 
 def _safe_crop(expert: Expert, obs: Observation) -> int | None:
@@ -90,12 +107,6 @@ def _safe_crop(expert: Expert, obs: Observation) -> int | None:
         others[actions[obs.agent_index]] -= 1
     others = +others  # drops the agent's own crop if it was its only harvester
     return modal_crop(others) if others else None
-
-
-def _expert_vote(expert: Expert, obs: Observation, action: int) -> bool | None:
-    """True = predicts criticism of `action`, False = predicts none, None = abstain."""
-    crop = _safe_crop(expert, obs)
-    return None if crop is None else action != crop
 
 
 def learner_violations(beta: float, sanction_threshold: float) -> list[str]:
@@ -148,19 +159,24 @@ class SanctionPrediction:
     probability: float  # weighted vote that the community will criticize this action
 
 
-def predict_sanction(ns: NormativeState, obs: Observation, action: int) -> SanctionPrediction:
-    """Weighted share of non-abstaining experts predicting criticism; 0 when all abstain."""
+def _sanction_vote(weights: Sequence[float], crops: Sequence[int | None], action: int) -> float:
+    """Weighted share of the non-abstaining experts, given each one's safe crop,
+    that predict criticism of `action`; 0 when all abstain."""
     voting = 0.0
     saying_sanction = 0.0
-    for expert, weight in zip(ns.experts, ns.weights):
-        crop = _safe_crop(expert, obs)
+    for crop, weight in zip(crops, weights):
         if crop is None:
             continue
         voting += weight
         if action != crop:
             saying_sanction += weight
-    probability = saying_sanction / voting if voting > 0.0 else 0.0
-    return SanctionPrediction(action=action, probability=probability)
+    return saying_sanction / voting if voting > 0.0 else 0.0
+
+
+def predict_sanction(ns: NormativeState, obs: Observation, action: int) -> SanctionPrediction:
+    """Weighted share of non-abstaining experts predicting criticism; 0 when all abstain."""
+    crops = [_safe_crop(expert, obs) for expert in ns.experts]
+    return SanctionPrediction(action=action, probability=_sanction_vote(ns.weights, crops, action))
 
 
 def leading_institution(ns: NormativeState) -> tuple[Expert | None, float]:
@@ -176,57 +192,24 @@ def leading_institution(ns: NormativeState) -> tuple[Expert | None, float]:
     return best, best_weight / total
 
 
-# (last_step_actions, (declared, strays), targets) of the latest scan. All
-# observations of one step share one last_step_actions tuple; holding it keeps
-# its identity from being reused, so `is` proves the scan still applies.
-_last_scan: tuple = ((), None, ())
-
-
-def _last_step_targets(obs: Observation, declared: int, strays: bool) -> tuple:
-    """Last step's (agent, crop) pairs that strayed from `declared` (strays) or
-    harvested it (not strays): one scan per step, not one per villager."""
-    global _last_scan
-    actions, key, targets = _last_scan
-    if actions is obs.last_step_actions and key == (declared, strays):
-        return targets
-    targets = tuple(
-        (j, crop) for j, crop in enumerate(obs.last_step_actions) if (crop != declared) == strays
-    )
-    _last_scan = (obs.last_step_actions, (declared, strays), targets)
-    return targets
-
-
-def _criticize(obs: Observation, targets, basis: int | None, template: str, **fields):
-    """One criticism of each (agent, crop) target except the observer; the
-    template may name the target, its crop and the extra `fields`."""
-    return tuple(
-        Criticism(obs.agent_index, j, crop, basis,
-                  template.format(target=obs.agent_names[j], crop=obs.crop_names[crop], **fields))
-        for j, crop in targets
-        if j != obs.agent_index
-    )
-
-
 def sanction_criticisms(ns: NormativeState, obs: Observation) -> tuple[Criticism, ...]:
     """Criticisms of deviations from the leading institution's declaration, emitted
-    only when that expert's weight share clears the threshold."""
+    only when that expert's weight share clears the threshold: what a follower
+    of that institution would say."""
     expert, share = leading_institution(ns)
     if expert is None or share <= ns.sanction_threshold or not obs.last_step_actions:
         return ()
-    sig = _signal_for(obs, expert.institution_id)
-    if sig is None:
+    if _signal_for(obs, expert.institution_id) is None:
         return ()
-    targets = _last_step_targets(obs, sig.crop, strays=True)
-    return _criticize(
-        obs, targets, expert.institution_id, INSTITUTION_CRITICISM, institution=sig.name
-    )
+    return _criticisms(obs, _crowd_script(obs, "follow_authoritative", expert.institution_id, None))
 
 
 def normative_action(ns: NormativeState, obs: Observation) -> tuple[int, tuple[Criticism, ...]]:
     """The crop minimizing the criticism vote (ties: previous own action, then
     lowest index), plus any threshold-gated criticisms."""
     num_crops = len(obs.crop_names)
-    probs = [predict_sanction(ns, obs, c).probability for c in range(num_crops)]
+    crops = [_safe_crop(expert, obs) for expert in ns.experts]
+    probs = [_sanction_vote(ns.weights, crops, c) for c in range(num_crops)]
     best = min(probs)
     tied = [c for c in range(num_crops) if probs[c] == best]
     if obs.last_step_actions and obs.last_step_actions[obs.agent_index] in tied:
@@ -241,13 +224,16 @@ def wm_update(
 ) -> NormativeState:
     """Weighted Majority update: for each observed (action, sanctioned) pair,
     every non-abstaining expert that mispredicted is multiplied by beta.
-    Weights are never renormalized; shares are computed on demand."""
+    Weights are never renormalized; shares are computed on demand. Equal pairs
+    are grouped, and each penalty is still one multiplication, so the weights
+    are the per-pair products bit for bit."""
     weights = list(ns.weights)
     crops = [_safe_crop(expert, obs) for expert in ns.experts]
-    for action, sanctioned in observed:
+    for (action, sanctioned), times in Counter(observed).items():
         for k, crop in enumerate(crops):
             if crop is not None and (action != crop) != bool(sanctioned):
-                weights[k] *= ns.beta
+                for _ in range(times):
+                    weights[k] *= ns.beta
     return replace(ns, weights=tuple(weights))
 
 
@@ -323,6 +309,51 @@ def _background_action(obs: Observation, mode: str, my_institution: int | None,
     raise ValueError(f"unknown background mode {mode!r}")
 
 
+class _CrowdScript(NamedTuple):
+    """What villagers of one kind do in one step. `criticisms` holds a (target,
+    crop, text) per agent the kind criticizes; each villager skips itself."""
+
+    action: int
+    basis: int | None
+    criticisms: tuple[tuple[int, int, str], ...]
+    idle: str
+
+
+def _crowd_script(obs: Observation, mode: str, my_institution: int | None,
+                  defy_crop: int | None) -> _CrowdScript:
+    """The step's script for villagers of one kind, built on the kind's first call."""
+    answers = _shared(obs)
+    kind = (mode, my_institution, defy_crop)
+    script = answers.get(kind)
+    if script is not None:
+        return script
+    sig, action = _background_action(obs, mode, my_institution, defy_crop)
+    names, crops = obs.agent_names, obs.crop_names
+    follow = mode == "follow_authoritative"
+    if follow:  # criticize last step's strays from the declaration
+        idle = FOLLOW_IDLE.format(institution=sig.name, crop=crops[sig.crop])
+        template, fields = INSTITUTION_CRITICISM, {"institution": sig.name}
+    else:  # criticize last step's obeyers on community grounds
+        idle = DEFY_IDLE.format(crop=crops[defy_crop])
+        template, fields = COMMUNITY_CRITICISM, {"expected": crops[defy_crop]}
+    criticisms = tuple(
+        (j, crop, template.format(target=names[j], crop=crops[crop], **fields))
+        for j, crop in enumerate(obs.last_step_actions) if (crop != sig.crop) == follow
+    )
+    script = answers[kind] = _CrowdScript(action, my_institution if follow else None,
+                                          criticisms, idle)
+    return script
+
+
+def _criticisms(obs: Observation, script: _CrowdScript) -> tuple[Criticism, ...]:
+    """The script's criticisms as the observer sends them, none of itself."""
+    if not script.criticisms:
+        return ()
+    me = obs.agent_index
+    return tuple(Criticism(me, j, crop, script.basis, text)
+                 for j, crop, text in script.criticisms if j != me)
+
+
 def background_policy(
     obs: Observation,
     mode: str,
@@ -332,14 +363,8 @@ def background_policy(
     """Hard-coded villager behavior. Follow mode harvests the declaration and
     criticizes last step's strays; defy mode harvests `defy_crop` and
     criticizes last step's obeyers on community grounds."""
-    sig, action = _background_action(obs, mode, my_institution, defy_crop)
-    if mode == "follow_authoritative":
-        targets = _last_step_targets(obs, sig.crop, strays=True)
-        return action, _criticize(obs, targets, my_institution, INSTITUTION_CRITICISM,
-                                  institution=sig.name)
-    targets = _last_step_targets(obs, sig.crop, strays=False)
-    return action, _criticize(obs, targets, None, COMMUNITY_CRITICISM,
-                              expected=obs.crop_names[defy_crop])
+    script = _crowd_script(obs, mode, my_institution, defy_crop)
+    return script.action, _criticisms(obs, script)
 
 
 def baseline_policy(obs: Observation, rng: np.random.Generator) -> int:
@@ -374,16 +399,10 @@ class BackgroundAgent:
         _, criticisms = background_policy(obs, self.mode, self.institution_id, self.defy_crop)
         if criticisms:
             return " ".join(c.text for c in criticisms), criticisms
-        sig = _signal_for(obs, self.institution_id)
-        if self.mode == "follow_authoritative":
-            text = FOLLOW_IDLE.format(institution=sig.name, crop=obs.crop_names[sig.crop])
-        else:
-            text = DEFY_IDLE.format(crop=obs.crop_names[self.defy_crop])
-        return text, ()
+        return _crowd_script(obs, self.mode, self.institution_id, self.defy_crop).idle, ()
 
     def act(self, obs: Observation) -> int:
-        _, action = _background_action(obs, self.mode, self.institution_id, self.defy_crop)
-        return action
+        return _crowd_script(obs, self.mode, self.institution_id, self.defy_crop).action
 
 
 class BaselineAgent:

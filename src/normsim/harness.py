@@ -234,8 +234,9 @@ def run_cell(
             transcript=render_transcript(history, env),
         )
     except Exception as exc:  # noqa: BLE001 - a failed trial must not sink the run
+        reason = "; ".join(str(exc).splitlines())  # a status is one line of metrics.csv
         return TrialResult(
-            cfg.experiment, focal_kind, coords, trial, f"failed: {type(exc).__name__}: {exc}"
+            cfg.experiment, focal_kind, coords, trial, f"failed: {type(exc).__name__}: {reason}"
         )
 
 

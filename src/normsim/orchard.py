@@ -19,8 +19,8 @@ simulated minutes per step from 8:00 AM.
 
 A step costs O(N + criticisms) for N agents. What all agents see alike is built
 once per step, so an `Observation` is a named tuple of shared references, and
-villagers key their per-step caches on the shared tuples' identity. Only each
-speaker's copy of the log so far is quadratic, a C-level copy.
+`agents` keys one per-step crowd script per villager kind on their identity.
+Only each speaker's copy of the log so far is quadratic, a C-level copy.
 """
 from __future__ import annotations
 
@@ -143,8 +143,7 @@ class Criticism:
             raise ValueError("agents do not criticize themselves")
 
 
-@dataclass(frozen=True)
-class DiscussionEntry:
+class DiscussionEntry(NamedTuple):
     speaker: int
     text: str
     criticisms: tuple[Criticism, ...] = ()
@@ -240,7 +239,7 @@ def step(prev: WorldState | None, agents: Sequence[AgentHandle], cfg: EnvConfig)
             criticisms = tuple(criticisms)
             for c in criticisms:
                 _validate_criticism(c, idx, cfg, last_actions)
-            log.append(DiscussionEntry(speaker=idx, text=text, criticisms=criticisms))
+            log.append(DiscussionEntry(idx, text, criticisms))
     discussion = tuple(log)
 
     actions = []

@@ -533,25 +533,6 @@ def parse_sanction_game(obj) -> SanctionGame:
         raise GameFormatError(str(exc)) from exc
 
 
-def sanction_game_to_dict(sg: SanctionGame) -> dict:
-    out = games.game_to_dict(sg.base)
-    out["classifiers"] = [
-        [
-            {
-                "sanctions": [
-                    {"profile": games.profile_key(sg.base, profile), "target": target}
-                    for profile, target in sorted(c.sanctions)
-                ],
-                "cost": c.cost,
-                "self_cost": c.self_cost,
-            }
-            for c in menu
-        ]
-        for menu in sg.menus
-    ]
-    return out
-
-
 def load_sanction_game(path) -> SanctionGame:
     return games.load_json(path, parse_sanction_game)
 
@@ -574,14 +555,6 @@ def parse_advice(obj) -> AdviceDistribution:
         return AdviceDistribution(support=support)
     except ValueError as exc:
         raise GameFormatError(str(exc)) from exc
-
-
-def advice_to_dict(advice: AdviceDistribution) -> dict:
-    return {
-        "support": [
-            {"profile_indices": list(profile), "p": p} for profile, p in advice.support
-        ]
-    }
 
 
 def load_advice(path) -> AdviceDistribution:

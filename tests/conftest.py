@@ -1,5 +1,6 @@
 """Shared fixtures: the classic two-player dilemma, a three-player effort
-game, and declaration-style sanction menus over them."""
+game, and declaration-style sanction menus over them; plus the JSON form of
+sanction games and advice, the inverse of their parsers."""
 import itertools
 
 import pytest
@@ -48,3 +49,30 @@ def pd_sg3(pd) -> sanctions.SanctionGame:
 @pytest.fixture
 def pd_sg1(pd) -> sanctions.SanctionGame:
     return sanctions.SanctionGame(base=pd, menus=declaration_menus(pd, (0, 0), 1.0))
+
+
+def sanction_game_to_dict(sg: sanctions.SanctionGame) -> dict:
+    out = games.game_to_dict(sg.base)
+    out["classifiers"] = [
+        [
+            {
+                "sanctions": [
+                    {"profile": games.profile_key(sg.base, profile), "target": target}
+                    for profile, target in sorted(c.sanctions)
+                ],
+                "cost": c.cost,
+                "self_cost": c.self_cost,
+            }
+            for c in menu
+        ]
+        for menu in sg.menus
+    ]
+    return out
+
+
+def advice_to_dict(advice: sanctions.AdviceDistribution) -> dict:
+    return {
+        "support": [
+            {"profile_indices": list(profile), "p": p} for profile, p in advice.support
+        ]
+    }

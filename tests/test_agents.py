@@ -1,5 +1,6 @@
 """Weighted-majority normative module and scripted villager policies."""
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -93,14 +94,13 @@ def test_expert_votes():
     inst = agents.Expert("institution", 0)
     comm = agents.Expert("community")
     obs = make_obs(signals=(sig(0, 0),), last_actions=(2, 1, 1), agent_index=0)
-    assert agents._expert_vote(inst, obs, 1) is True
-    assert agents._expert_vote(inst, obs, 0) is False
+    # an expert votes "criticized" for every crop but its safe crop
+    assert agents._safe_crop(inst, obs) == 0
     # community judges against the modal crop of the OTHER agents
-    assert agents._expert_vote(comm, obs, 1) is False
-    assert agents._expert_vote(comm, obs, 2) is True
+    assert agents._safe_crop(comm, obs) == 1
     # abstentions: no matching signal, no previous actions
-    assert agents._expert_vote(inst, make_obs(signals=(sig(9, 0),)), 0) is None
-    assert agents._expert_vote(comm, make_obs(signals=(sig(0, 0),)), 0) is None
+    assert agents._safe_crop(inst, make_obs(signals=(sig(9, 0),))) is None
+    assert agents._safe_crop(comm, make_obs(signals=(sig(0, 0),))) is None
 
 
 def test_predict_sanction_oracle_values():
@@ -219,6 +219,22 @@ def test_wm_update_computes_community_crop_once(monkeypatch):
     assert len(calls) == 1  # not once per observed outcome
 
 
+def test_normative_action_finds_each_safe_crop_once(monkeypatch):
+    calls = []
+
+    def counting_safe_crop(expert, obs):
+        calls.append(expert)
+        return safe_crop(expert, obs)
+
+    safe_crop = agents._safe_crop
+    monkeypatch.setattr(agents, "_safe_crop", counting_safe_crop)
+    ns = agents.initial_state([0, 1])
+    obs = make_obs(signals=(sig(0, 0), sig(1, 1)), last_actions=(2, 1, 1, 4),
+                   crop_names=institutions.CROP_NAMES)
+    assert agents.normative_action(ns, obs)[0] == 1
+    assert calls == list(ns.experts)  # once per expert, not once per scored crop
+
+
 class ScanCountingActions(tuple):
     """Last step's actions, counting how often something iterates over all of them."""
 
@@ -259,6 +275,49 @@ def test_step_scans_last_actions_a_fixed_number_of_times(mode, focal_kind):
     scans = scans_in_one_step(320, mode, focal_kind)
     assert scans == scans_in_one_step(20, mode, focal_kind)
     assert scans <= 8
+
+
+@pytest.mark.parametrize("mode", orchard.BACKGROUND_MODES)
+def test_step_builds_one_crowd_script_per_villager_kind(mode, monkeypatch):
+    calls = Counter()
+
+    def counting_background_action(obs, mode, my_institution, defy_crop):
+        calls[mode, my_institution, defy_crop] += 1
+        return background_action(obs, mode, my_institution, defy_crop)
+
+    background_action = agents._background_action
+    monkeypatch.setattr(agents, "_background_action", counting_background_action)
+    scans_in_one_step(320, mode, "baseline")  # 320 villagers speak and act alike
+    assert list(calls.values()) == [1]
+
+
+def two_episodes():
+    """A follow and a defy episode whose steps share roster names and crop names."""
+    follow = orchard.EnvConfig(
+        institutions=tuple(institutions.make_institution(i, i, authoritative=i == 1)
+                           for i in range(3)),
+        num_background=6, max_timesteps=8, eval_window=4, seed=3,
+    )
+    defy = orchard.EnvConfig(
+        institutions=(institutions.make_institution(0, 2),), num_background=6,
+        background_mode="defy_institution", max_timesteps=8, eval_window=4, seed=4,
+    )
+    return (follow, "normative"), (defy, "baseline")
+
+
+def test_alternating_episodes_match_each_episode_alone():
+    def outputs(cfg, history):
+        return orchard.episode_to_dict(history, cfg), orchard.render_transcript(history, cfg)
+
+    alone = [outputs(cfg, orchard.run_episode(cfg, agents.build_roster(cfg, focal)))
+             for cfg, focal in two_episodes()]
+    episodes = [(cfg, agents.build_roster(cfg, focal), []) for cfg, focal in two_episodes()]
+    for _ in range(8):
+        for cfg, roster, history in episodes:
+            history.append(orchard.step(history[-1] if history else None, roster, cfg))
+    assert [outputs(cfg, history) for cfg, _, history in episodes] == alone
+    # both crowds criticize the focal agent at step 1
+    assert all(dump["steps"][1]["discussion"][1]["criticisms"] for dump, _ in alone)
 
 
 def test_derive_outcomes():

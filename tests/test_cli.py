@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from normsim import cli, games, sanctions
-from normsim.sanctions import advice_to_dict, sanction_game_to_dict
+from tests.conftest import advice_to_dict, sanction_game_to_dict
 
 
 @pytest.fixture

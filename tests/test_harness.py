@@ -102,6 +102,17 @@ def test_run_cell_statuses():
     assert failed.status.startswith("failed: ValueError: eval_window")
 
 
+def test_failed_status_is_one_line(tmp_path, monkeypatch):
+    def two_line_failure(env, agents):
+        raise ValueError("first problem\nsecond problem")
+
+    monkeypatch.setattr(harness, "run_episode", two_line_failure)
+    harness.run_experiment(small_cfg(num_background_grid=(1,), trials=1), tmp_path, jobs=1)
+    lines = (tmp_path / "metrics.csv").read_text().splitlines()
+    assert len(lines) == 2  # the header and the one cell's row
+    assert lines[1].endswith(",failed: ValueError: first problem; second problem")
+
+
 def trial(status="ok", inst=1.0, comm=0.0, steps=2, welfare=4.0):
     return TrialResult("single_nonauthoritative", "normative", (2, 1), 0, status,
                        None if status != "ok" else inst,

@@ -1,7 +1,7 @@
 """The O(N + criticisms) village step against the per-villager rescans it replaced.
 
 The `ref_*` functions and `Reference*Agent` classes below are the earlier
-implementations of `orchard.step`, `agents._expert_vote`,
+implementations of `orchard.step`, the expert vote (now `agents._safe_crop`),
 `agents.predict_sanction`, `agents.sanction_criticisms`,
 `agents.normative_action`, `agents.wm_update`, `agents.background_policy` and
 the villagers calling them, kept verbatim as the reference. Seeded random
@@ -450,8 +450,9 @@ def test_votes_and_policies_match_reference(seed):
         )
         assert agents.sanction_criticisms(ns, obs) == ref_sanction_criticisms(ns, obs)
         for expert in ns.experts:
+            crop = agents._safe_crop(expert, obs)
             for action in range(num_crops):
-                vote = agents._expert_vote(expert, obs, action)
+                vote = None if crop is None else action != crop
                 assert vote == ref_expert_vote(expert, obs, action)
         for action in range(num_crops):
             prediction = agents.predict_sanction(ns, obs, action)

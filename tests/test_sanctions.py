@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from normsim import games, sanctions
-from tests.conftest import declaration_menus
+from tests.conftest import advice_to_dict, declaration_menus, sanction_game_to_dict
 
 
 def test_sanction_cost_oracle_values(pd_sg3):
@@ -317,7 +317,7 @@ def test_conditioned_holds_implies_literal_holds():
 
 
 def test_sanction_game_round_trip(pd_sg3, tmp_path):
-    obj = sanctions.sanction_game_to_dict(pd_sg3)
+    obj = sanction_game_to_dict(pd_sg3)
     path = tmp_path / "sg.json"
     path.write_text(json.dumps(obj))
     loaded = sanctions.load_sanction_game(path)
@@ -346,7 +346,7 @@ def test_sanction_game_parse_errors(pd):
 def test_advice_round_trip(tmp_path):
     advice = sanctions.AdviceDistribution(support=(((0, 1), 0.25), ((1, 0), 0.75)))
     path = tmp_path / "advice.json"
-    path.write_text(json.dumps(sanctions.advice_to_dict(advice)))
+    path.write_text(json.dumps(advice_to_dict(advice)))
     assert sanctions.load_advice(path) == advice
     path.write_text('{"support": [{"profile_indices": [0, 0], "p": "x"}]}')
     with pytest.raises(games.GameFormatError):
