@@ -16,10 +16,10 @@ Three kinds of villager:
   expert holds more than `sanction_threshold` of the total weight, criticizes
   deviations from that institution's declaration itself.
 
-Villagers of one kind (mode, institution, defiance crop) act alike in a step,
-so each kind has one per-step crowd script (crop, criticisms, idle line), built
-once and read by each villager. The learner finds each expert's safe crop once
-per update and once per choice.
+Villagers of one kind (mode, institution, defiance crop) form a `Crowd` and act
+alike: the crowd's script for a step (crop, criticisms, idle line) gives every
+member's turn, so `orchard.step` builds it once per step for all of them. The
+learner finds each expert's safe crop once per update and once per choice.
 """
 from __future__ import annotations
 
@@ -69,29 +69,9 @@ class Expert:
             raise ValueError("institution experts (and only they) need an institution_id")
 
 
-# One step's answers (the signal map, one crowd script per villager kind), held
-# with the tuples all of the step's observations share; holding them keeps
-# their identities from being reused, so `is` proves the answers still apply.
-_step_cache: tuple = ((), (), (), (), {})
-
-
-def _shared(obs: Observation) -> dict:
-    """The answers cached for `obs`'s step, reset to the signal map alone when
-    the step changed. Built from the back, the map keeps the first signal of a
-    repeated id."""
-    global _step_cache
-    signals, actions, names, crops, answers = _step_cache
-    if (signals is not obs.signals or actions is not obs.last_step_actions
-            or names is not obs.agent_names or crops is not obs.crop_names):
-        answers = {"signals": {s.institution_id: s for s in reversed(obs.signals)}}
-        _step_cache = (obs.signals, obs.last_step_actions, obs.agent_names, obs.crop_names,
-                       answers)
-    return answers
-
-
 def _signal_for(obs: Observation, institution_id: int):
-    """The signal `institution_id` sent this step; None if it sent none."""
-    return _shared(obs)["signals"].get(institution_id)
+    """The first signal `institution_id` sent this step; None if it sent none."""
+    return next((s for s in obs.signals if s.institution_id == institution_id), None)
 
 
 def _safe_crop(expert: Expert, obs: Observation) -> int | None:
@@ -201,7 +181,8 @@ def sanction_criticisms(ns: NormativeState, obs: Observation) -> tuple[Criticism
         return ()
     if _signal_for(obs, expert.institution_id) is None:
         return ()
-    return _criticisms(obs, _crowd_script(obs, "follow_authoritative", expert.institution_id, None))
+    follow = Crowd("follow_authoritative", expert.institution_id)
+    return follow.script(obs).turn(obs.agent_index)[1]
 
 
 def normative_action(ns: NormativeState, obs: Observation) -> tuple[int, tuple[Criticism, ...]]:
@@ -318,40 +299,42 @@ class _CrowdScript(NamedTuple):
     criticisms: tuple[tuple[int, int, str], ...]
     idle: str
 
-
-def _crowd_script(obs: Observation, mode: str, my_institution: int | None,
-                  defy_crop: int | None) -> _CrowdScript:
-    """The step's script for villagers of one kind, built on the kind's first call."""
-    answers = _shared(obs)
-    kind = (mode, my_institution, defy_crop)
-    script = answers.get(kind)
-    if script is not None:
-        return script
-    sig, action = _background_action(obs, mode, my_institution, defy_crop)
-    names, crops = obs.agent_names, obs.crop_names
-    follow = mode == "follow_authoritative"
-    if follow:  # criticize last step's strays from the declaration
-        idle = FOLLOW_IDLE.format(institution=sig.name, crop=crops[sig.crop])
-        template, fields = INSTITUTION_CRITICISM, {"institution": sig.name}
-    else:  # criticize last step's obeyers on community grounds
-        idle = DEFY_IDLE.format(crop=crops[defy_crop])
-        template, fields = COMMUNITY_CRITICISM, {"expected": crops[defy_crop]}
-    criticisms = tuple(
-        (j, crop, template.format(target=names[j], crop=crops[crop], **fields))
-        for j, crop in enumerate(obs.last_step_actions) if (crop != sig.crop) == follow
-    )
-    script = answers[kind] = _CrowdScript(action, my_institution if follow else None,
-                                          criticisms, idle)
-    return script
+    def turn(self, me: int) -> tuple[str, tuple[Criticism, ...]]:
+        """Member `me`'s utterance and criticisms, none of itself."""
+        criticisms = tuple(Criticism(me, j, crop, self.basis, text)
+                           for j, crop, text in self.criticisms if j != me)
+        if criticisms:
+            return " ".join(c.text for c in criticisms), criticisms
+        return self.idle, ()
 
 
-def _criticisms(obs: Observation, script: _CrowdScript) -> tuple[Criticism, ...]:
-    """The script's criticisms as the observer sends them, none of itself."""
-    if not script.criticisms:
-        return ()
-    me = obs.agent_index
-    return tuple(Criticism(me, j, crop, script.basis, text)
-                 for j, crop, text in script.criticisms if j != me)
+class Crowd(NamedTuple):
+    """Background villagers of one kind, who all act alike. Follow mode harvests
+    the institution's declaration and criticizes last step's strays; defy mode
+    harvests `defy_crop` and criticizes last step's obeyers on community
+    grounds."""
+
+    mode: str
+    institution_id: int | None
+    defy_crop: int | None = None
+
+    def script(self, obs: Observation) -> _CrowdScript:
+        """The crowd's script for `obs`'s step; O(N + criticisms)."""
+        mode, my_institution, defy_crop = self
+        sig, action = _background_action(obs, mode, my_institution, defy_crop)
+        names, crops = obs.agent_names, obs.crop_names
+        follow = mode == "follow_authoritative"
+        if follow:  # criticize last step's strays from the declaration
+            idle = FOLLOW_IDLE.format(institution=sig.name, crop=crops[sig.crop])
+            template, fields = INSTITUTION_CRITICISM, {"institution": sig.name}
+        else:  # criticize last step's obeyers on community grounds
+            idle = DEFY_IDLE.format(crop=crops[defy_crop])
+            template, fields = COMMUNITY_CRITICISM, {"expected": crops[defy_crop]}
+        criticisms = tuple(
+            (j, crop, template.format(target=names[j], crop=crops[crop], **fields))
+            for j, crop in enumerate(obs.last_step_actions) if (crop != sig.crop) == follow
+        )
+        return _CrowdScript(action, my_institution if follow else None, criticisms, idle)
 
 
 def background_policy(
@@ -360,11 +343,10 @@ def background_policy(
     my_institution: int | None = None,
     defy_crop: int | None = None,
 ) -> tuple[int, tuple[Criticism, ...]]:
-    """Hard-coded villager behavior. Follow mode harvests the declaration and
-    criticizes last step's strays; defy mode harvests `defy_crop` and
-    criticizes last step's obeyers on community grounds."""
-    script = _crowd_script(obs, mode, my_institution, defy_crop)
-    return script.action, _criticisms(obs, script)
+    """Hard-coded villager behavior: the crop and criticisms of a member of
+    `Crowd(mode, my_institution, defy_crop)`."""
+    script = Crowd(mode, my_institution, defy_crop).script(obs)
+    return script.action, script.turn(obs.agent_index)[1]
 
 
 def baseline_policy(obs: Observation, rng: np.random.Generator) -> int:
@@ -387,22 +369,22 @@ def _agent_rng(seed: int, agent_index: int) -> np.random.Generator:
 
 
 class BackgroundAgent:
-    """Scripted villager running background_policy every phase."""
+    """Scripted villager, a member of `self.crowd`. `orchard.step` plays a
+    member's turns from its crowd's script; `discuss` and `act` build the
+    script themselves, for callers that step one villager alone."""
 
     def __init__(self, index: int, mode: str, institution_id: int, defy_crop: int | None = None):
         self.index = index
         self.mode = mode
         self.institution_id = institution_id
         self.defy_crop = defy_crop
+        self.crowd = Crowd(mode, institution_id, defy_crop)
 
     def discuss(self, obs: Observation) -> tuple[str, tuple[Criticism, ...]]:
-        _, criticisms = background_policy(obs, self.mode, self.institution_id, self.defy_crop)
-        if criticisms:
-            return " ".join(c.text for c in criticisms), criticisms
-        return _crowd_script(obs, self.mode, self.institution_id, self.defy_crop).idle, ()
+        return self.crowd.script(obs).turn(obs.agent_index)
 
     def act(self, obs: Observation) -> int:
-        return _crowd_script(obs, self.mode, self.institution_id, self.defy_crop).action
+        return self.crowd.script(obs).action
 
 
 class BaselineAgent:

@@ -339,18 +339,6 @@ def _parse_game(obj) -> tuple[FiniteGame, dict[str, Profile]]:
     return FiniteGame(names, payoffs.reshape(counts + (players,))), profiles
 
 
-def game_to_dict(game: FiniteGame) -> dict:
-    """The JSON-ready table form of a game."""
-    return {
-        "players": game.num_players,
-        "actions": [list(per_player) for per_player in game.action_names],
-        "utilities": {
-            profile_key(game, profile): [float(x) for x in game.payoffs[profile]]
-            for profile in enumerate_profiles(game)
-        },
-    }
-
-
 def load_game(path) -> FiniteGame:
     """Load a game from a JSON file, rejecting duplicate keys outright."""
     return load_json(path, parse_game)

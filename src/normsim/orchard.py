@@ -19,8 +19,8 @@ simulated minutes per step from 8:00 AM.
 
 A step costs O(N + criticisms) for N agents. What all agents see alike is built
 once per step, so an `Observation` is a named tuple of shared references, and
-`agents` keys one per-step crowd script per villager kind on their identity.
-Only each speaker's copy of the log so far is quadratic, a C-level copy.
+each crowd of scripted villagers (see `AgentHandle`) is answered once per step
+for all its members. Only other handles get a copy of the log so far.
 """
 from __future__ import annotations
 
@@ -179,7 +179,13 @@ class Observation(NamedTuple):
 
 class AgentHandle(Protocol):
     """An episode-scoped policy. `discuss` may return criticisms of last step's
-    actions; `act` returns a crop index."""
+    actions; `act` returns a crop index.
+
+    A handle whose `crowd` attribute is set (see `agents.Crowd`) is never asked
+    to discuss or act: `step` builds `crowd.script(obs)` once per step, from
+    the crowd's first member's observation, and the member at index i says
+    `script.turn(i)` and harvests `script.action`. So members of one crowd must
+    act alike, and a script may read only what a step's observations share."""
 
     def discuss(self, obs: Observation) -> tuple[str, tuple[Criticism, ...]]: ...
 
@@ -232,10 +238,22 @@ def step(prev: WorldState | None, agents: Sequence[AgentHandle], cfg: EnvConfig)
         return Observation(t, idx, names, cfg.crop_names, signals, last_actions,
                            last_criticisms, own.get(idx, ()), so_far)
 
+    crowds = [getattr(agent, "crowd", None) for agent in agents]
+    scripts = {}  # each crowd's script for this step, built at its first member's turn
+
+    def script_for(idx: int, so_far: Sequence[DiscussionEntry]):
+        crowd = crowds[idx]
+        if crowd not in scripts:
+            scripts[crowd] = crowd.script(obs_for(idx, tuple(so_far)))
+        return scripts[crowd]
+
     log: list[DiscussionEntry] = []
     for _ in range(cfg.discussion_turns):
         for idx, agent in enumerate(agents):
-            text, criticisms = agent.discuss(obs_for(idx, tuple(log)))
+            if crowds[idx] is None:
+                text, criticisms = agent.discuss(obs_for(idx, tuple(log)))
+            else:
+                text, criticisms = script_for(idx, log).turn(idx)
             criticisms = tuple(criticisms)
             for c in criticisms:
                 _validate_criticism(c, idx, cfg, last_actions)
@@ -244,7 +262,10 @@ def step(prev: WorldState | None, agents: Sequence[AgentHandle], cfg: EnvConfig)
 
     actions = []
     for idx, agent in enumerate(agents):
-        chosen = agent.act(obs_for(idx, discussion))
+        if crowds[idx] is None:
+            chosen = agent.act(obs_for(idx, discussion))
+        else:
+            chosen = script_for(idx, discussion).action
         try:
             crop = operator.index(chosen)
         except TypeError:

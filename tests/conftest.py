@@ -1,6 +1,6 @@
 """Shared fixtures: the classic two-player dilemma, a three-player effort
 game, and declaration-style sanction menus over them; plus the JSON form of
-sanction games and advice, the inverse of their parsers."""
+games, sanction games and advice, the inverse of their parsers."""
 import itertools
 
 import pytest
@@ -51,8 +51,20 @@ def pd_sg1(pd) -> sanctions.SanctionGame:
     return sanctions.SanctionGame(base=pd, menus=declaration_menus(pd, (0, 0), 1.0))
 
 
+def game_to_dict(game: games.FiniteGame) -> dict:
+    """The JSON-ready table form of a game."""
+    return {
+        "players": game.num_players,
+        "actions": [list(per_player) for per_player in game.action_names],
+        "utilities": {
+            games.profile_key(game, profile): [float(x) for x in game.payoffs[profile]]
+            for profile in games.enumerate_profiles(game)
+        },
+    }
+
+
 def sanction_game_to_dict(sg: sanctions.SanctionGame) -> dict:
-    out = games.game_to_dict(sg.base)
+    out = game_to_dict(sg.base)
     out["classifiers"] = [
         [
             {

@@ -1,4 +1,5 @@
 """Weighted-majority normative module and scripted villager policies."""
+import functools
 import math
 from collections import Counter
 
@@ -289,6 +290,93 @@ def test_step_builds_one_crowd_script_per_villager_kind(mode, monkeypatch):
     monkeypatch.setattr(agents, "_background_action", counting_background_action)
     scans_in_one_step(320, mode, "baseline")  # 320 villagers speak and act alike
     assert list(calls.values()) == [1]
+
+
+@pytest.mark.parametrize("mode", orchard.BACKGROUND_MODES)
+def test_step_plays_crowd_members_from_their_script(mode, monkeypatch):
+    def refuse(self, obs):
+        raise AssertionError("the step asked a crowd member to discuss or act")
+
+    monkeypatch.setattr(agents.BackgroundAgent, "discuss", refuse)
+    monkeypatch.setattr(agents.BackgroundAgent, "act", refuse)
+    scans_in_one_step(320, mode, "normative")  # 320 villagers criticize and harvest
+
+
+class PlainHandle:
+    """Forwards to a villager's own `discuss` and `act`, hiding its crowd."""
+
+    def __init__(self, agent):
+        self.agent = agent
+
+    def discuss(self, obs):
+        return self.agent.discuss(obs)
+
+    def act(self, obs):
+        return self.agent.act(obs)
+
+
+def crowd_rosters():
+    """(config, fresh-roster factory) pairs: seeded follow and defy episodes for
+    each discussion-turn count and focal kind, then a roster of two crowds and
+    one whose crowd's institution sends no signal."""
+    insts = tuple(
+        institutions.Institution(i, institutions.institution_name(i),
+                                 institutions.RotatingDeclaration(crops), i == 1)
+        for i, crops in enumerate(((0, 1, 2), (2, 0), (1,)))
+    )
+    cases = []
+    for turns in range(3):
+        for mode in orchard.BACKGROUND_MODES:
+            for focal in ("normative", "baseline"):
+                cfg = orchard.EnvConfig(
+                    institutions=insts if mode == "follow_authoritative" else insts[::-1],
+                    num_background=9, background_mode=mode, num_crops=3,
+                    discussion_turns=turns, max_timesteps=10, eval_window=5, seed=len(cases))
+                cases.append((cfg, functools.partial(
+                    agents.build_roster, cfg, focal, beta=0.3, sanction_threshold=0.3)))
+    cfg = cases[-4][0]  # two turns, follow mode
+
+    def two_crowds():
+        followers = agents.build_roster(cfg, "normative", sanction_threshold=0.3)[:5]
+        return followers + [agents.BackgroundAgent(i, "defy_institution", 1, defy_crop=1)
+                            for i in range(5, cfg.num_agents)]
+
+    def no_signal():
+        return [agents.BaselineAgent(0, cfg.seed)] + [
+            agents.BackgroundAgent(i, "follow_authoritative", 7) for i in range(1, cfg.num_agents)]
+
+    return cases + [(cfg, two_crowds), (cfg, no_signal)]
+
+
+def played(cfg, roster):
+    """The episode's dump and transcript up to its first error, and that error."""
+    history, failure = [], None
+    try:
+        for _ in range(cfg.max_timesteps):
+            history.append(orchard.step(history[-1] if history else None, roster, cfg))
+    except ValueError as exc:
+        failure = f"ValueError: {exc}"
+    return orchard.episode_to_dict(history, cfg), orchard.render_transcript(history, cfg), failure
+
+
+def test_crowds_play_as_their_members_would_one_by_one():
+    outcomes = []
+    for cfg, roster in crowd_rosters():
+        by_crowd = played(cfg, roster())
+        one_by_one = [PlainHandle(a) if isinstance(a, agents.BackgroundAgent) else a
+                      for a in roster()]
+        assert played(cfg, one_by_one) == by_crowd
+        outcomes.append(by_crowd)
+    speakers = {len(dump["steps"][0]["discussion"]) for dump, _, _ in outcomes[:-1]}
+    assert speakers == {0, 10, 20}  # every discussion-turn count
+    assert any(c["sender"] == 0 for dump, _, _ in outcomes[:-2] for state in dump["steps"]
+               for entry in state["discussion"] for c in entry["criticisms"])
+    # the two crowds harvest apart, and the followers criticize the defiers
+    steps = outcomes[-2][0]["steps"]
+    assert all(state["actions"][1] != state["actions"][-1] for state in steps)
+    assert any(c["target"] > 4 for state in steps for c in state["discussion"][1]["criticisms"])
+    assert outcomes[-1][0]["steps"] == []
+    assert outcomes[-1][2] == "ValueError: no signal from institution 7"
 
 
 def two_episodes():

@@ -6,13 +6,13 @@ from pathlib import Path
 import pytest
 
 from normsim import cli, games, sanctions
-from tests.conftest import advice_to_dict, sanction_game_to_dict
+from tests.conftest import advice_to_dict, game_to_dict, sanction_game_to_dict
 
 
 @pytest.fixture
 def game_file(pd, tmp_path):
     path = tmp_path / "pd.json"
-    path.write_text(json.dumps(games.game_to_dict(pd)))
+    path.write_text(json.dumps(game_to_dict(pd)))
     return path
 
 
@@ -170,7 +170,7 @@ def test_analyze_exit_2_cases(game_file, sanctions_file, tmp_path, capsys):
         {(0, 0): (1, 1), (0, 1): (0, 0), (1, 0): (0, 0), (1, 1): (2, 2)},
     )
     other_path = tmp_path / "other.json"
-    other_path.write_text(json.dumps(games.game_to_dict(other)))
+    other_path.write_text(json.dumps(game_to_dict(other)))
     code, _, err = run(capsys, "analyze", str(other_path), "--sanctions", str(sanctions_file))
     assert code == 2 and "different base game" in err
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from normsim import games
+from tests.conftest import game_to_dict
 
 
 def test_pd_welfare_optimum(pd):
@@ -102,12 +103,12 @@ def test_profile_checks(pd):
 
 def test_json_round_trip(pd, tmp_path):
     path = tmp_path / "pd.json"
-    path.write_text(json.dumps(games.game_to_dict(pd)))
+    path.write_text(json.dumps(game_to_dict(pd)))
     loaded = games.load_game(path)
     assert loaded.action_names == pd.action_names
     assert np.array_equal(loaded.payoffs, pd.payoffs)
     # the table form is deterministic
-    assert json.dumps(games.game_to_dict(loaded)) == path.read_text()
+    assert json.dumps(game_to_dict(loaded)) == path.read_text()
 
 
 def test_profile_keys(pd):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from normsim import games, sanctions
-from tests.conftest import advice_to_dict, declaration_menus, sanction_game_to_dict
+from tests.conftest import advice_to_dict, declaration_menus, game_to_dict, sanction_game_to_dict
 
 
 def test_sanction_cost_oracle_values(pd_sg3):
@@ -326,7 +326,7 @@ def test_sanction_game_round_trip(pd_sg3, tmp_path):
 
 
 def test_sanction_game_parse_errors(pd):
-    base = games.game_to_dict(pd)
+    base = game_to_dict(pd)
     with pytest.raises(games.GameFormatError, match="classifiers"):
         sanctions.parse_sanction_game(base)
     bad = dict(base, classifiers=[[], []])
