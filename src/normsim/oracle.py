@@ -213,6 +213,8 @@ def parse_chat_content(req: OracleRequest, content: str) -> OracleResponse:
         target_name = item["target"]
         if target_name not in obs.agent_names:
             raise OracleError(f"unknown criticism target {target_name!r}")
+        if obs.agent_names.index(target_name) == obs.agent_index:
+            raise OracleError(f"criticism targets the speaker {target_name!r}")
         criticisms.append(
             Criticism(
                 sender=obs.agent_index,

@@ -19,8 +19,9 @@ simulated minutes per step from 8:00 AM.
 
 A step costs O(N + criticisms) for N agents. What all agents see alike is built
 once per step, so an `Observation` is a named tuple of shared references, and
-each crowd of scripted villagers (see `AgentHandle`) is answered once per step
-for all its members. Only other handles get a copy of the log so far.
+each crowd of scripted villagers (see `AgentHandle`) is answered once per step.
+Consecutive members of one crowd are played as a run, in one block when the
+crowd criticizes no one. Only other handles get a copy of the log so far.
 """
 from __future__ import annotations
 
@@ -184,8 +185,10 @@ class AgentHandle(Protocol):
     A handle whose `crowd` attribute is set (see `agents.Crowd`) is never asked
     to discuss or act: `step` builds `crowd.script(obs)` once per step, from
     the crowd's first member's observation, and the member at index i says
-    `script.turn(i)` and harvests `script.action`. So members of one crowd must
-    act alike, and a script may read only what a step's observations share."""
+    `script.turn(i)` (`script.idle` for all when `script.criticisms` is empty)
+    and harvests `script.action`. Consecutive members of one crowd form a run,
+    whose action is checked once. So members of one crowd must act alike, and
+    a script may read only what a step's observations share."""
 
     def discuss(self, obs: Observation) -> tuple[str, tuple[Criticism, ...]]: ...
 
@@ -238,61 +241,71 @@ def step(prev: WorldState | None, agents: Sequence[AgentHandle], cfg: EnvConfig)
         return Observation(t, idx, names, cfg.crop_names, signals, last_actions,
                            last_criticisms, own.get(idx, ()), so_far)
 
-    crowds = [getattr(agent, "crowd", None) for agent in agents]
+    runs, last = [], None  # (crowd, indices) of each maximal run of one crowd's consecutive members
+    for idx, agent in enumerate(agents):
+        crowd = getattr(agent, "crowd", None)
+        if crowd is None or crowd != last:
+            runs.append((crowd, []))
+        runs[-1][1].append(idx)
+        last = crowd
     scripts = {}  # each crowd's script for this step, built at its first member's turn
 
-    def script_for(idx: int, so_far: Sequence[DiscussionEntry]):
-        crowd = crowds[idx]
+    def script_for(crowd, idx: int, so_far: Sequence[DiscussionEntry]):
         if crowd not in scripts:
             scripts[crowd] = crowd.script(obs_for(idx, tuple(so_far)))
         return scripts[crowd]
 
     log: list[DiscussionEntry] = []
     for _ in range(cfg.discussion_turns):
-        for idx, agent in enumerate(agents):
-            if crowds[idx] is None:
-                text, criticisms = agent.discuss(obs_for(idx, tuple(log)))
-            else:
-                text, criticisms = script_for(idx, log).turn(idx)
-            criticisms = tuple(criticisms)
-            for c in criticisms:
-                _validate_criticism(c, idx, cfg, last_actions)
-            log.append(DiscussionEntry(idx, text, criticisms))
+        for crowd, run in runs:
+            if crowd is not None:
+                script = script_for(crowd, run[0], log)
+                if not script.criticisms:
+                    log += [DiscussionEntry(idx, script.idle, ()) for idx in run]
+                    continue
+            for idx in run:
+                text, criticisms = (agents[idx].discuss(obs_for(idx, tuple(log))) if crowd is None
+                                    else script.turn(idx))
+                criticisms = tuple(criticisms)
+                for c in criticisms:
+                    _validate_criticism(c, idx, cfg, last_actions)
+                log.append(DiscussionEntry(idx, text, criticisms))
     discussion = tuple(log)
 
     actions = []
-    for idx, agent in enumerate(agents):
-        if crowds[idx] is None:
-            chosen = agent.act(obs_for(idx, discussion))
-        else:
-            chosen = script_for(idx, discussion).action
-        try:
-            crop = operator.index(chosen)
-        except TypeError:
-            raise EnvError(f"agent {names[idx]} returned non-integer action {chosen!r}") from None
-        if not 0 <= crop < cfg.num_crops:
-            raise EnvError(f"agent {names[idx]} returned out-of-range crop {crop}")
-        actions.append(crop)
+    for crowd, run in runs:
+        for idx in run if crowd is None else run[:1]:  # a crowd's action is checked once
+            chosen = (agents[idx].act(obs_for(idx, discussion)) if crowd is None
+                      else script_for(crowd, idx, discussion).action)
+            try:
+                crop = operator.index(chosen)
+            except TypeError:
+                raise EnvError(f"agent {names[idx]} returned non-integer action {chosen!r}") from None
+            if not 0 <= crop < cfg.num_crops:
+                raise EnvError(f"agent {names[idx]} returned out-of-range crop {crop}")
+            actions += [crop] * (1 if crowd is None else len(run))
     actions = tuple(actions)
 
     criticisms = tuple(c for entry in discussion for c in entry.criticisms)
     received = Counter(c.target for c in criticisms)
     sent = Counter(c.sender for c in criticisms)
     frac = actions.count(modal_crop(actions)) / len(actions)
-    rewards = tuple(
-        cfg.harvest_reward
-        + cfg.monoculture_bonus * frac
-        - cfg.sanction_cost_received * received[i]
-        - cfg.sanction_cost_sent * sent[i]
-        for i in range(len(actions))
-    )
+    base = cfg.harvest_reward + cfg.monoculture_bonus * frac
+    value = {(0, 0): base - cfg.sanction_cost_received * 0 - cfg.sanction_cost_sent * 0}
+    rewards = [value[0, 0]] * len(actions)
+    for i in received.keys() | sent.keys():  # one reward per distinct (received, sent) pair
+        pair = received.get(i, 0), sent.get(i, 0)
+        if pair not in value:
+            value[pair] = (base - cfg.sanction_cost_received * pair[0]
+                           - cfg.sanction_cost_sent * pair[1])
+        rewards[i] = value[pair]
     return WorldState(
         t=t,
         signals=signals,
         discussion_log=discussion,
         actions=actions,
         criticisms=criticisms,
-        rewards=rewards,
+        rewards=tuple(rewards),
     )
 
 

@@ -302,6 +302,23 @@ def test_step_plays_crowd_members_from_their_script(mode, monkeypatch):
     scans_in_one_step(320, mode, "normative")  # 320 villagers criticize and harvest
 
 
+@pytest.mark.parametrize("mode", orchard.BACKGROUND_MODES)
+def test_quiet_crowd_speaks_as_one_block(mode, monkeypatch):
+    # nobody strayed last step, so no member's turn needs its own Python call
+    calls = []
+    turn = agents._CrowdScript.turn
+    monkeypatch.setattr(agents._CrowdScript, "turn", lambda self, me: calls.append(me) or turn(self, me))
+    insts = (institutions.make_institution(0, 0, authoritative=True),)
+    crop = 0 if mode == "follow_authoritative" else agents.defiance_crop(insts[0])
+    cfg = orchard.EnvConfig(institutions=insts, num_background=320, background_mode=mode)
+    prev = orchard.WorldState(t=0, signals=(), discussion_log=(), actions=(crop,) * 321,
+                              criticisms=(), rewards=())
+    state = orchard.step(prev, agents.build_roster(cfg, "baseline"), cfg)
+    assert calls == []
+    assert state.criticisms == () and len(set(state.discussion_log[1:])) == 320
+    assert state.actions[1:] == (crop,) * 320
+
+
 class PlainHandle:
     """Forwards to a villager's own `discuss` and `act`, hiding its crowd."""
 
@@ -317,8 +334,9 @@ class PlainHandle:
 
 def crowd_rosters():
     """(config, fresh-roster factory) pairs: seeded follow and defy episodes for
-    each discussion-turn count and focal kind, then a roster of two crowds and
-    one whose crowd's institution sends no signal."""
+    each discussion-turn count and focal kind, then a roster whose two crowds
+    interleave, one of two crowds and one whose crowd's institution sends no
+    signal."""
     insts = tuple(
         institutions.Institution(i, institutions.institution_name(i),
                                  institutions.RotatingDeclaration(crops), i == 1)
@@ -341,11 +359,22 @@ def crowd_rosters():
         return followers + [agents.BackgroundAgent(i, "defy_institution", 1, defy_crop=1)
                             for i in range(5, cfg.num_agents)]
 
+    def interleaved():  # runs of one and two members; a defier with no crowd splits one
+        follower = functools.partial(agents.BackgroundAgent, mode="follow_authoritative",
+                                     institution_id=1)
+        defier = functools.partial(agents.BackgroundAgent, mode="defy_institution",
+                                   institution_id=1, defy_crop=1)
+        kinds = (follower, defier, follower, follower, defier, follower, defier, follower,
+                 follower)
+        roster = [agents.BaselineAgent(0, cfg.seed)] + [kind(i) for i, kind in enumerate(kinds, 1)]
+        roster[7] = PlainHandle(roster[7])  # inside the followers' run 6, 8, 9
+        return roster
+
     def no_signal():
         return [agents.BaselineAgent(0, cfg.seed)] + [
             agents.BackgroundAgent(i, "follow_authoritative", 7) for i in range(1, cfg.num_agents)]
 
-    return cases + [(cfg, two_crowds), (cfg, no_signal)]
+    return cases + [(cfg, interleaved), (cfg, two_crowds), (cfg, no_signal)]
 
 
 def played(cfg, roster):
@@ -375,6 +404,11 @@ def test_crowds_play_as_their_members_would_one_by_one():
     steps = outcomes[-2][0]["steps"]
     assert all(state["actions"][1] != state["actions"][-1] for state in steps)
     assert any(c["target"] > 4 for state in steps for c in state["discussion"][1]["criticisms"])
+    # the interleaved crowds harvest apart and criticize across the runs
+    steps = outcomes[-3][0]["steps"]
+    assert all(len(set(state["actions"][1:])) == 2 for state in steps)
+    assert any(c["target"] == 7 for state in steps[1:2] for entry in state["discussion"][1:]
+               for c in entry["criticisms"])
     assert outcomes[-1][0]["steps"] == []
     assert outcomes[-1][2] == "ValueError: no signal from institution 7"
 

@@ -148,6 +148,10 @@ def test_parse_chat_discussion():
         oracle.parse_chat_content(
             req, '{"utterance": "hi", "criticisms": [{"target": "Zed", "crop": "apples"}]}'
         )
+    with pytest.raises(oracle.OracleError, match="criticism targets the speaker 'Alice'"):
+        oracle.parse_chat_content(
+            req, '{"utterance": "hi", "criticisms": [{"target": "Alice", "crop": "apples"}]}'
+        )
     with pytest.raises(oracle.OracleError, match="'target' and 'crop'"):
         oracle.parse_chat_content(req, '{"utterance": "hi", "criticisms": [{"target": "John"}]}')
     with pytest.raises(oracle.OracleError, match="list"):
@@ -265,6 +269,32 @@ def test_chat_transport_retry(api_key):
     resp = oracle.chat_oracle(action_request(), CONFIG, post=post, sleep=sleeps.append)
     assert resp.action == 2
     assert len(calls) == 3 and sleeps == [1.0, 2.0]
+
+
+SELF_CRITICISM = '{"utterance": "Shame on me!", "criticisms": [{"target": "Alice", "crop": "apples"}]}'
+
+
+def discussion_request():
+    obs = make_obs(last_actions=(0, 1, 2), agent_index=0)
+    return oracle.make_request(oracle.DISCUSSION_UTTERANCE, BASELINE, obs)
+
+
+def test_chat_self_criticism_retried_then_fails(api_key):
+    post, calls = make_post([completion(SELF_CRITICISM)] * oracle.CHAT_ATTEMPTS)
+    sleeps = []
+    with pytest.raises(oracle.OracleError, match="criticism targets the speaker"):
+        oracle.chat_oracle(discussion_request(), CONFIG, post=post, sleep=sleeps.append)
+    assert len(calls) == oracle.CHAT_ATTEMPTS
+    assert len(sleeps) == oracle.CHAT_ATTEMPTS - 1
+
+
+def test_chat_self_criticism_then_valid_reply(api_key):
+    valid = '{"utterance": "John, apples!", "criticisms": [{"target": "John", "crop": "bananas"}]}'
+    post, calls = make_post([completion(SELF_CRITICISM), completion(valid)])
+    sleeps = []
+    resp = oracle.chat_oracle(discussion_request(), CONFIG, post=post, sleep=sleeps.append)
+    assert [(c.sender, c.target, c.criticized_crop) for c in resp.criticisms] == [(0, 1, 1)]
+    assert len(calls) == 2 and sleeps == [1.0]
 
 
 def scripted_backend(action=2, utterance="Lovely weather for it."):

@@ -1,9 +1,11 @@
 """Orchard environment: phases, reward arithmetic, transcripts, metrics."""
 import json
+from typing import NamedTuple
 
 import pytest
 
 from normsim import institutions, orchard
+from normsim.orchard import DiscussionEntry
 
 
 def follow_cfg(num_background=2, **kwargs):
@@ -109,6 +111,42 @@ def test_action_validation():
         orchard.run_episode(cfg, [Scripted(0, ["apples"]), Scripted(1, [0])])
     with pytest.raises(ValueError, match="agent handles"):
         orchard.run_episode(cfg, [Scripted(0, [0])])
+
+
+class FixedCrowd(NamedTuple):
+    """Test double: a crowd whose script is itself, harvesting `action` and
+    criticizing no one."""
+
+    action: object
+    idle: str = "we agree"
+    criticisms: tuple = ()
+
+    def script(self, obs):
+        return self
+
+    def turn(self, me):
+        return self.idle, ()
+
+
+class Member:
+    def __init__(self, crowd):
+        self.crowd = crowd
+
+
+def test_crowd_run_action_checked_once_naming_its_first_member():
+    cfg = follow_cfg(num_background=4, max_timesteps=1, eval_window=1)
+
+    def run(action):
+        roster = [Scripted(0, [0]), Scripted(1, [0])] + [Member(FixedCrowd(action))] * 3
+        return orchard.run_episode(cfg, roster)
+
+    with pytest.raises(orchard.EnvError, match="^agent Anthony returned out-of-range crop 7$"):
+        run(7)
+    with pytest.raises(orchard.EnvError, match="^agent Anthony returned non-integer action 'x'$"):
+        run("x")
+    (state,) = run(True)  # anything `operator.index` accepts
+    assert state.actions == (0, 0, 1, 1, 1) and all(type(a) is int for a in state.actions)
+    assert state.discussion_log[2:] == tuple(DiscussionEntry(i, "we agree") for i in range(2, 5))
 
 
 def test_discussion_order_and_observation():

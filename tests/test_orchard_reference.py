@@ -6,7 +6,8 @@ implementations of `orchard.step`, the expert vote (now `agents._safe_crop`),
 `agents.normative_action`, `agents.wm_update`, `agents.background_policy` and
 the villagers calling them, kept verbatim as the reference. Seeded random
 episodes must give the same episode dump, transcript, failure text and final
-focal weights, float bits included.
+focal weights, float bits included: rewards too, which `orchard.step` computes
+once per distinct (received, sent) criticism count pair.
 """
 import json
 import operator
@@ -300,7 +301,8 @@ def reference_roster(roster):
 
 
 def random_episode(rng):
-    """(EnvConfig, focal kind, beta, observe_others) over the axes the step touches."""
+    """(EnvConfig, focal kind, beta, observe_others) over the axes the step touches.
+    The reward settings are drawn after every other axis."""
     num_crops = int(rng.integers(2, 6))
     mode = orchard.BACKGROUND_MODES[int(rng.integers(2))]
     count = int(rng.integers(1, 4))
@@ -329,7 +331,14 @@ def random_episode(rng):
     )
     focal = ("normative", "baseline")[int(rng.integers(2))]
     beta = float(rng.choice([0.05, 0.2, 0.5, 0.9]))
-    return cfg, focal, beta, bool(rng.integers(2))
+    observe_others = bool(rng.integers(2))
+
+    def cost():  # 0 a quarter of the time
+        return 0.0 if rng.random() < 0.25 else float(rng.uniform(0.0, 1.5))
+
+    cfg = replace(cfg, harvest_reward=float(rng.uniform(-2.0, 2.0)), monoculture_bonus=cost(),
+                  sanction_cost_received=cost(), sanction_cost_sent=cost())
+    return cfg, focal, beta, observe_others
 
 
 def play(step, roster, cfg):
@@ -395,13 +404,17 @@ def test_random_episodes_cover_the_axes():
         seen["defy crop declared"] += "the crop its defiers harvest" in (failure or "")
         seen["completed"] += failure is None
         seen["focal sanctions"] += sanctioned
+        seen["negative harvest"] += cfg.harvest_reward < 0
+        seen["zero cost"] += 0.0 in (cfg.monoculture_bonus, cfg.sanction_cost_received,
+                                     cfg.sanction_cost_sent)
     for mode in orchard.BACKGROUND_MODES:
         for focal in ("normative", "baseline"):
             assert seen[mode, focal] > 0
     for key in [("turns", k) for k in range(3)] + [("crops", k) for k in range(2, 6)]:
         assert seen[key] > 0
     for key in ("no background", "40 background", "rotation", "underflow",
-                "defy crop declared", "completed", "focal sanctions"):
+                "defy crop declared", "completed", "focal sanctions", "negative harvest",
+                "zero cost"):
         assert seen[key] > 0, key
 
 
