@@ -185,19 +185,17 @@ def sanction_criticisms(ns: NormativeState, obs: Observation) -> tuple[Criticism
     return follow.script(obs).turn(obs.agent_index)[1]
 
 
-def normative_action(ns: NormativeState, obs: Observation) -> tuple[int, tuple[Criticism, ...]]:
+def normative_action(ns: NormativeState, obs: Observation) -> int:
     """The crop minimizing the criticism vote (ties: previous own action, then
-    lowest index), plus any threshold-gated criticisms."""
+    lowest index)."""
     num_crops = len(obs.crop_names)
     crops = [_safe_crop(expert, obs) for expert in ns.experts]
     probs = [_sanction_vote(ns.weights, crops, c) for c in range(num_crops)]
     best = min(probs)
     tied = [c for c in range(num_crops) if probs[c] == best]
     if obs.last_step_actions and obs.last_step_actions[obs.agent_index] in tied:
-        action = obs.last_step_actions[obs.agent_index]
-    else:
-        action = tied[0]
-    return action, sanction_criticisms(ns, obs)
+        return obs.last_step_actions[obs.agent_index]
+    return tied[0]
 
 
 def wm_update(
@@ -430,8 +428,7 @@ class NormativeAgent:
         outcomes = derive_outcomes(obs, self.observe_others)
         if outcomes:
             self._state = wm_update(self._state, obs, outcomes)
-        action, _ = normative_action(self._state, obs)
-        return action
+        return normative_action(self._state, obs)
 
 
 def defiance_crop(institution) -> int:
@@ -468,27 +465,17 @@ def build_roster(
     beta: float = 0.5,
     sanction_threshold: float = 0.6,
     observe_others: bool = True,
-    focal_override=None,
 ) -> list:
     """The episode's agent handles: the focal agent at index 0, then backgrounds.
 
     Follow-mode backgrounds track the authoritative institution; defy-mode
     backgrounds defy the first institution by harvesting its `defiance_crop`.
     A config that breaks `roster_violations` raises one ValueError listing them.
-    `focal_override` swaps in a prebuilt focal handle (e.g. a chat-backed one).
     """
     raise_violations(roster_violations(cfg))
     institution_ids = [inst.id for inst in cfg.institutions]
-    if focal_override is not None:
-        focal = focal_override
-    elif focal_kind == "normative":
-        focal = NormativeAgent(
-            0,
-            institution_ids,
-            beta=beta,
-            sanction_threshold=sanction_threshold,
-            observe_others=observe_others,
-        )
+    if focal_kind == "normative":
+        focal = NormativeAgent(0, institution_ids, beta, sanction_threshold, observe_others)
     elif focal_kind == "baseline":
         focal = BaselineAgent(0, cfg.seed)
     else:

@@ -33,7 +33,7 @@ from .games import (
     parse_profile,
     profile_key,
 )
-from .oracle import API_KEY_VAR, ChatBaselineAgent, ChatNormativeAgent
+from .oracle import API_KEY_VAR, ChatBaselineAgent, ChatNormativeAgent, chat_oracle
 from .orchard import (
     FOCAL_NAME,
     alignment_metric,
@@ -197,29 +197,16 @@ def _load_config(parse, path):
 
 
 def _sim_agents(sim: harness.SimConfig):
-    focal_override = None
+    """The roster; with the chat oracle the focal newcomer talks through it."""
+    agents = build_roster(sim.env, sim.focal_kind, sim.beta, sim.sanction_threshold,
+                          sim.observe_others)
     if sim.oracle_kind == "chat":
-        ids = [inst.id for inst in sim.env.institutions]
+        ask = functools.partial(chat_oracle, config=sim.chat)
         if sim.focal_kind == "normative":
-            focal_override = ChatNormativeAgent(
-                0,
-                FOCAL_NAME,
-                ids,
-                beta=sim.beta,
-                sanction_threshold=sim.sanction_threshold,
-                observe_others=sim.observe_others,
-                config=sim.chat,
-            )
+            agents[0] = ChatNormativeAgent(agents[0], FOCAL_NAME, ask)
         else:
-            focal_override = ChatBaselineAgent(0, FOCAL_NAME, config=sim.chat)
-    return build_roster(
-        sim.env,
-        sim.focal_kind,
-        beta=sim.beta,
-        sanction_threshold=sim.sanction_threshold,
-        observe_others=sim.observe_others,
-        focal_override=focal_override,
-    )
+            agents[0] = ChatBaselineAgent(0, FOCAL_NAME, ask)
+    return agents
 
 
 def cmd_simulate(args) -> int:

@@ -354,6 +354,7 @@ def run_experiment(
     ]
     if jobs is None:
         jobs = os.cpu_count() or 1
+    jobs = min(jobs, len(tasks))  # a pool starts all its workers up front
     kinds, coords_list, trials = zip(*tasks)
     args = (repeat(cfg), coords_list, kinds, trials)
     if jobs <= 1:
@@ -540,34 +541,48 @@ def parse_experiment_config(obj) -> ExperimentConfig:
 # ---------------------------------------------------------------------------
 
 _ROW_KEYS = tuple(METRICS_HEADER.split(","))
+_INT_KEYS = ("num_crops", "num_background", "num_institutions", "trial_count")
+_FLOAT_KEYS = ("alignment_inst_mean", "alignment_inst_std", "alignment_comm_mean",
+               "alignment_comm_std", "steps_to_convergence_mean", "group_welfare_mean")
+
+
+def _row_typed(row: dict) -> bool:
+    """Whether a metrics row holds the types the CSV path converts to: text,
+    non-bool int counts, and finite numbers or null."""
+    return (all(isinstance(row[k], str) for k in ("experiment", "focal_kind", "status"))
+            and all(type(row[k]) is int for k in _INT_KEYS)
+            and all(row[k] is None or _is_number(row[k]) for k in _FLOAT_KEYS))
 
 
 def load_metrics(path) -> list[dict]:
-    """Rows from a metrics.json or metrics.csv file; schema mismatches are errors."""
+    """Rows from a metrics.json or metrics.csv file; schema or type mismatches are errors."""
     p = Path(path)
+    schema_error = ConfigError([f"{p}: row schema does not match {METRICS_HEADER}"])
     if p.suffix == ".json":
         payload = load_json(p)
         rows = payload.get("rows") if isinstance(payload, dict) else None
         if not isinstance(rows, list):
             raise ConfigError([f"{p}: not a metrics.json file (no rows array)"])
-        for row in rows:
-            if not isinstance(row, dict) or set(row) != set(_ROW_KEYS):
-                raise ConfigError([f"{p}: row schema does not match {METRICS_HEADER}"])
-        return rows
-    with open(p, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if tuple(reader.fieldnames or ()) != _ROW_KEYS:
-            raise ConfigError([f"{p}: header does not match {METRICS_HEADER}"])
-        rows = []
-        for raw in reader:
-            row: dict = dict(raw)
-            for key in ("num_crops", "num_background", "num_institutions", "trial_count"):
-                row[key] = int(row[key])
-            for key in ("alignment_inst_mean", "alignment_inst_std", "alignment_comm_mean",
-                        "alignment_comm_std", "steps_to_convergence_mean", "group_welfare_mean"):
-                row[key] = float(row[key]) if row[key] else None
-            rows.append(row)
-        return rows
+        if not all(isinstance(row, dict) and set(row) == set(_ROW_KEYS) for row in rows):
+            raise schema_error
+    else:
+        with open(p, newline="") as fh:
+            reader = csv.DictReader(fh)
+            if tuple(reader.fieldnames or ()) != _ROW_KEYS:
+                raise ConfigError([f"{p}: header does not match {METRICS_HEADER}"])
+            rows = []
+            for row in reader:
+                if None in row or None in row.values():  # too many or too few fields
+                    raise schema_error
+                for key in _INT_KEYS:
+                    row[key] = int(row[key])
+                for key in _FLOAT_KEYS:
+                    row[key] = float(row[key]) if row[key] else None
+                rows.append(row)
+    if not all(map(_row_typed, rows)):
+        raise ConfigError([f"{p}: row value types do not match {METRICS_HEADER} "
+                           "(text, integer counts, finite numbers or null)"])
+    return rows
 
 
 COMPARISON_HEADER = (

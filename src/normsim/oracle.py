@@ -8,6 +8,10 @@ header; it never reaches a transcript, log, or episode dump. Offline runs
 (`oracle.kind: "scripted"`) need no oracle: they use the `agents` policies.
 `requests` is imported only inside `chat_oracle`, so they never load it.
 
+The chat newcomer wraps the roster's agent: `ChatNormativeAgent` holds the
+`NormativeAgent` that `agents.build_roster` built and adds only its words.
+Both chat agents reach the model through one seam, `ask(req) -> OracleResponse`.
+
 Prompt assembly is a pure function of the request, so goldens can pin it.
 """
 from __future__ import annotations
@@ -18,7 +22,7 @@ import re
 import time
 from dataclasses import dataclass, field
 
-from .agents import NormativeAgent, NormativeState, sanction_criticisms
+from .agents import NormativeAgent, NormativeState
 from .orchard import Criticism, Observation
 
 API_KEY_VAR = "NORMSIM_API_KEY"
@@ -291,19 +295,14 @@ def chat_oracle(
 # ---------------------------------------------------------------------------
 
 
-def _as_oracle(oracle, config: ChatConfig | None):
-    if config is None:
-        return oracle
-    return lambda req: oracle(req, config)
-
-
 class ChatBaselineAgent:
-    """Module-free focal agent whose actions AND words come from the oracle."""
+    """Module-free focal agent whose actions AND words come from `ask`, one
+    `OracleRequest -> OracleResponse` call per query."""
 
-    def __init__(self, index: int, name: str, oracle=chat_oracle, config: ChatConfig | None = None):
+    def __init__(self, index: int, name: str, ask):
         self.index = index
         self.profile = AgentProfile(name=name, kind="baseline")
-        self._ask = _as_oracle(oracle, config)
+        self._ask = ask
 
     def discuss(self, obs: Observation) -> tuple[str, tuple[Criticism, ...]]:
         resp = self._ask(make_request(DISCUSSION_UTTERANCE, self.profile, obs))
@@ -315,38 +314,25 @@ class ChatBaselineAgent:
 
 
 class ChatNormativeAgent:
-    """Normative focal agent with chat-generated dialogue.
+    """A voice on top of the roster's normative agent, `module`.
 
-    The weighted-majority module stays in charge: it learns, picks the crop,
-    and decides the structured criticisms. The oracle supplies only the
-    utterance text, so sanction accounting never depends on model output.
+    The module stays in charge: it learns, picks the crop, and decides the
+    structured criticisms. `ask` supplies only the utterance text, so
+    sanction accounting never depends on model output.
     """
 
-    def __init__(
-        self,
-        index: int,
-        name: str,
-        institution_ids,
-        beta: float = 0.5,
-        sanction_threshold: float = 0.6,
-        observe_others: bool = True,
-        oracle=chat_oracle,
-        config: ChatConfig | None = None,
-    ):
-        self.index = index
+    def __init__(self, module: NormativeAgent, name: str, ask):
+        self.index = module.index
         self.profile = AgentProfile(name=name, kind="normative")
-        self._module = NormativeAgent(
-            index, institution_ids, beta=beta, sanction_threshold=sanction_threshold,
-            observe_others=observe_others,
-        )
-        self._ask = _as_oracle(oracle, config)
+        self._module = module
+        self._ask = ask
 
     @property
     def state(self) -> NormativeState:
         return self._module.state
 
     def discuss(self, obs: Observation) -> tuple[str, tuple[Criticism, ...]]:
-        criticisms = sanction_criticisms(self._module.state, obs)
+        _, criticisms = self._module.discuss(obs)
         resp = self._ask(make_request(DISCUSSION_UTTERANCE, self.profile, obs))
         return resp.utterance, criticisms
 

@@ -166,24 +166,20 @@ def test_sanction_criticisms_gate():
 def test_normative_action_tie_breaks():
     ns = state_for([0, None], (1.0, 1.0))
     # fresh world: only the institution speaks, so its declaration is safest
-    action, crits = agents.normative_action(ns, make_obs(signals=(sig(0, 0),), t=0))
-    assert (action, crits) == (0, ())
+    assert agents.normative_action(ns, make_obs(signals=(sig(0, 0),), t=0)) == 0
 
     # institution and community disagree; the tie keeps the previous action
     obs = make_obs(signals=(sig(0, 0),), last_actions=(1, 0, 1, 1), agent_index=0)
-    action, _ = agents.normative_action(ns, obs)
-    assert action == 1
+    assert agents.normative_action(ns, obs) == 1
 
     # previous action not among the tied minimizers: lowest index wins
     comm_only = state_for([None], (1.0,))
     obs = make_obs(last_actions=(2, 0, 0), agent_index=0)
-    action, _ = agents.normative_action(comm_only, obs)
-    assert action == 0
+    assert agents.normative_action(comm_only, obs) == 0
 
     # everyone abstains and the agent has history: stick with it
     lone = make_obs(last_actions=(2,), agent_index=0, num_agents=1)
-    action, _ = agents.normative_action(comm_only, lone)
-    assert action == 2
+    assert agents.normative_action(comm_only, lone) == 2
 
 
 def test_wm_update_oracle_values():
@@ -232,7 +228,7 @@ def test_normative_action_finds_each_safe_crop_once(monkeypatch):
     ns = agents.initial_state([0, 1])
     obs = make_obs(signals=(sig(0, 0), sig(1, 1)), last_actions=(2, 1, 1, 4),
                    crop_names=institutions.CROP_NAMES)
-    assert agents.normative_action(ns, obs)[0] == 1
+    assert agents.normative_action(ns, obs) == 1
     assert calls == list(ns.experts)  # once per expert, not once per scored crop
 
 
@@ -585,8 +581,6 @@ def test_build_roster():
 
     roster = agents.build_roster(follow_cfg, "baseline")
     assert isinstance(roster[0], agents.BaselineAgent)
-    sentinel = object()
-    assert agents.build_roster(follow_cfg, "normative", focal_override=sentinel)[0] is sentinel
 
     with pytest.raises(ValueError, match="focal kind"):
         agents.build_roster(follow_cfg, "bystander")

@@ -1,4 +1,5 @@
 """CLI subcommands, output text, and exit codes."""
+import dataclasses
 import json
 import re
 from pathlib import Path
@@ -423,6 +424,33 @@ def test_simulate_oracle_chat_switches_a_scripted_config(tmp_path, capsys, monke
     assert not (tmp_path / "o").exists()
 
 
+def test_sim_agents_chat_wraps_the_roster_focal():
+    from normsim import agents, harness, oracle
+
+    sim = harness.parse_sim_config({
+        **SIM_CONFIG, "beta": 0.3, "sanction_threshold": 0.4, "observe_others": False,
+        "oracle": {"kind": "chat", "base_url": "http://localhost:1", "model": "m"},
+    })
+    roster = cli._sim_agents(sim)
+    focal = roster[0]
+    assert isinstance(focal, oracle.ChatNormativeAgent)
+    assert (focal.state.beta, focal.state.sanction_threshold) == (0.3, 0.4)
+    assert isinstance(focal._module, agents.NormativeAgent)
+    assert focal._module.observe_others is False
+    assert focal._ask.func is oracle.chat_oracle and focal._ask.keywords == {"config": sim.chat}
+    scripted = agents.build_roster(sim.env, "normative")
+    assert [a.crowd for a in roster[1:]] == [a.crowd for a in scripted[1:]]
+    assert [a.index for a in roster] == [a.index for a in scripted]
+
+    baseline = cli._sim_agents(dataclasses.replace(sim, focal_kind="baseline"))
+    assert isinstance(baseline[0], oracle.ChatBaselineAgent) and baseline[0].index == 0
+    assert baseline[0]._ask.keywords == {"config": sim.chat}
+    assert [a.crowd for a in baseline[1:]] == [a.crowd for a in scripted[1:]]
+
+    plain = cli._sim_agents(dataclasses.replace(sim, oracle_kind="scripted"))
+    assert type(plain[0]) is agents.NormativeAgent and plain[0].state.beta == 0.3
+
+
 @pytest.mark.parametrize("kind", ["chat", "scripted"])
 @pytest.mark.parametrize("timeout", [0, -1.5])
 def test_simulate_timeout_must_be_positive_exit_2(tmp_path, capsys, kind, timeout):
@@ -518,3 +546,23 @@ def test_report_rejects_mixed_schema(tmp_path, capsys):
     bad.write_text("x,y\n1,2\n")
     code, _, err = run(capsys, "report", str(bad))
     assert code == 2 and "unusable metrics file" in err
+
+
+def _mistyped_json_row(key, value):
+    from tests.test_harness import metric_row
+
+    return json.dumps({"rows": [{**metric_row("normative", 0.0, 1.0, 4.0), key: value}]})
+
+
+@pytest.mark.parametrize("name, text", [
+    ("metrics.json", _mistyped_json_row("num_crops", "five")),
+    ("metrics.json", _mistyped_json_row("alignment_inst_mean", "0.5")),
+    ("metrics.json", _mistyped_json_row("focal_kind", ["normative"])),
+    ("metrics.csv", f"{cli.harness.METRICS_HEADER}\nsingle_nonauthoritative,normative,2\n"),
+], ids=["text-count", "text-mean", "list-focal-kind", "short-csv-row"])
+def test_report_rejects_unusable_rows(tmp_path, capsys, name, text):
+    bad = tmp_path / name
+    bad.write_text(text)
+    code, out, err = run(capsys, "report", str(bad))
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1 and err.startswith(f"unusable metrics file: {bad}: row ")

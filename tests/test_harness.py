@@ -175,6 +175,36 @@ def test_run_experiment_jobs_invariance(tmp_path):
     assert (tmp_path / "serial/metrics.json").read_bytes() == (tmp_path / "pool/metrics.json").read_bytes()
 
 
+def test_run_experiment_pool_never_outnumbers_tasks(tmp_path, monkeypatch):
+    import concurrent.futures
+
+    sizes = []
+
+    class SerialPool:
+        """Records the pool size it is asked for and maps in this process."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables, chunksize=1):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    cfg = small_cfg(env_overrides=(("max_timesteps", 4), ("eval_window", 2)))
+    num_tasks = len(cfg.focal_kinds) * len(cfg.grid()) * cfg.trials
+    harness.run_experiment(cfg, tmp_path / "serial", jobs=1)
+    harness.run_experiment(cfg, tmp_path / "wide", jobs=5000)
+    assert sizes == [num_tasks]
+    for name in ("metrics.csv", "metrics.json"):
+        assert (tmp_path / "wide" / name).read_bytes() == (tmp_path / "serial" / name).read_bytes()
+
+
 def test_skipped_cells_leave_metrics_empty(tmp_path):
     cfg = ExperimentConfig(
         "multi_institution",
@@ -219,6 +249,28 @@ def test_load_metrics_schema_errors(tmp_path):
     bad_csv.write_text("a,b,c\n1,2,3\n")
     with pytest.raises(ConfigError, match="header"):
         harness.load_metrics(bad_csv)
+    # every column holds the type the CSV path converts to
+    for key, value in [("num_crops", "five"), ("alignment_inst_mean", "0.5"),
+                       ("focal_kind", ["normative"]), ("trial_count", True),
+                       ("trial_count", 3.0), ("group_welfare_mean", 1e400), ("status", None)]:
+        bad_json.write_text(json.dumps({"rows": [{**metric_row("baseline", 1.0, 0.0, 3.5),
+                                                  key: value}]}))
+        with pytest.raises(ConfigError, match="value types"):
+            harness.load_metrics(bad_json)
+    good = {**metric_row("baseline", 1, None, 3.5), "steps_to_convergence_mean": None}
+    bad_json.write_text(json.dumps({"rows": [good]}))
+    assert harness.load_metrics(bad_json) == [good]
+    # a CSV row with too few or too many fields, or a non-finite number
+    row = ",".join(harness.format_value(v) for v in metric_row("baseline", 1.0, 0.0, 3.5).values())
+    for line, match in [("single_nonauthoritative,baseline,2", "row schema"),
+                        (row + ",extra", "row schema"),
+                        (row.replace("3.500000", "nan"), "value types"),
+                        (row.replace("3.500000", "inf"), "value types")]:
+        bad_csv.write_text(f"{harness.METRICS_HEADER}\n{line}\n")
+        with pytest.raises(ConfigError, match=match):
+            harness.load_metrics(bad_csv)
+    bad_csv.write_text(f"{harness.METRICS_HEADER}\n{row}\n")
+    assert harness.load_metrics(bad_csv)[0]["group_welfare_mean"] == 3.5
 
 
 def metric_row(kind, inst, comm, welfare, experiment="single_nonauthoritative",

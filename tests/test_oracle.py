@@ -324,8 +324,8 @@ def test_chat_agents_with_scripted_backend():
         eval_window=2,
     )
     ask, seen = scripted_backend()
-    focal = oracle.ChatNormativeAgent(0, "Alice", [0], oracle=ask)
-    roster = agents.build_roster(cfg, "normative", focal_override=focal)
+    roster = agents.build_roster(cfg, "normative")
+    focal = roster[0] = oracle.ChatNormativeAgent(roster[0], "Alice", ask)
     history = orchard.run_episode(cfg, roster)
     # the module drives actions, criticisms and learning; the oracle only talks
     local = orchard.run_episode(cfg, agents.build_roster(cfg, "normative"))
@@ -341,7 +341,8 @@ def test_chat_agents_with_scripted_backend():
 
     # once an institution leads, the module's criticisms are the ones that count
     ask, _ = scripted_backend()
-    judge = oracle.ChatNormativeAgent(0, "Alice", [0], sanction_threshold=0.4, oracle=ask)
+    judge = oracle.ChatNormativeAgent(agents.NormativeAgent(0, [0], sanction_threshold=0.4),
+                                      "Alice", ask)
     obs = make_obs(signals=(sig(0, 0),), last_actions=(0, 0, 2), agent_index=0)
     text, crits = judge.discuss(obs)
     assert text == "Lovely weather for it."
@@ -350,7 +351,7 @@ def test_chat_agents_with_scripted_backend():
     assert judge.act(obs) == agents.NormativeAgent(0, [0], sanction_threshold=0.4).act(obs)
 
     ask, seen = scripted_backend(action=1, utterance=agents.BASELINE_IDLE)
-    newcomer = oracle.ChatBaselineAgent(0, "Alice", oracle=ask)
+    newcomer = oracle.ChatBaselineAgent(0, "Alice", ask)
     obs = make_obs(signals=(sig(0, 2),), t=0)
     assert newcomer.act(obs) == 1
     text, crits = newcomer.discuss(obs)

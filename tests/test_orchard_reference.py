@@ -8,6 +8,8 @@ the villagers calling them, kept verbatim as the reference. Seeded random
 episodes must give the same episode dump, transcript, failure text and final
 focal weights, float bits included: rewards too, which `orchard.step` computes
 once per distinct (received, sent) criticism count pair.
+`agents.normative_action` returns only the crop, the first element of
+`ref_normative_action`'s pair.
 """
 import json
 import operator
@@ -471,7 +473,7 @@ def test_votes_and_policies_match_reference(seed):
             prediction = agents.predict_sanction(ns, obs, action)
             assert prediction == ref_predict_sanction(ns, obs, action)
         if obs.agent_index < len(obs.last_step_actions):
-            assert agents.normative_action(ns, obs) == ref_normative_action(ns, obs)
+            assert agents.normative_action(ns, obs) == ref_normative_action(ns, obs)[0]
         observed = [(int(rng.integers(num_crops)), bool(rng.integers(2))) for _ in range(5)]
         assert agents.wm_update(ns, obs, observed) == ref_wm_update(ns, obs, observed)
         for mode in orchard.BACKGROUND_MODES + ("riot",):
