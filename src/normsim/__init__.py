@@ -6,121 +6,10 @@ correlated-equilibrium advice. The simulation layer (`institutions`,
 `orchard`, `agents`, `oracle`, `harness`) runs deterministic multi-agent
 orchard episodes where a newcomer learns which institution the community
 actually follows.
-"""
 
-from .games import (
-    DilemmaReport,
-    FiniteGame,
-    GameFormatError,
-    PayoffRangeWarning,
-    PlayerIncentive,
-    best_response_set,
-    detect_cooperation_dilemma,
-    deviation_incentive,
-    game_from_table,
-    is_nash,
-    load_game,
-    social_welfare_optimum,
-)
-from .sanctions import (
-    CE_TOLERANCE,
-    AdviceDistribution,
-    CEReport,
-    ClassificationFunction,
-    FeasibilityReport,
-    PlayerFeasibility,
-    SanctionGame,
-    advice_point_mass,
-    apply_transform,
-    declaration_classifier,
-    exhaustive_menu,
-    find_nash_witness,
-    institution_environment_check,
-    is_dilemma_resolving,
-    load_advice,
-    load_sanction_game,
-    never_sanction,
-    non_resolving_witness,
-    sanction_cost,
-    sanction_minimax,
-    theorem1_feasibility,
-    verify_correlated_equilibrium,
-)
-from .institutions import (
-    CROP_NAMES,
-    ConstantDeclaration,
-    Institution,
-    InstitutionSignal,
-    RotatingDeclaration,
-    advice_profile,
-    declare,
-    make_institution,
-)
-from .orchard import (
-    FOCAL_NAME,
-    Criticism,
-    DiscussionEntry,
-    EnvConfig,
-    EnvError,
-    Observation,
-    WorldState,
-    alignment_metric,
-    group_welfare,
-    modal_crop,
-    render_transcript,
-    run_episode,
-    save_episode,
-    step,
-    steps_to_convergence,
-)
-from .agents import (
-    BackgroundAgent,
-    BaselineAgent,
-    Expert,
-    NormativeAgent,
-    NormativeState,
-    SanctionPrediction,
-    background_policy,
-    baseline_policy,
-    build_roster,
-    derive_outcomes,
-    initial_state,
-    leading_institution,
-    normative_action,
-    predict_sanction,
-    roster_violations,
-    run_weighted_majority,
-    wm_update,
-)
-from .oracle import (
-    API_KEY_VAR,
-    AgentProfile,
-    ChatBaselineAgent,
-    ChatConfig,
-    ChatNormativeAgent,
-    OracleError,
-    OracleRequest,
-    OracleResponse,
-    build_messages,
-    chat_oracle,
-    make_request,
-    parse_chat_content,
-    render_context,
-)
-from .harness import (
-    ConfigError,
-    ExperimentConfig,
-    METRICS_HEADER,
-    MetricsRow,
-    SimConfig,
-    TrialResult,
-    build_comparison,
-    load_metrics,
-    parse_experiment_config,
-    parse_sim_config,
-    run_cell,
-    run_experiment,
-    trial_seed,
-)
+The package root re-exports nothing: import each name from the module that
+defines it (`from normsim.games import load_game`), so that importing the
+game layer does not load the village simulation.
+"""
 
 __version__ = "0.1.0"

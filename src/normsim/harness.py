@@ -32,6 +32,7 @@ from .games import _is_number, load_json
 from .institutions import CROP_NAMES, make_institution, parse_institution
 from .oracle import ChatConfig
 from .orchard import (
+    WELFARE_OVERFLOW,
     EnvConfig,
     alignment_metric,
     group_welfare,
@@ -529,7 +530,10 @@ def parse_experiment_config(obj) -> ExperimentConfig:
         cell_errors: list[str] = []
         for coords in cfg.grid():
             if cell_infeasible(cfg, coords) is None:
-                _fold(lambda: cell_env(cfg, coords, seed=0), cell_errors)
+                env = _fold(lambda: cell_env(cfg, coords, seed=0), cell_errors)
+                # a trial's welfare is a mean over steps, so trials sum like steps
+                if env is not None and env.welfare_overflows(cfg.trials):
+                    cell_errors.append(f"trials {WELFARE_OVERFLOW}")
         errors.extend(dict.fromkeys(cell_errors))  # each violation once, not once per cell
     if errors:
         raise ConfigError(errors)
@@ -574,10 +578,13 @@ def load_metrics(path) -> list[dict]:
             for row in reader:
                 if None in row or None in row.values():  # too many or too few fields
                     raise schema_error
-                for key in _INT_KEYS:
-                    row[key] = int(row[key])
-                for key in _FLOAT_KEYS:
-                    row[key] = float(row[key]) if row[key] else None
+                try:
+                    for key in _INT_KEYS:
+                        row[key] = int(row[key])
+                    for key in _FLOAT_KEYS:
+                        row[key] = float(row[key]) if row[key] else None
+                except ValueError:
+                    raise ConfigError([f"{p}: {key} {row[key]!r} is not a number"]) from None
                 rows.append(row)
     if not all(map(_row_typed, rows)):
         raise ConfigError([f"{p}: row value types do not match {METRICS_HEADER} "

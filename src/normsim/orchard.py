@@ -26,6 +26,7 @@ crowd criticizes no one. Only other handles get a copy of the log so far.
 from __future__ import annotations
 
 import json
+import math
 import operator
 from collections import Counter
 from dataclasses import dataclass, field, fields
@@ -49,6 +50,8 @@ _SINGULAR = {
 }
 
 BACKGROUND_MODES = ("follow_authoritative", "defy_institution")
+WELFARE_OVERFLOW = ("of worst-case welfare overflow a float: lower the rewards, "
+                    "the sanction costs, the village size or discussion_turns")
 
 
 class EnvError(RuntimeError):
@@ -106,6 +109,8 @@ class EnvConfig:
         for label in ("sanction_cost_received", "sanction_cost_sent", "monoculture_bonus", "seed"):
             if getattr(self, label) < 0:
                 violations.append(f"{label} must be >= 0")
+        if not violations and self.welfare_overflows(self.max_timesteps):
+            violations.append(f"max_timesteps steps {WELFARE_OVERFLOW}")
         raise_violations(violations)
 
     @property
@@ -116,6 +121,19 @@ class EnvConfig:
     def institution_ids(self) -> frozenset:
         """The ids a criticism may cite (a property, so not in the dump)."""
         return frozenset(inst.id for inst in self.institutions)
+
+    def welfare_overflows(self, count: int) -> bool:
+        """Whether `count` steps' group welfare can sum past the largest float.
+        At worst a step gives each agent its full harvest and bonus and has
+        every agent criticize every other agent in each discussion turn."""
+        criticisms = self.discussion_turns * self.num_agents * self.num_background
+        try:
+            bound = count * (
+                self.num_agents * (abs(self.harvest_reward) + self.monoculture_bonus)
+                + criticisms * (self.sanction_cost_received + self.sanction_cost_sent))
+        except OverflowError:  # an integer too large for a float
+            return True
+        return not math.isfinite(bound)
 
 
 def roster_names(cfg: EnvConfig) -> tuple[str, ...]:

@@ -394,6 +394,36 @@ def test_non_finite_and_fractional_settings_exit_2(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+def test_settings_whose_welfare_overflows_exit_2(tmp_path, capsys):
+    overflow = ("of worst-case welfare overflow a float: lower the rewards, "
+                "the sanction costs, the village size or discussion_turns")
+    config = write_config(tmp_path, {
+        **SIM_CONFIG, "env": {**SIM_CONFIG["env"], "harvest_reward": 1e308},
+    })
+    code, out, err = run(capsys, "simulate", str(config), "--out", str(tmp_path / "o"))
+    assert (code, out) == (2, "")
+    assert err == f"config error: env.max_timesteps steps {overflow}\n"
+
+    experiment = {"experiment": "single_nonauthoritative", "num_crops_grid": [2, 3],
+                  "num_background_grid": [1, 2], "trials": 1}
+    for env, trials, summed in (({"harvest_reward": 1e308}, 1, "max_timesteps steps"),
+                                ({"sanction_cost_sent": 1e307}, 1, "max_timesteps steps"),
+                                ({"harvest_reward": 1e306}, 500, "trials")):
+        config = write_config(tmp_path, {**experiment, "env": env, "trials": trials}, "exp.json")
+        code, out, err = run(capsys, "experiment", str(config), "--out", str(tmp_path / "o"))
+        assert (code, out) == (2, "")
+        assert err == f"config error: {summed} {overflow}\n"
+    assert not (tmp_path / "o").exists()
+
+    # just inside the bound: the metrics stay finite, so report reads them back
+    config = write_config(tmp_path, {**experiment, "env": {"harvest_reward": 1e306}}, "exp.json")
+    code, _, err = run(capsys, "experiment", str(config), "--out", str(tmp_path / "o"))
+    assert (code, err) == (0, "")
+    code, _, err = run(capsys, "report", str(tmp_path / "o/metrics.json"),
+                       "--out", str(tmp_path / "r"))
+    assert (code, err) == (0, "")
+
+
 def test_simulate_chat_needs_key(tmp_path, capsys, monkeypatch):
     monkeypatch.delenv("NORMSIM_API_KEY", raising=False)
     config = write_config(tmp_path, {

@@ -260,12 +260,20 @@ def test_load_metrics_schema_errors(tmp_path):
     good = {**metric_row("baseline", 1, None, 3.5), "steps_to_convergence_mean": None}
     bad_json.write_text(json.dumps({"rows": [good]}))
     assert harness.load_metrics(bad_json) == [good]
-    # a CSV row with too few or too many fields, or a non-finite number
-    row = ",".join(harness.format_value(v) for v in metric_row("baseline", 1.0, 0.0, 3.5).values())
+    # a CSV row with too few or too many fields, a non-finite number, or a cell
+    # that is no number, which names its column
+    def csv_row(**cells):
+        values = {**metric_row("baseline", 1.0, 0.0, 3.5), **cells}.values()
+        return ",".join(harness.format_value(v) for v in values)
+
+    row = csv_row()
     for line, match in [("single_nonauthoritative,baseline,2", "row schema"),
                         (row + ",extra", "row schema"),
                         (row.replace("3.500000", "nan"), "value types"),
-                        (row.replace("3.500000", "inf"), "value types")]:
+                        (row.replace("3.500000", "inf"), "value types"),
+                        (csv_row(num_crops="five"), "m.csv: num_crops 'five' is not a number"),
+                        (csv_row(alignment_comm_mean="high"),
+                         "m.csv: alignment_comm_mean 'high' is not a number")]:
         bad_csv.write_text(f"{harness.METRICS_HEADER}\n{line}\n")
         with pytest.raises(ConfigError, match=match):
             harness.load_metrics(bad_csv)

@@ -1,5 +1,6 @@
 """What an import of normsim loads: the chat transport (`requests`) and the
-process pool stay out until the chat oracle or a `jobs > 1` run needs them."""
+process pool stay out until the chat oracle or a `jobs > 1` run needs them,
+and each module loads only the normsim modules it imports."""
 import os
 import subprocess
 import sys
@@ -16,15 +17,33 @@ SRC = str(Path(normsim.__file__).resolve().parents[1])
 ON_DEMAND = ("requests", "concurrent.futures", "multiprocessing")
 
 
-@pytest.mark.parametrize("module", ["normsim", "normsim.cli"])
-def test_import_leaves_out_on_demand_modules(module):
+def fresh_output(code: str) -> str:
+    """What `code` prints in a fresh interpreter that imports normsim from SRC."""
     path = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
-    code = f"import sys, {module}; print([m for m in {ON_DEMAND!r} if m in sys.modules])"
     proc = subprocess.run(
         [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
         capture_output=True, text=True, check=True,
     )
-    assert proc.stdout.strip() == "[]"
+    return proc.stdout.strip()
+
+
+@pytest.mark.parametrize("module", ["normsim", "normsim.cli"])
+def test_import_leaves_out_on_demand_modules(module):
+    code = f"import sys, {module}; print([m for m in {ON_DEMAND!r} if m in sys.modules])"
+    assert fresh_output(code) == "[]"
+
+
+@pytest.mark.parametrize("module, loaded", [
+    ("normsim", []),
+    ("normsim.games", ["games"]),
+    ("normsim.sanctions", ["games", "sanctions"]),
+])
+def test_import_loads_only_the_modules_it_needs(module, loaded):
+    """The package root re-exports nothing, so the game layer imports without
+    the village simulation."""
+    code = (f"import sys, {module}; "
+            "print(sorted(m[8:] for m in sys.modules if m.startswith('normsim.')))")
+    assert fresh_output(code) == repr(loaded)
 
 
 def test_chat_oracle_posts_with_requests_by_default(monkeypatch):
