@@ -30,7 +30,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .orchard import Criticism, EnvConfig, Observation, modal_crop, raise_violations
+from .orchard import Criticism, EnvConfig, Observation, crowd_entries, modal_crop, raise_violations
 
 INSTITUTION_CRITICISM = (
     "{target}, I'm extremely disappointed in your continued disobedience of "
@@ -177,9 +177,8 @@ def sanction_criticisms(ns: NormativeState, obs: Observation) -> tuple[Criticism
     only when that expert's weight share clears the threshold: what a follower
     of that institution would say."""
     expert, share = leading_institution(ns)
-    if expert is None or share <= ns.sanction_threshold or not obs.last_step_actions:
-        return ()
-    if _signal_for(obs, expert.institution_id) is None:
+    if (expert is None or share <= ns.sanction_threshold or not obs.last_step_actions
+            or _signal_for(obs, expert.institution_id) is None):
         return ()
     follow = Crowd("follow_authoritative", expert.institution_id)
     return follow.script(obs).turn(obs.agent_index)[1]
@@ -298,12 +297,8 @@ class _CrowdScript(NamedTuple):
     idle: str
 
     def turn(self, me: int) -> tuple[str, tuple[Criticism, ...]]:
-        """Member `me`'s utterance and criticisms, none of itself."""
-        criticisms = tuple(Criticism(me, j, crop, self.basis, text)
-                           for j, crop, text in self.criticisms if j != me)
-        if criticisms:
-            return " ".join(c.text for c in criticisms), criticisms
-        return self.idle, ()
+        """Member `me`'s (utterance, criticisms): its `crowd_entries` entry but the speaker."""
+        return crowd_entries(self, (me,))[0][1:]
 
 
 class Crowd(NamedTuple):
@@ -335,12 +330,8 @@ class Crowd(NamedTuple):
         return _CrowdScript(action, my_institution if follow else None, criticisms, idle)
 
 
-def background_policy(
-    obs: Observation,
-    mode: str,
-    my_institution: int | None = None,
-    defy_crop: int | None = None,
-) -> tuple[int, tuple[Criticism, ...]]:
+def background_policy(obs: Observation, mode: str, my_institution: int | None = None,
+                      defy_crop: int | None = None) -> tuple[int, tuple[Criticism, ...]]:
     """Hard-coded villager behavior: the crop and criticisms of a member of
     `Crowd(mode, my_institution, defy_crop)`."""
     script = Crowd(mode, my_institution, defy_crop).script(obs)

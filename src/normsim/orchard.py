@@ -19,9 +19,9 @@ simulated minutes per step from 8:00 AM.
 
 A step costs O(N + criticisms) for N agents. What all agents see alike is built
 once per step, so an `Observation` is a named tuple of shared references, and
-each crowd of scripted villagers (see `AgentHandle`) is answered once per step.
-Consecutive members of one crowd are played as a run, in one block when the
-crowd criticizes no one. Only other handles get a copy of the log so far.
+each crowd of scripted villagers (see `AgentHandle`) is answered once per step:
+a crowd's criticisms are checked once per step, and each run of its consecutive
+members is played as one block. Only other handles get a copy of the log so far.
 """
 from __future__ import annotations
 
@@ -147,8 +147,7 @@ def _roster_names(num_background: int) -> tuple[str, ...]:
     return (FOCAL_NAME,) + BACKGROUND_NAMES[:num_background] + tuple(numbered)
 
 
-@dataclass(frozen=True)
-class Criticism:
+class Criticism(NamedTuple):
     """A structured sanction: `sender` calls out `target`'s step t-1 crop choice."""
 
     sender: int
@@ -156,10 +155,6 @@ class Criticism:
     criticized_crop: int
     basis: int | None  # institution id, or None for community grounds
     text: str
-
-    def __post_init__(self):
-        if self.sender == self.target:
-            raise ValueError("agents do not criticize themselves")
 
 
 class DiscussionEntry(NamedTuple):
@@ -202,11 +197,13 @@ class AgentHandle(Protocol):
 
     A handle whose `crowd` attribute is set (see `agents.Crowd`) is never asked
     to discuss or act: `step` builds `crowd.script(obs)` once per step, from
-    the crowd's first member's observation, and the member at index i says
-    `script.turn(i)` (`script.idle` for all when `script.criticisms` is empty)
-    and harvests `script.action`. Consecutive members of one crowd form a run,
-    whose action is checked once. So members of one crowd must act alike, and
-    a script may read only what a step's observations share."""
+    the crowd's first member's observation. Every member harvests
+    `script.action` and takes its turn from `crowd_entries`, which reads the
+    script's `idle` line and its `criticisms`, (target, crop, text) triples on
+    `script.basis`'s grounds. A crowd's criticisms are checked once per step,
+    and each run of its consecutive members has its action checked once. So
+    members of one crowd must act alike, and a script may read only what a
+    step's observations share."""
 
     def discuss(self, obs: Observation) -> tuple[str, tuple[Criticism, ...]]: ...
 
@@ -224,21 +221,47 @@ def modal_crop(actions: Sequence[int] | Counter) -> int:
 
 
 def _validate_criticism(c: Criticism, speaker: int, cfg: EnvConfig, last_actions: tuple[int, ...]) -> None:
+    if c.sender == c.target:
+        raise EnvError("agents do not criticize themselves")
     if c.sender != speaker:
         raise EnvError(f"criticism sender {c.sender} does not match speaker {speaker}")
-    if not 0 <= c.target < cfg.num_agents:
-        raise EnvError(f"criticism target {c.target} is not an agent")
+    _validate_criticized(c.target, c.criticized_crop, c.basis, cfg, last_actions)
+
+
+def _validate_criticized(target: int, crop: int, basis: int | None, cfg: EnvConfig,
+                         last_actions: tuple[int, ...]) -> None:
+    """The rules of a criticism that hold whoever speaks it."""
+    if not 0 <= target < cfg.num_agents:
+        raise EnvError(f"criticism target {target} is not an agent")
     if not last_actions:
         raise EnvError("criticism emitted at step 0, which has no prior actions to reference")
-    if not 0 <= c.criticized_crop < cfg.num_crops:
-        raise EnvError(f"criticized crop {c.criticized_crop} out of range")
-    if c.criticized_crop != last_actions[c.target]:
-        raise EnvError(
-            f"criticism names crop {c.criticized_crop} but agent {c.target} "
-            f"harvested {last_actions[c.target]} last step"
-        )
-    if c.basis is not None and c.basis not in cfg.institution_ids:
-        raise EnvError(f"criticism cites unknown institution {c.basis}")
+    if not 0 <= crop < cfg.num_crops:
+        raise EnvError(f"criticized crop {crop} out of range")
+    if crop != last_actions[target]:
+        raise EnvError(f"criticism names crop {crop} but agent {target} harvested "
+                       f"{last_actions[target]} last step")
+    if basis is not None and basis not in cfg.institution_ids:
+        raise EnvError(f"criticism cites unknown institution {basis}")
+
+
+def crowd_entries(script, members: Sequence[int]) -> list[DiscussionEntry]:
+    """The turns of crowd `members` playing their crowd's `script`: each one
+    criticizes every (target, crop, text) of `script.criticisms` but itself, on
+    `script.basis`'s grounds, saying their texts joined, or says `script.idle`
+    when that leaves no one. The one builder of a crowd member's turn."""
+    triples = script.criticisms
+    if not triples:
+        return [DiscussionEntry(me, script.idle, ()) for me in members]
+    basis, targets = script.basis, {j for j, _, _ in triples}
+    joined = " ".join(text for _, _, text in triples)  # said by every member no triple targets
+
+    def targeted(me: int) -> DiscussionEntry:
+        kept = tuple(Criticism(me, j, crop, basis, text) for j, crop, text in triples if j != me)
+        return DiscussionEntry(me, " ".join(c.text for c in kept) if kept else script.idle, kept)
+
+    return [DiscussionEntry(me, joined, tuple([Criticism(me, j, crop, basis, text)
+                                               for j, crop, text in triples]))
+            if me not in targets else targeted(me) for me in members]
 
 
 def step(prev: WorldState | None, agents: Sequence[AgentHandle], cfg: EnvConfig) -> WorldState:
@@ -270,38 +293,38 @@ def step(prev: WorldState | None, agents: Sequence[AgentHandle], cfg: EnvConfig)
 
     def script_for(crowd, idx: int, so_far: Sequence[DiscussionEntry]):
         if crowd not in scripts:
-            scripts[crowd] = crowd.script(obs_for(idx, tuple(so_far)))
+            scripts[crowd] = script = crowd.script(obs_for(idx, tuple(so_far)))
+            if cfg.discussion_turns:  # built at its first speaker: check its criticisms once
+                for target, crop, _ in script.criticisms:
+                    _validate_criticized(target, crop, script.basis, cfg, last_actions)
         return scripts[crowd]
 
     log: list[DiscussionEntry] = []
     for _ in range(cfg.discussion_turns):
         for crowd, run in runs:
             if crowd is not None:
-                script = script_for(crowd, run[0], log)
-                if not script.criticisms:
-                    log += [DiscussionEntry(idx, script.idle, ()) for idx in run]
-                    continue
-            for idx in run:
-                text, criticisms = (agents[idx].discuss(obs_for(idx, tuple(log))) if crowd is None
-                                    else script.turn(idx))
-                criticisms = tuple(criticisms)
-                for c in criticisms:
-                    _validate_criticism(c, idx, cfg, last_actions)
-                log.append(DiscussionEntry(idx, text, criticisms))
+                log += crowd_entries(script_for(crowd, run[0], log), run)
+                continue
+            idx = run[0]  # a handle outside any crowd is a run of its own
+            text, criticisms = agents[idx].discuss(obs_for(idx, tuple(log)))
+            criticisms = tuple(criticisms)
+            for c in criticisms:
+                _validate_criticism(c, idx, cfg, last_actions)
+            log.append(DiscussionEntry(idx, text, criticisms))
     discussion = tuple(log)
 
     actions = []
-    for crowd, run in runs:
-        for idx in run if crowd is None else run[:1]:  # a crowd's action is checked once
-            chosen = (agents[idx].act(obs_for(idx, discussion)) if crowd is None
-                      else script_for(crowd, idx, discussion).action)
-            try:
-                crop = operator.index(chosen)
-            except TypeError:
-                raise EnvError(f"agent {names[idx]} returned non-integer action {chosen!r}") from None
-            if not 0 <= crop < cfg.num_crops:
-                raise EnvError(f"agent {names[idx]} returned out-of-range crop {crop}")
-            actions += [crop] * (1 if crowd is None else len(run))
+    for crowd, run in runs:  # a crowd run's action is checked once, at its first member
+        idx = run[0]
+        chosen = (agents[idx].act(obs_for(idx, discussion)) if crowd is None
+                  else script_for(crowd, idx, discussion).action)
+        try:
+            crop = operator.index(chosen)
+        except TypeError:
+            raise EnvError(f"agent {names[idx]} returned non-integer action {chosen!r}") from None
+        if not 0 <= crop < cfg.num_crops:
+            raise EnvError(f"agent {names[idx]} returned out-of-range crop {crop}")
+        actions += [crop] * len(run)
     actions = tuple(actions)
 
     criticisms = tuple(c for entry in discussion for c in entry.criticisms)
@@ -317,14 +340,7 @@ def step(prev: WorldState | None, agents: Sequence[AgentHandle], cfg: EnvConfig)
             value[pair] = (base - cfg.sanction_cost_received * pair[0]
                            - cfg.sanction_cost_sent * pair[1])
         rewards[i] = value[pair]
-    return WorldState(
-        t=t,
-        signals=signals,
-        discussion_log=discussion,
-        actions=actions,
-        criticisms=criticisms,
-        rewards=tuple(rewards),
-    )
+    return WorldState(t, signals, discussion, actions, criticisms, tuple(rewards))
 
 
 def run_episode(cfg: EnvConfig, agents: Sequence[AgentHandle]) -> tuple[WorldState, ...]:
@@ -465,16 +481,8 @@ def episode_to_dict(history: Sequence[WorldState], cfg: EnvConfig) -> dict:
                     {
                         "speaker": entry.speaker,
                         "text": entry.text,
-                        "criticisms": [
-                            {
-                                "sender": c.sender,
-                                "target": c.target,
-                                "criticized_crop": c.criticized_crop,
-                                "basis": c.basis,
-                                "text": c.text,
-                            }
-                            for c in entry.criticisms
-                        ],
+                        "criticisms": [{"sender": s, "target": j, "criticized_crop": crop, "basis": b,
+                                        "text": text} for s, j, crop, b, text in entry.criticisms],
                     }
                     for entry in state.discussion_log
                 ],

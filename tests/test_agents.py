@@ -315,6 +315,31 @@ def test_quiet_crowd_speaks_as_one_block(mode, monkeypatch):
     assert state.actions[1:] == (crop,) * 320
 
 
+@pytest.mark.parametrize("mode", orchard.BACKGROUND_MODES)
+def test_criticizing_crowd_checks_its_criticisms_once_per_step(mode, monkeypatch):
+    # in both turns all 320 villagers criticize the focal agent's step-0 crop
+    checked, turns = [], []
+    validate, turn = orchard._validate_criticized, agents._CrowdScript.turn
+    monkeypatch.setattr(orchard, "_validate_criticized",
+                        lambda *args: checked.append(args[:3]) or validate(*args))
+    monkeypatch.setattr(agents._CrowdScript, "turn", lambda self, me: turns.append(me) or turn(self, me))
+    if mode == "follow_authoritative":
+        insts = (institutions.make_institution(0, 0, authoritative=True),)
+        actions, basis = (1,) + (0,) * 320, 0  # the focal agent strayed
+    else:
+        insts = (institutions.make_institution(0, 0),)
+        actions, basis = (0,) + (1,) * 320, None  # the focal agent obeyed
+    cfg = orchard.EnvConfig(institutions=insts, num_background=320, background_mode=mode,
+                            discussion_turns=2)
+    prev = orchard.WorldState(t=0, signals=(), discussion_log=(), actions=actions,
+                              criticisms=(), rewards=())
+    state = orchard.step(prev, agents.build_roster(cfg, "baseline"), cfg)
+    assert checked == [(0, actions[0], basis)] and turns == []
+    assert len(state.criticisms) == 640 and {c.target for c in state.criticisms} == {0}
+    assert Counter(c.sender for c in state.criticisms) == {i: 2 for i in range(1, 321)}
+    assert state.rewards[0] < state.rewards[1] and len(set(state.rewards[1:])) == 1
+
+
 class PlainHandle:
     """Forwards to a villager's own `discuss` and `act`, hiding its crowd."""
 

@@ -101,6 +101,22 @@ def test_criticism_validation():
     with pytest.raises(orchard.EnvError, match="institution"):
         bad = orchard.Criticism(sender=1, target=0, criticized_crop=0, basis=9, text="x")
         run({1: (bad,)})
+    with pytest.raises(orchard.EnvError, match="^agents do not criticize themselves$"):
+        run({1: (crit(1, 1, 1),)})  # John calls out his own crop
+
+
+def test_criticism_fields_and_immutability():
+    c = orchard.Criticism(sender=1, target=0, criticized_crop=2, basis=None, text="tsk")
+    assert (c.sender, c.target, c.criticized_crop, c.basis, c.text) == (1, 0, 2, None, "tsk")
+    assert c == orchard.Criticism(1, 0, 2, None, "tsk")
+    assert hash(c) == hash(orchard.Criticism(1, 0, 2, None, "tsk"))
+    for name in ("sender", "text", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(c, name, 5)
+    with pytest.raises(TypeError):
+        orchard.Criticism(sender=1, target=0, criticized_crop=2, basis=None)
+    # a self-criticism can be built; the step refuses it (test_criticism_validation)
+    assert orchard.Criticism(sender=1, target=1, criticized_crop=0, basis=None, text="me").target == 1
 
 
 def test_action_validation():
@@ -147,6 +163,65 @@ def test_crowd_run_action_checked_once_naming_its_first_member():
     (state,) = run(True)  # anything `operator.index` accepts
     assert state.actions == (0, 0, 1, 1, 1) and all(type(a) is int for a in state.actions)
     assert state.discussion_log[2:] == tuple(DiscussionEntry(i, "we agree") for i in range(2, 5))
+
+
+class CrowdScript(NamedTuple):
+    action: int
+    idle: str
+    criticisms: tuple
+    basis: object
+
+
+class CriticizingCrowd:
+    """Test double: a crowd harvesting crop 0 whose members criticize each
+    (target, crop, text) of `criticisms` on `basis`'s grounds from step 1 on.
+    It records the observation each of its scripts is built from."""
+
+    def __init__(self, criticisms, basis=None):
+        self.criticisms, self.basis, self.seen = criticisms, basis, []
+
+    def script(self, obs):
+        self.seen.append(obs)
+        return CrowdScript(0, "we agree", self.criticisms if obs.t else (), self.basis)
+
+
+def test_crowd_criticisms_checked_once_at_the_runs_first_member():
+    cfg = follow_cfg(num_background=5, max_timesteps=2, eval_window=1)
+
+    def run(*criticisms, basis=None):
+        crowd, spoke = CriticizingCrowd(criticisms, basis), []
+
+        class Last(Scripted):
+            def discuss(self, obs):
+                spoke.append(obs.t)
+                return super().discuss(obs)
+
+        roster = [Scripted(0, [1, 1]), Scripted(1, [0, 0])] + [Member(crowd)] * 3
+        with pytest.raises(orchard.EnvError) as failure:
+            orchard.run_episode(cfg, roster + [Last(5, [0, 0])])
+        # step 1's script was built at the run's first member, after two turns,
+        # and the step stopped there: the handle after the run never spoke
+        assert [(obs.t, obs.agent_index, len(obs.discussion_so_far)) for obs in crowd.seen] == [
+            (0, 2, 2), (1, 2, 2)]
+        assert spoke == [0]
+        return str(failure.value)
+
+    assert run((9, 1, "x")) == "criticism target 9 is not an agent"
+    assert run((0, 1, "x"), (0, 3, "y")) == "criticism names crop 3 but agent 0 harvested 1 last step"
+    assert run((0, 1, "x"), basis=9) == "criticism cites unknown institution 9"
+
+    # a valid script: each member criticizes every triple but its own
+    crowd = CriticizingCrowd(((0, 1, "Alice strayed."), (3, 0, "Jane too.")), basis=0)
+    roster = [Scripted(0, [1, 1]), Scripted(1, [0, 0])] + [Member(crowd)] * 3 + [Scripted(5, [0, 0])]
+    state = orchard.run_episode(cfg, roster)[1]
+
+    def entry(me, *triples):
+        return DiscussionEntry(me, " ".join(text for _, _, text in triples),
+                               tuple(orchard.Criticism(me, j, crop, 0, text) for j, crop, text in triples))
+
+    alice, jane = (0, 1, "Alice strayed."), (3, 0, "Jane too.")
+    assert state.discussion_log[2:5] == (entry(2, alice, jane), entry(3, alice), entry(4, alice, jane))
+    assert state.rewards[3] != state.rewards[2]  # Jane sent one criticism and received two
 
 
 def test_discussion_order_and_observation():
