@@ -62,11 +62,10 @@ def _fail(message: str) -> int:
 
 
 def _feasibility_dict(game, report) -> dict:
-    out = dataclasses.asdict(report)
-    out["target"] = profile_key(game, report.target)
-    for entry in out["players"]:
-        entry["punish_profile"] = profile_key(game, entry["punish_profile"])
-    return out
+    players = [
+        {**vars(p), "punish_profile": profile_key(game, p.punish_profile)} for p in report.players
+    ]
+    return {**vars(report), "target": profile_key(game, report.target), "players": players}
 
 
 def _load_noting_range(loader, path):
@@ -135,7 +134,7 @@ def cmd_analyze(args) -> int:
                 ],
             },
             "feasibility": _feasibility_dict(game, feasibility) if feasibility else None,
-            "advice": dataclasses.asdict(advice_report) if advice_report else None,
+            "advice": vars(advice_report) if advice_report else None,
         }
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
@@ -234,7 +233,7 @@ def cmd_simulate(args) -> int:
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "transcript.txt").write_text(render_transcript(history, sim.env))
+    (out / "transcript.txt").write_text(render_transcript(history, sim.env), encoding="utf-8")
     save_episode(history, sim.env, out / "episode.json")
 
     metrics = {
@@ -308,7 +307,7 @@ def cmd_report(args) -> int:
         header = harness.COMPARISON_HEADER.split(",")
         lines = [harness.COMPARISON_HEADER]
         lines += [",".join(harness.format_value(cell[c]) for c in header) for cell in cells]
-        (out / "comparison.csv").write_text("\n".join(lines) + "\n")
+        (out / "comparison.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
     return 0
 
 

@@ -8,6 +8,7 @@ comma-joined action names.
 """
 from __future__ import annotations
 
+import contextlib
 import itertools
 import json
 import math
@@ -235,22 +236,26 @@ def detect_cooperation_dilemma(game: FiniteGame) -> DilemmaReport:
 
 
 def _no_duplicate_keys(pairs):
-    obj = {}
-    for key, value in pairs:
-        if key in obj:
-            raise GameFormatError(f"duplicate JSON key {key!r}")
-        obj[key] = value
+    obj = dict(pairs)
+    if len(obj) < len(pairs):  # name the first key that repeats
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise GameFormatError(f"duplicate JSON key {key!r}")
+            seen.add(key)
     return obj
 
 
 def load_json(path, parse=None):
-    """Read a JSON file, rejecting duplicate keys, and hand the object to `parse`.
+    """Read a JSON file as UTF-8, whatever the locale, and hand the object to `parse`.
 
     Every failure is one GameFormatError line naming the file: an unreadable
-    path, bytes that do not decode as JSON, or a GameFormatError from `parse`.
+    path, bytes that do not decode as UTF-8 JSON, an object that repeats a key
+    (the first repeat is named), or a GameFormatError from `parse`.
     """
     try:
-        obj = json.loads(Path(path).read_text(), object_pairs_hook=_no_duplicate_keys)
+        text = Path(path).read_text(encoding="utf-8")
+        obj = json.loads(text, object_pairs_hook=_no_duplicate_keys)
     except OSError as exc:
         raise GameFormatError(f"{path}: {(exc.strerror or str(exc)).lower()}") from exc
     except GameFormatError as exc:  # a duplicate key
@@ -261,6 +266,11 @@ def load_json(path, parse=None):
         return obj if parse is None else parse(obj)
     except GameFormatError as exc:
         raise GameFormatError(f"{path}: {exc}") from exc
+
+
+def _typed(values, *types) -> bool:
+    """Whether each value's exact type is one of `types` (a bool is no int here)."""
+    return set(map(type, values)) <= set(types)
 
 
 def _is_number(x) -> bool:
@@ -330,13 +340,18 @@ def _parse_game(obj) -> tuple[FiniteGame, dict[str, Profile]]:
     if unknown:
         raise GameFormatError(f"'utilities' has unknown profiles: {', '.join(unknown[:5])}")
 
+    rows, shape = list(map(utilities.__getitem__, profiles)), counts + (players,)
+    # whole-list checks, FiniteGame's being the finite one; on a failure the scan names the fault
+    if _typed(rows, list, tuple) and set(map(len, rows)) == {players}:
+        with contextlib.suppress(OverflowError, GameFormatError):  # OverflowError: a huge int
+            if _typed(itertools.chain.from_iterable(rows), int, float):
+                return FiniteGame(names, np.array(rows, dtype=np.float64).reshape(shape)), profiles
     for key, values in utilities.items():
         if not isinstance(values, (list, tuple)) or len(values) != players:
             raise GameFormatError(f"'utilities'[{key!r}] must list {players} payoffs")
         if not all(_is_number(v) for v in values):
             raise GameFormatError(f"'utilities'[{key!r}] must contain finite numbers")
-    payoffs = np.array([utilities[key] for key in profiles], dtype=np.float64)
-    return FiniteGame(names, payoffs.reshape(counts + (players,))), profiles
+    return FiniteGame(names, np.array(rows, dtype=np.float64).reshape(shape)), profiles
 
 
 def load_game(path) -> FiniteGame:

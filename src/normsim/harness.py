@@ -316,7 +316,7 @@ def transcript_filename(focal_kind: str, coords: tuple[int, int], trial: int) ->
 
 
 def write_metrics_csv(rows: list[MetricsRow], path) -> None:
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(METRICS_HEADER.split(","))
         for row in rows:
@@ -330,7 +330,7 @@ def write_metrics_json(cfg: ExperimentConfig, rows: list[MetricsRow], path) -> N
         "trials": cfg.trials,
         "rows": [row.to_dict() for row in rows],
     }
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -375,7 +375,7 @@ def run_experiment(
             for r in cell:
                 if r.status == "ok":
                     name = transcript_filename(kind, coords, r.trial)
-                    (out / name).write_text(r.transcript)
+                    (out / name).write_text(r.transcript, encoding="utf-8")
     write_metrics_csv(rows, out / "metrics.csv")
     write_metrics_json(cfg, rows, out / "metrics.json")
     return rows
@@ -570,7 +570,7 @@ def load_metrics(path) -> list[dict]:
         if not all(isinstance(row, dict) and set(row) == set(_ROW_KEYS) for row in rows):
             raise schema_error
     else:
-        with open(p, newline="") as fh:
+        with open(p, newline="", encoding="utf-8") as fh:
             reader = csv.DictReader(fh)
             if tuple(reader.fieldnames or ()) != _ROW_KEYS:
                 raise ConfigError([f"{p}: header does not match {METRICS_HEADER}"])

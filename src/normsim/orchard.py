@@ -495,6 +495,5 @@ def episode_to_dict(history: Sequence[WorldState], cfg: EnvConfig) -> dict:
 
 
 def save_episode(history: Sequence[WorldState], cfg: EnvConfig, path) -> None:
-    Path(path).write_text(
-        json.dumps(episode_to_dict(history, cfg), indent=2, sort_keys=True) + "\n"
-    )
+    text = json.dumps(episode_to_dict(history, cfg), indent=2, sort_keys=True) + "\n"
+    Path(path).write_text(text, encoding="utf-8")

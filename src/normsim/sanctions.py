@@ -29,8 +29,8 @@ JSON format (docs/config.md): a sanction-game file is a game file plus
 "classifiers", one menu per player of {"sanctions": [{"profile": "C,D",
 "target": 1}], "cost", "self_cost"} entries; an advice file is {"support":
 [{"profile_indices": [1, 1], "p": 1.0}]}. Each input is checked once: profile
-keys are looked up in the game parser's key table, and a menu's pairs and the
-advice rows are range-checked as arrays.
+keys are looked up in the game parser's key table, advice rows are checked in
+whole-list passes, and constructors keep the pairs and rows the parser built.
 """
 from __future__ import annotations
 
@@ -73,17 +73,18 @@ class ClassificationFunction:
     self_cost: float = 0.0  # paid by the owner per sanction issued
 
     def __post_init__(self):
-        pairs = frozenset(
-            (tuple(map(operator.index, profile)), int(target)) for profile, target in self.sanctions
-        )
+        pairs = self.sanctions
+        if not _normalized(pairs, frozenset, int):
+            pairs = frozenset(
+                (tuple(map(operator.index, profile)), int(target)) for profile, target in pairs
+            )
         if self.owner < 0:
             raise ValueError("owner must be a player index")
-        for profile, target in pairs:
-            if target == self.owner:
-                raise ValueError(
-                    "self-targeting sanctions are expressed through self_cost, "
-                    f"not the sanction set (player {self.owner})"
-                )
+        if self.owner in map(operator.itemgetter(1), pairs):
+            raise ValueError(
+                "self-targeting sanctions are expressed through self_cost, "
+                f"not the sanction set (player {self.owner})"
+            )
         for value, label in ((self.cost, "cost"), (self.self_cost, "self_cost")):
             if not math.isfinite(value) or value < 0.0:
                 raise ValueError(f"{label} must be finite and >= 0, got {value}")
@@ -93,6 +94,20 @@ class ClassificationFunction:
     @property
     def is_never(self) -> bool:
         return not self.sanctions
+
+
+def _normalized(pairs, kind: type, second: type) -> bool:
+    """Whether a constructor can keep `pairs`, a `kind` of (tuple of ints, `second`)
+    pairs, as it is. Fewer than 8 are rebuilt, which is faster than checking them."""
+    if type(pairs) is not kind or len(pairs) < 8 or not games._typed(pairs, tuple):
+        return False
+    flat = list(itertools.chain.from_iterable(pairs))
+    return (
+        set(map(len, pairs)) == {2}
+        and games._typed(flat[::2], tuple)
+        and games._typed(flat[1::2], second)
+        and games._typed(itertools.chain.from_iterable(flat[::2]), int)
+    )
 
 
 def never_sanction(owner: int) -> ClassificationFunction:
@@ -374,11 +389,15 @@ class AdviceDistribution:
     support: tuple[tuple[ClassifierProfile, float], ...]
 
     def __post_init__(self):
-        support = tuple((tuple(profile), float(p)) for profile, p in self.support)
-        for profile, p in support:
-            if not math.isfinite(p) or p < 0.0:
-                raise ValueError(f"probability {p} for {profile} must be finite and >= 0")
-        total = sum(p for _, p in support)
+        support = self.support
+        if not _normalized(support, tuple, float):
+            support = tuple((tuple(profile), float(p)) for profile, p in support)
+        probabilities = list(map(operator.itemgetter(1), support))
+        if not all(map(math.isfinite, probabilities)) or min(probabilities, default=0.0) < 0.0:
+            for profile, p in support:  # name the first fault
+                if not math.isfinite(p) or p < 0.0:
+                    raise ValueError(f"probability {p} for {profile} must be finite and >= 0")
+        total = sum(probabilities)
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"advice probabilities sum to {total}, expected 1")
         object.__setattr__(self, "support", support)
@@ -541,8 +560,18 @@ def parse_advice(obj) -> AdviceDistribution:
     raw = obj.get("support") if isinstance(obj, dict) else None
     if not isinstance(raw, (list, tuple)):
         raise GameFormatError("advice must be an object with a 'support' array")
-    support = []
-    for k, entry in enumerate(raw):
+    try:  # whole-list checks; when one fails, a scan names the first fault
+        indices = list(map(operator.itemgetter("profile_indices"), raw))
+        p = list(map(operator.itemgetter("p"), raw))
+        checked = (
+            games._typed(raw, dict) and games._typed(indices, list, tuple)
+            and games._typed(itertools.chain.from_iterable(indices), int)
+            and games._typed(p, int, float) and all(map(math.isfinite, p))
+        )
+    except (KeyError, TypeError, OverflowError):  # OverflowError: an int too large for a float
+        checked = False
+    support = tuple(zip(map(tuple, indices), map(float, p))) if checked else []
+    for k, entry in enumerate(() if checked else raw):
         if not isinstance(entry, dict):
             raise GameFormatError(f"'support'[{k}] must be an object")
         indices, p = entry.get("profile_indices"), entry.get("p")

@@ -1,7 +1,10 @@
 """CLI subcommands, output text, and exit codes."""
 import dataclasses
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -122,6 +125,121 @@ def test_docs_examples_analyze(capsys, mode):
     assert err.count("payoffs fall outside [0, 1]") == 2
     assert "enforceable: yes (all players); witness classifier indices 1,1" in out
     assert f"advice check ({mode}): holds" in out
+
+
+# `analyze --json` on docs/examples in literal mode, byte for byte; conditioned
+# mode differs in the "mode" field only.
+ANALYZE_JSON_GOLDEN = """\
+{
+  "advice": {
+    "holds": true,
+    "mode": "literal",
+    "violating_deviation": null,
+    "violating_player": null,
+    "violating_recommendation": null,
+    "worst_violation": 0.0
+  },
+  "dilemma": {
+    "dilemma_players": [
+      0,
+      1
+    ],
+    "has_dilemma": true,
+    "incentives": [
+      {
+        "gain": 2.0,
+        "player": 0,
+        "witness": "D"
+      },
+      {
+        "gain": 2.0,
+        "player": 1,
+        "witness": "D"
+      }
+    ],
+    "sw_profile": "C,C",
+    "sw_total": 6.0
+  },
+  "feasibility": {
+    "enforceable": true,
+    "players": [
+      {
+        "delta": 2.0,
+        "enforceable": true,
+        "minimax": -3.0,
+        "player": 0,
+        "punish_profile": "D,C"
+      },
+      {
+        "delta": 2.0,
+        "enforceable": true,
+        "minimax": -3.0,
+        "player": 1,
+        "punish_profile": "C,D"
+      }
+    ],
+    "target": "C,C",
+    "witness": [
+      1,
+      1
+    ]
+  },
+  "game": {
+    "actions": [
+      [
+        "C",
+        "D"
+      ],
+      [
+        "C",
+        "D"
+      ]
+    ],
+    "players": 2
+  }
+}
+"""
+
+
+@pytest.mark.parametrize("mode", ["literal", "conditioned"])
+def test_docs_examples_analyze_json_golden(capsys, mode):
+    examples = DOCS / "examples"
+    code, out, err = run(
+        capsys, "analyze", str(examples / "game.json"),
+        "--sanctions", str(examples / "sanctions.json"),
+        "--advice", str(examples / "advice.json"), "--mode", mode, "--json",
+    )
+    assert code == 0
+    assert out == ANALYZE_JSON_GOLDEN.replace('"mode": "literal"', f'"mode": "{mode}"')
+    note = "payoffs fall outside [0, 1]; the game is kept as-is"
+    assert err == (
+        f"warning: {examples / 'game.json'}: {note}\n"
+        f"warning: {examples / 'sanctions.json'}: {note}\n"
+    )
+
+
+def test_analyze_reads_utf8_whatever_the_locale(tmp_path):
+    """A UTF-8 game file gives the same `--json` bytes under the C locale with
+    neither locale coercion nor UTF-8 mode, where the locale encoding is ASCII."""
+    game = {
+        "players": 2,
+        "actions": [["café", "D"], ["café", "D"]],
+        "utilities": {
+            "café,café": [0.6, 0.6], "café,D": [0, 1], "D,café": [1, 0], "D,D": [0.2, 0.2]
+        },
+    }
+    path = tmp_path / "game.json"
+    path.write_text(json.dumps(game, ensure_ascii=False), encoding="utf-8")
+    src = str(Path(__file__).parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    argv = ["-m", "normsim.cli", "analyze", str(path), "--json"]
+    utf8 = subprocess.run([sys.executable, "-X", "utf8=1", *argv], env=env, capture_output=True)
+    ascii_env = {**env, "LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
+    ascii_run = subprocess.run([sys.executable, "-X", "utf8=0", *argv], env=ascii_env,
+                               capture_output=True)
+    assert utf8.returncode == 0 and utf8.stderr == b"", utf8.stderr
+    assert json.loads(utf8.stdout)["game"]["actions"] == [["café", "D"], ["café", "D"]]
+    assert (ascii_run.returncode, ascii_run.stderr, ascii_run.stdout) == (0, b"", utf8.stdout)
 
 
 def test_analyze_advice_holds(game_file, sanctions_file, tmp_path, capsys):

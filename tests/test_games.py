@@ -151,6 +151,16 @@ def test_load_rejects_duplicate_keys(tmp_path):
         games.load_game(path)
 
 
+def test_load_reads_text_with_universal_newlines(tmp_path):
+    """A CRLF file is read as text, so a decode error counts characters after
+    newline translation, as it always has."""
+    path = tmp_path / "crlf.json"
+    path.write_bytes(b'{\r\n "players": 2,\r\n "actions": \r\n}\r\n')
+    with pytest.raises(games.GameFormatError) as exc:
+        games.load_game(path)
+    assert str(exc.value) == f"{path}: invalid JSON (Expecting value: line 4 column 1 (char 30))"
+
+
 def _random_game(rng, num_players, num_actions):
     actions = [
         [f"a{i}{k}" for k in range(num_actions)] for i in range(num_players)

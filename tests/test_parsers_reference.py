@@ -7,8 +7,12 @@ equal objects, payoff and cost bits included; over seeded malformed inputs it
 must raise the same exception class with the same message. The one exception
 is a reference crash (see `ref_crashed`), which must be a GameFormatError now.
 """
+import contextlib
 import copy
 import itertools
+import json
+import math
+import operator
 from typing import Mapping
 
 import numpy as np
@@ -529,3 +533,201 @@ def test_ce_chunk_boundaries(monkeypatch, chunk):
                     sanctions.verify_correlated_equilibrium(sg, advice, base_profile, mode),
                     ref_verify_correlated_equilibrium(sg, advice, base_profile, mode),
                 )
+
+
+# ---------------------------------------------------------------------------
+# Whole-list checks: inputs that pass one pass and fail a later one
+# ---------------------------------------------------------------------------
+
+
+def ref_no_duplicate_keys(pairs):
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise GameFormatError(f"duplicate JSON key {key!r}")
+        obj[key] = value
+    return obj
+
+
+def sharp_mutate(rng, game, sanction_game, advice):
+    """Copies of the three objects with one fault that a whole-list pass lets
+    through to a later one: a bool among the advice indices, a float target, a
+    string payoff, or an integer too large for a float as a payoff, a cost or
+    a probability. Otherwise no fault: some list rows become tuples, as a
+    library caller may pass them."""
+    game, sanction_game, advice = copy.deepcopy((game, sanction_game, advice))
+    rows = advice["support"]
+    entries = [e for menu in sanction_game["classifiers"] for c in menu for e in c["sanctions"]]
+    classifiers = [c for menu in sanction_game["classifiers"] for c in menu]
+    keys = list(game["utilities"])
+
+    def pick(items):
+        return items[int(rng.integers(len(items)))]
+
+    kind = int(rng.integers(7))
+    if kind == 0:
+        row = pick(rows)["profile_indices"]
+        row[int(rng.integers(len(row)))] = bool(rng.integers(2))
+    elif kind == 1 and entries:
+        entry = pick(entries)
+        entry["target"] = float(entry["target"])
+    elif kind == 2:
+        values = (game if rng.random() < 0.5 else sanction_game)["utilities"][pick(keys)]
+        values[int(rng.integers(len(values)))] = str(values[0])
+    elif kind == 3:
+        values = (game if rng.random() < 0.5 else sanction_game)["utilities"][pick(keys)]
+        values[int(rng.integers(len(values)))] = HUGE * int(rng.choice((-1, 1)))
+    elif kind == 4:
+        pick(classifiers)["cost" if rng.random() < 0.5 else "self_cost"] = HUGE
+    elif kind == 5:
+        pick(rows)["p"] = HUGE
+    else:
+        for key in keys:
+            if rng.random() < 0.5:
+                game["utilities"][key] = tuple(game["utilities"][key])
+        for row in rows:
+            if rng.random() < 0.5:
+                row["profile_indices"] = tuple(row["profile_indices"])
+    return game, sanction_game, advice
+
+
+@pytest.mark.parametrize("seed", range(100))
+def test_whole_list_checks_match_reference(seed):
+    rng = np.random.default_rng(seed)
+    game, sanction_game, advice = random_objects(rng)
+    sg = sanctions.parse_sanction_game(sanction_game)
+    for _ in range(8):
+        bad_game, bad_sg, bad_advice = sharp_mutate(rng, game, sanction_game, advice)
+        assert_same(outcome(games.parse_game, bad_game), outcome(ref_parse_game, bad_game),
+                    same_game)
+        assert_same(outcome(sanctions.parse_sanction_game, bad_sg),
+                    outcome(ref_parse_sanction_game, bad_sg), same_sanction_game)
+        new = outcome(sanctions.parse_advice, bad_advice)
+        ref = outcome(ref_parse_advice, bad_advice)
+        assert_same(new, ref, lambda a, b: a.support == b.support)
+        if new[0] == "ok":
+            assert_same(outcome(new[1].validate_for, sg), outcome(ref_validate_for, ref[1], sg),
+                        lambda a, b: True)
+
+
+def test_sharp_mutations_reach_every_fault():
+    messages, parsed = set(), 0
+    for seed in range(100):
+        rng = np.random.default_rng(seed)
+        objects = random_objects(rng)
+        for _ in range(8):
+            bad_game, bad_sg, bad_advice = sharp_mutate(rng, *objects)
+            for result in (outcome(games.parse_game, bad_game),
+                           outcome(sanctions.parse_sanction_game, bad_sg),
+                           outcome(sanctions.parse_advice, bad_advice)):
+                if result[0] == "error":
+                    messages.add(result[2])
+                else:
+                    parsed += 1
+    joined = "\n".join(messages)
+    for fragment in ("needs integer 'profile_indices'", "target must be a player index",
+                     "must contain finite numbers", "costs must be finite numbers",
+                     "needs a numeric probability 'p'"):
+        assert fragment in joined, fragment
+    assert parsed > 0  # the tuple rows parse
+
+
+def dumps_with_duplicates(rng, obj):
+    """JSON text for `obj` in which some objects, at any depth, repeat a key once or twice."""
+    if isinstance(obj, dict):
+        items = [(json.dumps(k), dumps_with_duplicates(rng, v)) for k, v in obj.items()]
+        for _ in range(int(rng.integers(1, 3)) if items and rng.random() < 0.15 else 0):
+            items.insert(int(rng.integers(len(items) + 1)), items[int(rng.integers(len(items)))])
+        return "{" + ", ".join(f"{k}: {v}" for k, v in items) + "}"
+    if isinstance(obj, list):
+        return "[" + ", ".join(dumps_with_duplicates(rng, v) for v in obj) + "]"
+    return json.dumps(obj)
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_duplicate_key_hook_matches_reference(seed):
+    rng = np.random.default_rng(seed)
+    for obj in random_objects(rng):
+        text = dumps_with_duplicates(rng, obj)
+        new = outcome(lambda: json.loads(text, object_pairs_hook=games._no_duplicate_keys))
+        ref = outcome(lambda: json.loads(text, object_pairs_hook=ref_no_duplicate_keys))
+        assert new == ref
+
+
+def test_duplicate_keys_at_several_depths():
+    for text, key in (('{"a": 1, "b": 2, "a": 3}', "a"),
+                      ('{"x": {"y": [{"p": 1, "q": 2, "p": 3, "q": 4}]}}', "p"),
+                      ('{"s": [{"t": 0}, {"t": 1, "u": 2, "t": 3}]}', "t"),
+                      ('[{"k": {"k": {"k": 1, "k": 2}}}]', "k")):
+        for hook in (games._no_duplicate_keys, ref_no_duplicate_keys):
+            with pytest.raises(GameFormatError, match=f"duplicate JSON key '{key}'"):
+                json.loads(text, object_pairs_hook=hook)
+
+
+def ref_classifier_pairs(owner, sanctions_):
+    """`ClassificationFunction`'s sanction set and its checks on it, pair by pair."""
+    pairs = frozenset(
+        (tuple(map(operator.index, profile)), int(target)) for profile, target in sanctions_
+    )
+    for profile, target in pairs:
+        if target == owner:
+            raise ValueError(
+                "self-targeting sanctions are expressed through self_cost, "
+                f"not the sanction set (player {owner})"
+            )
+    return pairs
+
+
+def ref_support(support):
+    """`AdviceDistribution`'s support and its checks on it, row by row."""
+    support = tuple((tuple(profile), float(p)) for profile, p in support)
+    for profile, p in support:
+        if not math.isfinite(p) or p < 0.0:
+            raise ValueError(f"probability {p} for {profile} must be finite and >= 0")
+    total = sum(p for _, p in support)
+    if abs(total - 1.0) > 1e-9:
+        raise ValueError(f"advice probabilities sum to {total}, expected 1")
+    return support
+
+
+def odd_value(rng, value):
+    """`value` as a numpy int, a bool, a float, or unchanged."""
+    return [np.int64(value), bool(value % 2), float(value), value, value][int(rng.integers(5))]
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_constructors_keep_only_what_is_normalized(seed):
+    """Pairs and rows that are not already tuples of ints are rebuilt (or refused)
+    exactly as before, at every size around the rebuild threshold."""
+    rng = np.random.default_rng(seed)
+    for size in (0, 1, 7, 8, 9, 30):
+        profiles = [tuple(int(a) for a in rng.integers(3, size=3)) for _ in range(size)]
+        pairs = [(profile, int(rng.integers(1, 3))) for profile in profiles]
+        odd = rng.random() < 0.5 and size
+        if odd:
+            k = int(rng.integers(size))
+            profile, target = pairs[k]
+            pairs[k] = [(tuple(odd_value(rng, a) for a in profile), target),
+                        (profile, odd_value(rng, target)), (list(profile), target),
+                        (profile, target, 0)][int(rng.integers(4))]
+        variants = [pairs]
+        with contextlib.suppress(TypeError):  # a list profile is not hashable
+            variants.append(frozenset(pairs))
+        for sanctions_ in variants:
+            new = outcome(lambda: ClassificationFunction(0, sanctions_, 1.0).sanctions)
+            ref = outcome(ref_classifier_pairs, 0, sanctions_)
+            assert new[0] == ref[0] and new[1:] == ref[1:], (new, ref)
+            if new[0] == "ok":
+                assert {type(x) for p, t in new[1] for x in (*p, t)} <= {int}
+
+        weights = rng.random(size) + (0.0 if size else 1.0)
+        rows = [(profile, float(w)) for profile, w in zip(profiles, weights / weights.sum())]
+        if odd:
+            k = int(rng.integers(size))
+            rows[k] = [(list(rows[k][0]), rows[k][1]), (rows[k][0], int(rows[k][1] > 0.5)),
+                       (rows[k][0], -0.0), (rows[k][0], float("nan"))][int(rng.integers(4))]
+        for support in (tuple(rows), rows):
+            new = outcome(lambda: AdviceDistribution(support).support)
+            ref = outcome(ref_support, support)
+            assert new[0] == ref[0] and (new[1:] == ref[1:] if new[0] == "error" else (
+                new[1] == ref[1] and {type(p) for _, p in new[1]} <= {float})), (new, ref)
