@@ -172,16 +172,18 @@ def leading_institution(ns: NormativeState) -> tuple[Expert | None, float]:
     return best, best_weight / total
 
 
-def sanction_criticisms(ns: NormativeState, obs: Observation) -> tuple[Criticism, ...]:
-    """Criticisms of deviations from the leading institution's declaration, emitted
-    only when that expert's weight share clears the threshold: what a follower
-    of that institution would say."""
+def sanction_criticisms(ns: NormativeState, obs: Observation) -> tuple[str, tuple[Criticism, ...]]:
+    """The newcomer's turn, (utterance, criticisms). Once the leading institution
+    expert's weight share clears the threshold, the newcomer criticizes
+    deviations from that institution's declaration and says what a follower of
+    it would say; with no criticism left it says its own idle line."""
+    idle = NORMATIVE_ARRIVAL if obs.t == 0 else NORMATIVE_IDLE
     expert, share = leading_institution(ns)
     if (expert is None or share <= ns.sanction_threshold or not obs.last_step_actions
             or _signal_for(obs, expert.institution_id) is None):
-        return ()
+        return idle, ()
     follow = Crowd("follow_authoritative", expert.institution_id)
-    return follow.script(obs).turn(obs.agent_index)[1]
+    return follow.script(obs)._replace(idle=idle).turn(obs.agent_index)
 
 
 def normative_action(ns: NormativeState, obs: Observation) -> int:
@@ -410,10 +412,7 @@ class NormativeAgent:
         return self._state
 
     def discuss(self, obs: Observation) -> tuple[str, tuple[Criticism, ...]]:
-        criticisms = sanction_criticisms(self._state, obs)
-        if criticisms:
-            return " ".join(c.text for c in criticisms), criticisms
-        return (NORMATIVE_ARRIVAL if obs.t == 0 else NORMATIVE_IDLE), ()
+        return sanction_criticisms(self._state, obs)
 
     def act(self, obs: Observation) -> int:
         outcomes = derive_outcomes(obs, self.observe_others)

@@ -363,6 +363,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # Text output holds non-ASCII (a dash, action names); a narrower stdout
+    # encoding escapes it rather than crash.
+    if hasattr(sys.stdout, "reconfigure"):
+        sys.stdout.reconfigure(errors="backslashreplace")
     args = build_parser().parse_args(argv)
     return args.func(args)
 

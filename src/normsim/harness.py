@@ -1,13 +1,15 @@
 """Experiment grids: cell expansion, seeded trials, aggregation, persistence.
 
-Two experiment families are built in:
+Two experiment families are built in. In both, institution i declares crop i,
+and the background community reacts in unison to institution 0:
 
-- `single_nonauthoritative`: one institution that nobody follows; the
-  background community defies it in unison. Grid axes: number of crops x
-  number of background agents.
-- `multi_institution`: several institutions declaring distinct crops, exactly
-  one of them authoritative, with a community of followers. Grid axes: number
-  of institutions x number of background agents.
+- `single_nonauthoritative`: one institution, which the community defies.
+  Grid axes: number of crops x number of background agents.
+- `multi_institution`: several institutions over `num_crops` crops; the
+  community follows institution 0, the one authoritative institution. Grid
+  axes: number of institutions x number of background agents.
+
+`cell_shape` is the one place where the families' cells differ in shape.
 
 Trials are embarrassingly parallel; workers return plain records and the
 parent sorts them by cell coordinates before aggregating and writing files,
@@ -42,7 +44,11 @@ from .orchard import (
     steps_to_convergence,
 )
 
-EXPERIMENTS = ("single_nonauthoritative", "multi_institution")
+# Each experiment family, with the cell-shape field that its first grid axis
+# sets. The second axis sets num_background; the field a family does not vary
+# is fixed: one institution, or `num_crops` crops. The order seeds trials.
+_FIRST_AXIS = {"single_nonauthoritative": "num_crops", "multi_institution": "num_institutions"}
+EXPERIMENTS = tuple(_FIRST_AXIS)
 FOCAL_KINDS = ("normative", "baseline")
 GRID_AXES = ("num_crops_grid", "num_background_grid", "num_institutions_grid")
 
@@ -65,12 +71,6 @@ def _settings(cls) -> dict[str, str]:
 # EnvConfig settings an experiment may override: all but those each cell sets.
 ENV_OVERRIDE_KEYS = tuple(
     key for key in _settings(EnvConfig) if key not in ("num_crops", "num_background", "seed")
-)
-
-METRICS_HEADER = (
-    "experiment,focal_kind,num_crops,num_background,num_institutions,trial_count,"
-    "alignment_inst_mean,alignment_inst_std,alignment_comm_mean,alignment_comm_std,"
-    "steps_to_convergence_mean,group_welfare_mean,status"
 )
 
 
@@ -137,10 +137,17 @@ class ExperimentConfig:
         raise_violations(violations)
 
     def grid(self) -> tuple[tuple[int, int], ...]:
-        """Cell coordinates in declaration order."""
-        if self.experiment == "single_nonauthoritative":
-            return tuple(product(self.num_crops_grid, self.num_background_grid))
-        return tuple(product(self.num_institutions_grid, self.num_background_grid))
+        """Cell coordinates in declaration order: the family's first axis (see
+        `cell_shape`) by `num_background_grid`."""
+        first = getattr(self, _FIRST_AXIS[self.experiment] + "_grid")
+        return tuple(product(first, self.num_background_grid))
+
+
+def cell_shape(cfg: ExperimentConfig, coords: tuple[int, int]) -> tuple[int, int, int]:
+    """(num_crops, num_background, num_institutions) of the cell at `coords`."""
+    shape = {"num_crops": cfg.num_crops, "num_institutions": 1}
+    shape[_FIRST_AXIS[cfg.experiment]] = coords[0]
+    return shape["num_crops"], coords[1], shape["num_institutions"]
 
 
 def trial_seed(seed_base: int, experiment: str, coords: tuple[int, int], trial: int) -> int:
@@ -152,34 +159,24 @@ def trial_seed(seed_base: int, experiment: str, coords: tuple[int, int], trial: 
 
 def cell_infeasible(cfg: ExperimentConfig, coords: tuple[int, int]) -> str | None:
     """A reason string when the cell cannot be built, else None."""
-    if cfg.experiment == "multi_institution":
-        k = coords[0]
-        if k > cfg.num_crops:
-            return f"{k} institutions need {k} distinct crops but only {cfg.num_crops} exist"
+    num_crops, _, k = cell_shape(cfg, coords)
+    if k > num_crops:
+        return f"{k} institutions need {k} distinct crops but only {num_crops} exist"
     return None
 
 
 def cell_env(cfg: ExperimentConfig, coords: tuple[int, int], seed: int) -> EnvConfig:
     """The EnvConfig for one grid cell."""
-    overrides = dict(cfg.env_overrides)
-    if cfg.experiment == "single_nonauthoritative":
-        num_crops, num_background = coords
-        institutions = (make_institution(0, crop=0, authoritative=False),)
-        mode = "defy_institution"
-    else:
-        k, num_background = coords
-        num_crops = cfg.num_crops
-        institutions = tuple(
-            make_institution(i, crop=i, authoritative=(i == 0)) for i in range(k)
-        )
-        mode = "follow_authoritative"
+    num_crops, num_background, num_institutions = cell_shape(cfg, coords)
+    follow = cfg.experiment == "multi_institution"
     return EnvConfig(
-        institutions=institutions,
+        institutions=tuple(make_institution(i, crop=i, authoritative=follow and i == 0)
+                           for i in range(num_institutions)),
         num_background=num_background,
-        background_mode=mode,
+        background_mode="follow_authoritative" if follow else "defy_institution",
         num_crops=num_crops,
         seed=seed,
-        **overrides,
+        **dict(cfg.env_overrides),
     )
 
 
@@ -187,10 +184,6 @@ def cell_env(cfg: ExperimentConfig, coords: tuple[int, int], seed: int) -> EnvCo
 class TrialResult:
     """One episode's metrics, plus its transcript for the parent to persist."""
 
-    experiment: str
-    focal_kind: str
-    coords: tuple[int, int]
-    trial: int
     status: str  # "ok" | "skipped: ..." | "failed: ..."
     alignment_inst: float | None = None
     alignment_comm: float | None = None
@@ -199,18 +192,13 @@ class TrialResult:
     transcript: str = ""
 
 
-def _reference_institution(env: EnvConfig) -> int:
-    authoritative = [inst.id for inst in env.institutions if inst.authoritative]
-    return authoritative[0] if authoritative else env.institutions[0].id
-
-
 def run_cell(
     cfg: ExperimentConfig, coords: tuple[int, int], focal_kind: str, trial: int
 ) -> TrialResult:
     """Run one seeded trial of one grid cell."""
     reason = cell_infeasible(cfg, coords)
     if reason is not None:
-        return TrialResult(cfg.experiment, focal_kind, coords, trial, f"skipped: {reason}")
+        return TrialResult(f"skipped: {reason}")
     seed = trial_seed(cfg.seed_base, cfg.experiment, coords, trial)
     try:
         env = cell_env(cfg, coords, seed)
@@ -223,12 +211,9 @@ def run_cell(
         )
         history = run_episode(env, agents)
         return TrialResult(
-            experiment=cfg.experiment,
-            focal_kind=focal_kind,
-            coords=coords,
-            trial=trial,
             status="ok",
-            alignment_inst=alignment_metric(history, env, _reference_institution(env)),
+            # institution 0 is the one the village follows or defies
+            alignment_inst=alignment_metric(history, env, 0),
             alignment_comm=alignment_metric(history, env, "community_modal"),
             steps=steps_to_convergence(history, env),
             welfare=group_welfare(history),
@@ -236,9 +221,7 @@ def run_cell(
         )
     except Exception as exc:  # noqa: BLE001 - a failed trial must not sink the run
         reason = "; ".join(str(exc).splitlines())  # a status is one line of metrics.csv
-        return TrialResult(
-            cfg.experiment, focal_kind, coords, trial, f"failed: {type(exc).__name__}: {reason}"
-        )
+        return TrialResult(f"failed: {type(exc).__name__}: {reason}")
 
 
 def format_value(value) -> str:
@@ -273,16 +256,13 @@ class MetricsRow:
         return [format_value(v) for v in self.to_dict().values()]
 
 
-def _cell_shape(cfg: ExperimentConfig, coords: tuple[int, int]) -> tuple[int, int, int]:
-    """(num_crops, num_background, num_institutions) for the metrics row."""
-    if cfg.experiment == "single_nonauthoritative":
-        return coords[0], coords[1], 1
-    return cfg.num_crops, coords[1], coords[0]
+_ROW_KEYS = tuple(f.name for f in fields(MetricsRow))
+METRICS_HEADER = ",".join(_ROW_KEYS)
 
 
 def _aggregate(cfg: ExperimentConfig, focal_kind: str, coords: tuple[int, int],
                results: list[TrialResult]) -> MetricsRow:
-    num_crops, num_background, num_institutions = _cell_shape(cfg, coords)
+    num_crops, num_background, num_institutions = cell_shape(cfg, coords)
     bad = next((r for r in results if r.status != "ok"), None)
     if bad is not None:
         return MetricsRow(
@@ -318,7 +298,7 @@ def transcript_filename(focal_kind: str, coords: tuple[int, int], trial: int) ->
 def write_metrics_csv(rows: list[MetricsRow], path) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(METRICS_HEADER.split(","))
+        writer.writerow(_ROW_KEYS)
         for row in rows:
             writer.writerow(row.to_csv_row())
 
@@ -372,9 +352,9 @@ def run_experiment(
         for coords in grid:
             cell = [results[(kind, coords, t)] for t in range(cfg.trials)]
             rows.append(_aggregate(cfg, kind, coords, cell))
-            for r in cell:
+            for t, r in enumerate(cell):
                 if r.status == "ok":
-                    name = transcript_filename(kind, coords, r.trial)
+                    name = transcript_filename(kind, coords, t)
                     (out / name).write_text(r.transcript, encoding="utf-8")
     write_metrics_csv(rows, out / "metrics.csv")
     write_metrics_json(cfg, rows, out / "metrics.json")
@@ -544,16 +524,14 @@ def parse_experiment_config(obj) -> ExperimentConfig:
 # Metrics files back in: the report view
 # ---------------------------------------------------------------------------
 
-_ROW_KEYS = tuple(METRICS_HEADER.split(","))
-_INT_KEYS = ("num_crops", "num_background", "num_institutions", "trial_count")
-_FLOAT_KEYS = ("alignment_inst_mean", "alignment_inst_std", "alignment_comm_mean",
-               "alignment_comm_std", "steps_to_convergence_mean", "group_welfare_mean")
+_TEXT_KEYS, _INT_KEYS, _FLOAT_KEYS = (tuple(f.name for f in fields(MetricsRow) if f.type == kind)
+                                     for kind in ("str", "int", "float | None"))
 
 
 def _row_typed(row: dict) -> bool:
     """Whether a metrics row holds the types the CSV path converts to: text,
     non-bool int counts, and finite numbers or null."""
-    return (all(isinstance(row[k], str) for k in ("experiment", "focal_kind", "status"))
+    return (all(isinstance(row[k], str) for k in _TEXT_KEYS)
             and all(type(row[k]) is int for k in _INT_KEYS)
             and all(row[k] is None or _is_number(row[k]) for k in _FLOAT_KEYS))
 
@@ -602,25 +580,18 @@ COMPARISON_HEADER = (
 
 def build_comparison(rows: list[dict]) -> list[dict]:
     """Fold per-kind rows into one normative-vs-baseline row per cell."""
+    columns = COMPARISON_HEADER.split(",")
     cells: dict[tuple, dict] = {}
     for row in rows:
-        key = (row["experiment"], row["num_crops"], row["num_background"],
-               row["num_institutions"])
-        cell = cells.setdefault(key, {
-            "experiment": key[0], "num_crops": key[1], "num_background": key[2],
-            "num_institutions": key[3],
-        })
+        key = tuple(row[c] for c in columns[:4])  # the cell: experiment and shape
+        cell = cells.setdefault(key, {**dict.fromkeys(columns), **dict(zip(columns, key))})
         kind = row["focal_kind"]
         cell[f"{kind}_alignment_inst"] = row["alignment_inst_mean"]
         cell[f"{kind}_alignment_comm"] = row["alignment_comm_mean"]
         cell[f"{kind}_welfare"] = row["group_welfare_mean"]
-    ordered = sorted(cells.values(), key=lambda c: (
+    return sorted(cells.values(), key=lambda c: (
         c["experiment"], c["num_crops"], c["num_institutions"], c["num_background"],
     ))
-    for cell in ordered:
-        for key in COMPARISON_HEADER.split(",")[4:]:
-            cell.setdefault(key, None)
-    return ordered
 
 
 def comparison_table(cells: list[dict]) -> str:

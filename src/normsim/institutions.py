@@ -65,7 +65,6 @@ class Institution:
 class InstitutionSignal:
     institution_id: int
     name: str  # public knowledge; carries no authority information
-    timestep: int
     crop: int
     text: str
 
@@ -93,7 +92,6 @@ def declare(inst: Institution, t: int, crop_names: tuple[str, ...] = CROP_NAMES)
     return InstitutionSignal(
         institution_id=inst.id,
         name=inst.name,
-        timestep=t,
         crop=crop,
         text=SIGNAL_TEMPLATE.format(crop=crop_names[crop]),
     )

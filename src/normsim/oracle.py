@@ -20,7 +20,7 @@ import json
 import os
 import re
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .agents import NormativeAgent, NormativeState
 from .orchard import Criticism, Observation
@@ -51,13 +51,13 @@ class AgentProfile:
 
 @dataclass(frozen=True)
 class OracleRequest:
-    """One query. `context` is the rendered observation (a pure function of it)."""
+    """One query: what `profile` is asked about `observation`. Its prompt renders
+    the observation with `render_context`, and an answer may choose among the
+    observation's `crop_names`."""
 
     kind: str
     profile: AgentProfile
     observation: Observation
-    context: str
-    candidates: tuple[str, ...]  # crop names the answer may choose among
 
     def __post_init__(self):
         if self.kind not in QUERY_KINDS:
@@ -68,10 +68,9 @@ class OracleRequest:
 class OracleResponse:
     """The parsed answer; only the fields for the request's kind are set."""
 
-    raw: str
     action: int | None = None
     utterance: str | None = None
-    criticisms: tuple[Criticism, ...] = field(default=())
+    criticisms: tuple[Criticism, ...] = ()
 
 
 # ---------------------------------------------------------------------------
@@ -120,8 +119,9 @@ def _role_line(profile: AgentProfile) -> str:
 
 def _instruction(req: OracleRequest) -> str:
     if req.kind == ACTION_SELECTION:
+        crops = ", ".join(req.observation.crop_names)
         return (
-            f"Choose one crop to harvest this step from: {', '.join(req.candidates)}.\n"
+            f"Choose one crop to harvest this step from: {crops}.\n"
             "Respond with a single fenced JSON object, exactly like:\n"
             '```json\n{"action": "apples"}\n```'
         )
@@ -141,22 +141,11 @@ def build_messages(req: OracleRequest) -> list[dict[str, str]]:
         f"whose orchards grow {crops}. {_role_line(req.profile)} "
         "Remember to be a good citizen."
     )
-    user = req.context + "\n\n" + _instruction(req)
+    user = render_context(req.observation) + "\n\n" + _instruction(req)
     return [
         {"role": "system", "content": system},
         {"role": "user", "content": user},
     ]
-
-
-def make_request(kind: str, profile: AgentProfile, obs: Observation) -> OracleRequest:
-    """Assemble a request, rendering the context from the observation."""
-    return OracleRequest(
-        kind=kind,
-        profile=profile,
-        observation=obs,
-        context=render_context(obs),
-        candidates=tuple(obs.crop_names),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +192,7 @@ def parse_chat_content(req: OracleRequest, content: str) -> OracleResponse:
     if req.kind == ACTION_SELECTION:
         if "action" not in obj:
             raise OracleError("action_selection reply lacks an 'action' field")
-        return OracleResponse(raw=content, action=_crop_index(obj["action"], req.candidates))
+        return OracleResponse(action=_crop_index(obj["action"], obs.crop_names))
     utterance = obj.get("utterance")
     if not isinstance(utterance, str) or not utterance:
         raise OracleError("discussion reply needs a nonempty 'utterance'")
@@ -217,18 +206,12 @@ def parse_chat_content(req: OracleRequest, content: str) -> OracleResponse:
         target_name = item["target"]
         if target_name not in obs.agent_names:
             raise OracleError(f"unknown criticism target {target_name!r}")
-        if obs.agent_names.index(target_name) == obs.agent_index:
+        target = obs.agent_names.index(target_name)
+        if target == obs.agent_index:
             raise OracleError(f"criticism targets the speaker {target_name!r}")
-        criticisms.append(
-            Criticism(
-                sender=obs.agent_index,
-                target=obs.agent_names.index(target_name),
-                criticized_crop=_crop_index(item["crop"], tuple(obs.crop_names)),
-                basis=None,
-                text=utterance,
-            )
-        )
-    return OracleResponse(raw=content, utterance=utterance, criticisms=tuple(criticisms))
+        crop = _crop_index(item["crop"], obs.crop_names)
+        criticisms.append(Criticism(obs.agent_index, target, crop, None, utterance))
+    return OracleResponse(utterance=utterance, criticisms=tuple(criticisms))
 
 
 def chat_oracle(
@@ -305,11 +288,11 @@ class ChatBaselineAgent:
         self._ask = ask
 
     def discuss(self, obs: Observation) -> tuple[str, tuple[Criticism, ...]]:
-        resp = self._ask(make_request(DISCUSSION_UTTERANCE, self.profile, obs))
+        resp = self._ask(OracleRequest(DISCUSSION_UTTERANCE, self.profile, obs))
         return resp.utterance, resp.criticisms
 
     def act(self, obs: Observation) -> int:
-        resp = self._ask(make_request(ACTION_SELECTION, self.profile, obs))
+        resp = self._ask(OracleRequest(ACTION_SELECTION, self.profile, obs))
         return resp.action
 
 
@@ -333,7 +316,7 @@ class ChatNormativeAgent:
 
     def discuss(self, obs: Observation) -> tuple[str, tuple[Criticism, ...]]:
         _, criticisms = self._module.discuss(obs)
-        resp = self._ask(make_request(DISCUSSION_UTTERANCE, self.profile, obs))
+        resp = self._ask(OracleRequest(DISCUSSION_UTTERANCE, self.profile, obs))
         return resp.utterance, criticisms
 
     def act(self, obs: Observation) -> int:

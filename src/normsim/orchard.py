@@ -18,10 +18,11 @@ Transcripts render in the village-journal layout with a clock advancing 30
 simulated minutes per step from 8:00 AM.
 
 A step costs O(N + criticisms) for N agents. What all agents see alike is built
-once per step, so an `Observation` is a named tuple of shared references, and
-each crowd of scripted villagers (see `AgentHandle`) is answered once per step:
-a crowd's criticisms are checked once per step, and each run of its consecutive
-members is played as one block. Only other handles get a copy of the log so far.
+once per step, so an `Observation` is a named tuple of shared references that
+only its agent index and the log so far set apart. Each crowd of scripted
+villagers (see `AgentHandle`) is answered once per step: a crowd's criticisms
+are checked once per step, and each run of its consecutive members is played as
+one block. Only other handles get a copy of the log so far.
 """
 from __future__ import annotations
 
@@ -178,7 +179,8 @@ class WorldState:
 class Observation(NamedTuple):
     """What one agent sees when asked to speak or act: no authority ground truth,
     no other agent's internals. Immutable. One step's observations share every
-    tuple but `own_received_criticisms` (and `discussion_so_far` before acting)."""
+    tuple but `discussion_so_far` before acting; the criticisms an agent received
+    last step are those of `last_step_criticisms` that target it."""
 
     t: int
     agent_index: int
@@ -187,7 +189,6 @@ class Observation(NamedTuple):
     signals: tuple[InstitutionSignal, ...]
     last_step_actions: tuple[int, ...]  # empty at t=0
     last_step_criticisms: tuple[Criticism, ...]
-    own_received_criticisms: tuple[Criticism, ...]
     discussion_so_far: tuple[DiscussionEntry, ...]
 
 
@@ -273,14 +274,10 @@ def step(prev: WorldState | None, agents: Sequence[AgentHandle], cfg: EnvConfig)
     signals = tuple(declare(inst, t, cfg.crop_names) for inst in cfg.institutions)
     last_actions = () if prev is None else prev.actions
     last_criticisms = () if prev is None else prev.criticisms
-    received_by: dict[int, list[Criticism]] = {}
-    for c in last_criticisms:
-        received_by.setdefault(c.target, []).append(c)
-    own = {idx: tuple(cs) for idx, cs in received_by.items()}
 
     def obs_for(idx: int, so_far: tuple[DiscussionEntry, ...]) -> Observation:
         return Observation(t, idx, names, cfg.crop_names, signals, last_actions,
-                           last_criticisms, own.get(idx, ()), so_far)
+                           last_criticisms, so_far)
 
     runs, last = [], None  # (crowd, indices) of each maximal run of one crowd's consecutive members
     for idx, agent in enumerate(agents):

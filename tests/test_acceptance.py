@@ -359,9 +359,9 @@ def test_criterion_9_chat_contract(tmp_path, capsys, monkeypatch):
     obs = orchard.Observation(
         t=0, agent_index=0, agent_names=("Alice",), crop_names=("apples", "bananas"),
         signals=(), last_step_actions=(), last_step_criticisms=(),
-        own_received_criticisms=(), discussion_so_far=(),
+        discussion_so_far=(),
     )
-    req = oracle.make_request(
+    req = oracle.OracleRequest(
         oracle.ACTION_SELECTION, oracle.AgentProfile(name="Alice", kind="baseline"), obs
     )
     try:

@@ -28,7 +28,6 @@ def make_obs(signals=(), last_actions=(), agent_index=0, t=1, discussion=(),
         signals=tuple(signals),
         last_step_actions=tuple(last_actions),
         last_step_criticisms=(),
-        own_received_criticisms=(),
         discussion_so_far=tuple(discussion),
     )
 
@@ -146,10 +145,10 @@ def test_sanction_criticisms_gate():
     obs = make_obs(signals=(sig(0, 0),), last_actions=(0, 1, 0, 2), agent_index=0)
     # share exactly at the threshold: 3/5 = 0.6 is NOT above it
     at_gate = state_for([0, None], (3.0, 2.0))
-    assert agents.sanction_criticisms(at_gate, obs) == ()
+    assert agents.sanction_criticisms(at_gate, obs)[1] == ()
 
     over = state_for([0, None], (4.0, 1.0))
-    crits = agents.sanction_criticisms(over, obs)
+    crits = agents.sanction_criticisms(over, obs)[1]
     assert [c.target for c in crits] == [1, 3]
     assert all(c.sender == 0 and c.basis == 0 for c in crits)
     assert crits[0].criticized_crop == 1
@@ -158,9 +157,9 @@ def test_sanction_criticisms_gate():
         "Chieftain Ophilia's guidance!"
     )
     # nothing to judge yet, or the leading institution is silent this step
-    assert agents.sanction_criticisms(over, make_obs(signals=(sig(0, 0),), t=0)) == ()
+    assert agents.sanction_criticisms(over, make_obs(signals=(sig(0, 0),), t=0))[1] == ()
     silent = make_obs(signals=(sig(1, 0),), last_actions=(0, 1), agent_index=0)
-    assert agents.sanction_criticisms(over, silent) == ()
+    assert agents.sanction_criticisms(over, silent)[1] == ()
 
 
 def test_normative_action_tie_breaks():

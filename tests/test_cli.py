@@ -218,9 +218,8 @@ def test_docs_examples_analyze_json_golden(capsys, mode):
     )
 
 
-def test_analyze_reads_utf8_whatever_the_locale(tmp_path):
-    """A UTF-8 game file gives the same `--json` bytes under the C locale with
-    neither locale coercion nor UTF-8 mode, where the locale encoding is ASCII."""
+def cafe_game_argv(tmp_path, *flags):
+    """`python` arguments and environment that analyze a game with a non-ASCII action."""
     game = {
         "players": 2,
         "actions": [["café", "D"], ["café", "D"]],
@@ -232,14 +231,35 @@ def test_analyze_reads_utf8_whatever_the_locale(tmp_path):
     path.write_text(json.dumps(game, ensure_ascii=False), encoding="utf-8")
     src = str(Path(__file__).parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    argv = ["-m", "normsim.cli", "analyze", str(path), "--json"]
+    return ["-m", "normsim.cli", "analyze", str(path), *flags], env
+
+
+def run_utf8_and_ascii(argv, env):
+    """The run in UTF-8 mode, then under the C locale with neither locale
+    coercion nor UTF-8 mode, where the locale encoding is ASCII."""
     utf8 = subprocess.run([sys.executable, "-X", "utf8=1", *argv], env=env, capture_output=True)
     ascii_env = {**env, "LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
     ascii_run = subprocess.run([sys.executable, "-X", "utf8=0", *argv], env=ascii_env,
                                capture_output=True)
     assert utf8.returncode == 0 and utf8.stderr == b"", utf8.stderr
+    return utf8, ascii_run
+
+
+def test_analyze_reads_utf8_whatever_the_locale(tmp_path):
+    """A UTF-8 game file gives the same `--json` bytes under an ASCII locale."""
+    utf8, ascii_run = run_utf8_and_ascii(*cafe_game_argv(tmp_path, "--json"))
     assert json.loads(utf8.stdout)["game"]["actions"] == [["café", "D"], ["café", "D"]]
     assert (ascii_run.returncode, ascii_run.stderr, ascii_run.stdout) == (0, b"", utf8.stdout)
+
+
+def test_analyze_text_escapes_what_an_ascii_stdout_cannot_encode(tmp_path):
+    """Text output under an ASCII locale is the UTF-8 text with every non-ASCII
+    character backslash-escaped, not a traceback."""
+    utf8, ascii_run = run_utf8_and_ascii(*cafe_game_argv(tmp_path))
+    text = utf8.stdout.decode("utf-8")
+    assert "café" in text and "dilemma: yes \u2014" in text
+    expected = text.encode("ascii", "backslashreplace")
+    assert (ascii_run.returncode, ascii_run.stderr, ascii_run.stdout) == (0, b"", expected)
 
 
 def test_analyze_advice_holds(game_file, sanctions_file, tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Experiment harness: grids, seeding, aggregation, files, config parsing."""
 import dataclasses
 import json
+from itertools import product
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -9,6 +10,8 @@ import pytest
 
 from normsim import harness
 from normsim.harness import ConfigError, ExperimentConfig, TrialResult
+from normsim.institutions import make_institution
+from normsim.orchard import EnvConfig
 
 
 def small_cfg(**kwargs):
@@ -88,6 +91,99 @@ def test_cell_env_multi_institution():
     assert env.background_mode == "follow_authoritative"
 
 
+# Reference copies of the per-family cell code before `cell_shape`: each family
+# spelled out in its own branch.
+def ref_grid(self) -> tuple[tuple[int, int], ...]:
+    """Cell coordinates in declaration order."""
+    if self.experiment == "single_nonauthoritative":
+        return tuple(product(self.num_crops_grid, self.num_background_grid))
+    return tuple(product(self.num_institutions_grid, self.num_background_grid))
+
+
+def ref_cell_infeasible(cfg: ExperimentConfig, coords: tuple[int, int]) -> str | None:
+    """A reason string when the cell cannot be built, else None."""
+    if cfg.experiment == "multi_institution":
+        k = coords[0]
+        if k > cfg.num_crops:
+            return f"{k} institutions need {k} distinct crops but only {cfg.num_crops} exist"
+    return None
+
+
+def ref_cell_env(cfg: ExperimentConfig, coords: tuple[int, int], seed: int) -> EnvConfig:
+    """The EnvConfig for one grid cell."""
+    overrides = dict(cfg.env_overrides)
+    if cfg.experiment == "single_nonauthoritative":
+        num_crops, num_background = coords
+        institutions = (make_institution(0, crop=0, authoritative=False),)
+        mode = "defy_institution"
+    else:
+        k, num_background = coords
+        num_crops = cfg.num_crops
+        institutions = tuple(
+            make_institution(i, crop=i, authoritative=(i == 0)) for i in range(k)
+        )
+        mode = "follow_authoritative"
+    return EnvConfig(
+        institutions=institutions,
+        num_background=num_background,
+        background_mode=mode,
+        num_crops=num_crops,
+        seed=seed,
+        **overrides,
+    )
+
+
+def ref_reference_institution(env: EnvConfig) -> int:
+    authoritative = [inst.id for inst in env.institutions if inst.authoritative]
+    return authoritative[0] if authoritative else env.institutions[0].id
+
+
+def ref_cell_shape(cfg: ExperimentConfig, coords: tuple[int, int]) -> tuple[int, int, int]:
+    """(num_crops, num_background, num_institutions) for the metrics row."""
+    if cfg.experiment == "single_nonauthoritative":
+        return coords[0], coords[1], 1
+    return cfg.num_crops, coords[1], coords[0]
+
+
+def random_overrides(rng) -> tuple[tuple[str, float], ...]:
+    """A random subset of the permitted env overrides, some of them out of range."""
+    draw = {
+        "discussion_turns": lambda: int(rng.integers(-1, 4)),
+        "max_timesteps": lambda: int(rng.integers(0, 12)),
+        "eval_window": lambda: int(rng.integers(0, 12)),
+        "harvest_reward": lambda: float(rng.choice([-1.0, 1.0, 2.5, 1e308])),
+    }
+    keys = [k for k in harness.ENV_OVERRIDE_KEYS if rng.random() < 0.4]
+    return tuple((k, draw[k]() if k in draw else float(rng.uniform(-0.2, 1.0))) for k in keys)
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_cell_shape_matches_per_family_reference(seed):
+    rng = np.random.default_rng(seed)
+    for _ in range(25):
+        axis = lambda: tuple(int(v) for v in rng.choice(np.arange(1, 7), rng.integers(1, 4), False))
+        cfg = ExperimentConfig(
+            str(rng.choice(harness.EXPERIMENTS)),
+            num_crops_grid=axis(), num_background_grid=axis(), num_institutions_grid=axis(),
+            num_crops=int(rng.integers(2, 6)), env_overrides=random_overrides(rng),
+        )
+        assert cfg.grid() == ref_grid(cfg)
+        for coords in cfg.grid():
+            assert harness.cell_shape(cfg, coords) == ref_cell_shape(cfg, coords)
+            assert harness.cell_infeasible(cfg, coords) == ref_cell_infeasible(cfg, coords)
+            env = outcome(harness.cell_env, cfg, coords, seed)
+            assert env == outcome(ref_cell_env, cfg, coords, seed)
+            if isinstance(env, EnvConfig):
+                assert ref_reference_institution(env) == 0  # run_cell's reference institution
+
+
 def test_run_cell_statuses():
     ok = harness.run_cell(small_cfg(), (2, 1), "normative", 0)
     assert ok.status == "ok"
@@ -114,7 +210,7 @@ def test_failed_status_is_one_line(tmp_path, monkeypatch):
 
 
 def trial(status="ok", inst=1.0, comm=0.0, steps=2, welfare=4.0):
-    return TrialResult("single_nonauthoritative", "normative", (2, 1), 0, status,
+    return TrialResult(status,
                        None if status != "ok" else inst,
                        None if status != "ok" else comm,
                        None if status != "ok" else steps,

@@ -10,7 +10,6 @@ def test_declaration_text_golden():
     sig = institutions.declare(inst, 0)
     assert sig.institution_id == 0
     assert sig.name == "Ophilia"
-    assert sig.timestep == 0
     assert sig.crop == 0
     assert sig.text == (
         "Valued citizens of Skymeadow, let's focus on harvesting apples. "

@@ -24,9 +24,6 @@ def make_obs(signals=(), last_actions=(), agent_index=0, t=1, discussion=(),
         signals=tuple(signals),
         last_step_actions=tuple(last_actions),
         last_step_criticisms=tuple(last_criticisms),
-        own_received_criticisms=tuple(
-            c for c in last_criticisms if c.target == agent_index
-        ),
         discussion_so_far=tuple(discussion),
     )
 
@@ -36,14 +33,14 @@ NORMATIVE = oracle.AgentProfile(name="Alice", kind="normative")
 
 
 def action_request(obs=None, profile=BASELINE):
-    return oracle.make_request(oracle.ACTION_SELECTION, profile, obs or make_obs())
+    return oracle.OracleRequest(oracle.ACTION_SELECTION, profile, obs or make_obs())
 
 
 def test_profile_and_request_validation():
     with pytest.raises(ValueError, match="kind"):
         oracle.AgentProfile(name="X", kind="wizard")
     with pytest.raises(ValueError, match="query kind"):
-        oracle.make_request("weather_forecast", BASELINE, make_obs())
+        oracle.OracleRequest("weather_forecast", BASELINE, make_obs())
 
 
 CONTEXT_GOLDEN = """\
@@ -100,16 +97,8 @@ def test_role_lines_and_instructions():
     assert "whose guidance" in system
     assert system.endswith("Remember to be a good citizen.")
 
-    talk = oracle.make_request(oracle.DISCUSSION_UTTERANCE, BASELINE, make_obs())
+    talk = oracle.OracleRequest(oracle.DISCUSSION_UTTERANCE, BASELINE, make_obs())
     assert '{"utterance": "...", "criticisms":' in oracle.build_messages(talk)[1]["content"]
-
-
-def test_make_request_fields():
-    obs = make_obs(signals=(sig(0, 2),))
-    req = oracle.make_request(oracle.ACTION_SELECTION, BASELINE, obs)
-    assert req.candidates == CROPS3
-    assert req.context == oracle.render_context(obs)
-    assert req.observation is obs
 
 
 def test_parse_chat_action():
@@ -130,7 +119,7 @@ def test_parse_chat_action():
 
 def test_parse_chat_discussion():
     obs = make_obs(last_actions=(0, 1, 2), agent_index=0)
-    req = oracle.make_request(oracle.DISCUSSION_UTTERANCE, BASELINE, obs)
+    req = oracle.OracleRequest(oracle.DISCUSSION_UTTERANCE, BASELINE, obs)
     content = (
         '```json\n{"utterance": "Neighbors, stick to apples!", '
         '"criticisms": [{"target": "John", "crop": "bananas"}]}\n```'
@@ -276,7 +265,7 @@ SELF_CRITICISM = '{"utterance": "Shame on me!", "criticisms": [{"target": "Alice
 
 def discussion_request():
     obs = make_obs(last_actions=(0, 1, 2), agent_index=0)
-    return oracle.make_request(oracle.DISCUSSION_UTTERANCE, BASELINE, obs)
+    return oracle.OracleRequest(oracle.DISCUSSION_UTTERANCE, BASELINE, obs)
 
 
 def test_chat_self_criticism_retried_then_fails(api_key):
@@ -304,11 +293,11 @@ def scripted_backend(action=2, utterance="Lovely weather for it."):
     def ask(req):
         requests_seen.append(req)
         if req.kind == oracle.ACTION_SELECTION:
-            return oracle.OracleResponse(raw="", action=action)
+            return oracle.OracleResponse(action=action)
         # a criticism the chat agents' callers must not take on trust
         bogus = Criticism(sender=req.observation.agent_index, target=1,
                           criticized_crop=0, basis=None, text=utterance)
-        return oracle.OracleResponse(raw="", utterance=utterance, criticisms=(bogus,))
+        return oracle.OracleResponse(utterance=utterance, criticisms=(bogus,))
 
     return ask, requests_seen
 
@@ -346,7 +335,7 @@ def test_chat_agents_with_scripted_backend():
     obs = make_obs(signals=(sig(0, 0),), last_actions=(0, 0, 2), agent_index=0)
     text, crits = judge.discuss(obs)
     assert text == "Lovely weather for it."
-    assert crits == agents.sanction_criticisms(judge.state, obs)
+    assert crits == agents.sanction_criticisms(judge.state, obs)[1]
     assert [(c.target, c.criticized_crop, c.basis) for c in crits] == [(2, 2, 0)]
     assert judge.act(obs) == agents.NormativeAgent(0, [0], sanction_threshold=0.4).act(obs)
 

@@ -257,7 +257,6 @@ def test_observation_contents():
     assert first.last_step_criticisms == ()
     assert [s.crop for s in first.signals] == [0]
     assert last.last_step_actions == (1, 0)
-    assert last.own_received_criticisms == last.last_step_criticisms
     assert last.last_step_criticisms[0].target == 0
     assert last.agent_names == ("Alice", "John")
 
@@ -266,7 +265,7 @@ def test_observation_fields_and_immutability():
     fields = dict(
         t=1, agent_index=0, agent_names=("Alice", "John"), crop_names=("apples", "bananas"),
         signals=(), last_step_actions=(1, 0), last_step_criticisms=(crit(1, 0, 1),),
-        own_received_criticisms=(crit(1, 0, 1),), discussion_so_far=(),
+        discussion_so_far=(),
     )
     obs = orchard.Observation(**fields)
     assert {name: getattr(obs, name) for name in fields} == fields
@@ -310,7 +309,7 @@ def test_observations_of_one_step_share_its_data():
         assert all(obs.discussion_so_far is state.discussion_log for obs in acting)
     assert len(history[1].criticisms) == 2  # one per discussion turn
     alice_at_2 = [obs for _, obs in seen if obs.t == 2 and obs.agent_index == 0]
-    assert [obs.own_received_criticisms for obs in alice_at_2] == [history[1].criticisms] * 3
+    assert [obs.last_step_criticisms for obs in alice_at_2] == [history[1].criticisms] * 3
 
 
 GOLDEN_TRANSCRIPT = """\
