@@ -6,11 +6,7 @@ When sanctioning is costly to the sanctioner, literally following such advice
 can itself be a deviation target — the verifier catches a hand-built case
 where one player is told to sanction for no possible benefit.
 """
-import warnings
-
 from normsim import games, institutions, sanctions
-
-warnings.filterwarnings("ignore", category=games.PayoffRangeWarning)  # demo payoffs are raw
 
 SELF_COST = 0.1
 

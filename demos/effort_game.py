@@ -6,11 +6,8 @@ everyone working maximizes welfare. We sweep the declared sanction cost and
 report the threshold at which "everyone works" becomes enforceable.
 """
 import itertools
-import warnings
 
 from normsim import games, sanctions
-
-warnings.filterwarnings("ignore", category=games.PayoffRangeWarning)  # demo payoffs are raw
 
 TARGET = (1, 1, 1)  # everyone works
 COSTS = [round(0.05 * k, 2) for k in range(1, 11)]

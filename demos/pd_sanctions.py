@@ -7,11 +7,7 @@ base payoffs makes (C, C) a Nash equilibrium. A cheaper declaration (cost 1)
 does not — and an exhaustive search over small classifier menus shows nothing
 at that price does.
 """
-import warnings
-
 from normsim import games, sanctions
-
-warnings.filterwarnings("ignore", category=games.PayoffRangeWarning)  # demo payoffs are raw
 
 DECLARATION_COST = 3.0
 CHEAP_COST = 1.0

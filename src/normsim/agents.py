@@ -53,6 +53,9 @@ NORMATIVE_IDLE = "I'm watching what the community values before committing to a 
 # Normative module: experts, weighted votes, updates
 # ---------------------------------------------------------------------------
 
+# The learner's defaults, shared by the state, the agent, the roster and both configs.
+_BETA, _SANCTION_THRESHOLD, _OBSERVE_OTHERS = 0.5, 0.6, True
+
 
 @dataclass(frozen=True)
 class Expert:
@@ -105,8 +108,8 @@ class NormativeState:
 
     experts: tuple[Expert, ...]
     weights: tuple[float, ...]
-    beta: float = 0.5  # multiplicative penalty for a wrong prediction
-    sanction_threshold: float = 0.6  # weight share above which the agent sanctions
+    beta: float = _BETA  # multiplicative penalty for a wrong prediction
+    sanction_threshold: float = _SANCTION_THRESHOLD  # weight share above which the agent sanctions
 
     def __post_init__(self):
         experts = tuple(self.experts)
@@ -120,9 +123,8 @@ class NormativeState:
         object.__setattr__(self, "weights", weights)
 
 
-def initial_state(
-    institution_ids: Iterable[int], beta: float = 0.5, sanction_threshold: float = 0.6
-) -> NormativeState:
+def initial_state(institution_ids: Iterable[int], beta: float = _BETA,
+                  sanction_threshold: float = _SANCTION_THRESHOLD) -> NormativeState:
     """Unit weights over one expert per institution plus the community expert."""
     experts = tuple(Expert("institution", i) for i in institution_ids) + (Expert("community"),)
     return NormativeState(
@@ -217,7 +219,8 @@ def wm_update(
     return replace(ns, weights=tuple(weights))
 
 
-def derive_outcomes(obs: Observation, observe_others: bool = True) -> tuple[tuple[int, bool], ...]:
+def derive_outcomes(obs: Observation,
+                    observe_others: bool = _OBSERVE_OTHERS) -> tuple[tuple[int, bool], ...]:
     """(last-step action, was it criticized this step?) pairs, the learning signal
     for wm_update. The observer's own sent criticisms are excluded so its
     sanctioning cannot feed back into its own learning."""
@@ -366,9 +369,6 @@ class BackgroundAgent:
 
     def __init__(self, index: int, mode: str, institution_id: int, defy_crop: int | None = None):
         self.index = index
-        self.mode = mode
-        self.institution_id = institution_id
-        self.defy_crop = defy_crop
         self.crowd = Crowd(mode, institution_id, defy_crop)
 
     def discuss(self, obs: Observation) -> tuple[str, tuple[Criticism, ...]]:
@@ -399,9 +399,9 @@ class NormativeAgent:
         self,
         index: int,
         institution_ids: Iterable[int],
-        beta: float = 0.5,
-        sanction_threshold: float = 0.6,
-        observe_others: bool = True,
+        beta: float = _BETA,
+        sanction_threshold: float = _SANCTION_THRESHOLD,
+        observe_others: bool = _OBSERVE_OTHERS,
     ):
         self.index = index
         self.observe_others = observe_others
@@ -452,9 +452,9 @@ def roster_violations(cfg: EnvConfig) -> list[str]:
 def build_roster(
     cfg: EnvConfig,
     focal_kind: str,
-    beta: float = 0.5,
-    sanction_threshold: float = 0.6,
-    observe_others: bool = True,
+    beta: float = _BETA,
+    sanction_threshold: float = _SANCTION_THRESHOLD,
+    observe_others: bool = _OBSERVE_OTHERS,
 ) -> list:
     """The episode's agent handles: the focal agent at index 0, then backgrounds.
 

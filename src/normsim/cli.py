@@ -17,7 +17,6 @@ import functools
 import json
 import os
 import sys
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +25,6 @@ from . import harness
 from .agents import build_roster
 from .games import (
     GameFormatError,
-    PayoffRangeWarning,
     detect_cooperation_dilemma,
     load_game,
     load_json,
@@ -68,30 +66,25 @@ def _feasibility_dict(game, report) -> dict:
     return {**vars(report), "target": profile_key(game, report.target), "players": players}
 
 
-def _load_noting_range(loader, path):
-    """Load a file, demoting payoff-range warnings to one tidy stderr line."""
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        result = loader(path)
-    for w in caught:
-        if issubclass(w.category, PayoffRangeWarning):
-            print(f"warning: {path}: {w.message}", file=sys.stderr)
-        else:
-            warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
-    return result
+def _note_range(path, game) -> None:
+    """Note on stderr a loaded file whose payoffs leave [0, 1]; the game is analyzed as it is."""
+    if game.payoffs.min() < 0.0 or game.payoffs.max() > 1.0:
+        print(f"warning: {path}: payoffs fall outside [0, 1]; the game is kept as-is", file=sys.stderr)
 
 
 def cmd_analyze(args) -> int:
     try:
-        game = _load_noting_range(load_game, args.game)
+        game = load_game(args.game)
     except GameFormatError as exc:
         return _fail(str(exc))
+    _note_range(args.game, game)
     dilemma = detect_cooperation_dilemma(game)
 
     sg = feasibility = advice_report = None
     try:
         if args.sanctions:
-            sg = _load_noting_range(load_sanction_game, args.sanctions)
+            sg = load_sanction_game(args.sanctions)
+            _note_range(args.sanctions, sg.base)
             if (
                 sg.base.action_names != game.action_names
                 or not np.array_equal(sg.base.payoffs, game.payoffs)

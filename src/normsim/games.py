@@ -12,7 +12,6 @@ import contextlib
 import itertools
 import json
 import math
-import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, Mapping, Sequence
@@ -27,10 +26,6 @@ PROFILE_SEPARATOR = ","
 
 class GameFormatError(ValueError):
     """A game description (JSON or constructor input) is malformed."""
-
-
-class PayoffRangeWarning(UserWarning):
-    """Payoffs outside [0, 1] are accepted but flagged; downstream defaults assume normalized games."""
 
 
 def _validate_action_names(action_names) -> tuple[tuple[str, ...], ...]:
@@ -59,7 +54,9 @@ class FiniteGame:
 
     The tensor has shape (|A_0|, ..., |A_{n-1}|, n): one leading axis per
     player's action set and a trailing axis selecting whose payoff. It is
-    validated, copied, and frozen read-only on construction.
+    validated, copied, and frozen read-only on construction. Payoffs may be any
+    finite numbers; `normsim analyze` notes an input file whose payoffs leave
+    [0, 1], and sanctioned payoffs routinely go negative.
     """
 
     action_names: tuple[tuple[str, ...], ...]  # per player, position = action index
@@ -75,12 +72,6 @@ class FiniteGame:
             )
         if not np.all(np.isfinite(payoffs)):
             raise GameFormatError("payoffs must be finite")
-        if payoffs.min() < 0.0 or payoffs.max() > 1.0:
-            warnings.warn(
-                "payoffs fall outside [0, 1]; the game is kept as-is",
-                PayoffRangeWarning,
-                stacklevel=2,
-            )
         payoffs = payoffs.copy()
         payoffs.setflags(write=False)
         object.__setattr__(self, "action_names", names)
@@ -141,47 +132,50 @@ def social_welfare_optimum(game: FiniteGame) -> Profile:
     return tuple(int(i) for i in np.unravel_index(flat, sums.shape))
 
 
-def _own_utilities(game: FiniteGame, player: int, opponents: Sequence[int]) -> np.ndarray:
-    opp = tuple(opponents)
+def _check_player(game: FiniteGame, player: int) -> None:
     if not 0 <= player < game.num_players:
         raise ValueError(f"no player {player}")
-    if len(opp) != game.num_players - 1:
-        raise ValueError(
-            f"expected {game.num_players - 1} opponent actions, got {len(opp)}"
-        )
-    counts = game.num_actions
-    others = [i for i in range(game.num_players) if i != player]
-    for i, a in zip(others, opp):
-        if not 0 <= a < counts[i]:
-            raise ValueError(f"action {a} out of range for player {i}")
-    index = opp[:player] + (slice(None),) + opp[player:]
-    return game.payoffs[index + (player,)]
+
+
+def _own_row(game: FiniteGame, profile: Profile, player: int) -> np.ndarray:
+    """`player`'s payoff over its own actions, the others held at a checked `profile`."""
+    return game.payoffs[profile[:player] + (slice(None),) + profile[player + 1 :] + (player,)]
+
+
+def _incentive(game: FiniteGame, profile: Profile, player: int) -> tuple[float, int]:
+    """`player`'s deviation gain at a checked `profile` (its row's maximum minus
+    its own payoff) and its lowest best response there."""
+    row = _own_row(game, profile, player)
+    return float(row.max() - row[profile[player]]), int(np.argmax(row))
 
 
 def best_response_set(game: FiniteGame, player: int, opponents: Sequence[int]) -> tuple[int, ...]:
     """All payoff-maximizing actions of `player` against fixed opponents.
 
     `opponents` lists the other players' actions in increasing player order
-    (length num_players - 1). Ties mean exact payoff equality; the result is
-    ascending.
+    (length num_players - 1). `player` is checked first, then the length of
+    `opponents`, then their actions in player order. Ties mean exact payoff
+    equality; the result is ascending.
     """
-    utils = _own_utilities(game, player, opponents)
-    return tuple(int(a) for a in np.flatnonzero(utils == utils.max()))
+    opp = tuple(opponents)
+    _check_player(game, player)
+    if len(opp) != game.num_players - 1:
+        raise ValueError(f"expected {game.num_players - 1} opponent actions, got {len(opp)}")
+    row = _own_row(game, _check_profile(game, opp[:player] + (0,) + opp[player:]), player)
+    return tuple(int(a) for a in np.flatnonzero(row == row.max()))
 
 
 def deviation_incentive(game: FiniteGame, profile: Sequence[int], player: int) -> float:
     """Best-response payoff minus current payoff for `player` at `profile` (>= 0)."""
     profile = _check_profile(game, profile)
-    opp = tuple(a for j, a in enumerate(profile) if j != player)
-    utils = _own_utilities(game, player, opp)
-    return float(utils.max() - utils[profile[player]])
+    _check_player(game, player)
+    return _incentive(game, profile, player)[0]
 
 
 def is_nash(game: FiniteGame, profile: Sequence[int]) -> bool:
     """True when no player has a strictly improving unilateral deviation."""
-    return all(
-        deviation_incentive(game, profile, i) == 0.0 for i in range(game.num_players)
-    )
+    profile = _check_profile(game, profile)
+    return all(_incentive(game, profile, i)[0] == 0.0 for i in range(game.num_players))
 
 
 @dataclass(frozen=True)
@@ -190,7 +184,7 @@ class PlayerIncentive:
 
     player: int
     gain: float  # best-response payoff minus the payoff at the optimum
-    witness: int | None  # a maximizing deviation when gain > 0, else None
+    witness: int | None  # the lowest maximizing deviation when gain > 0, else None
 
 
 @dataclass(frozen=True)
@@ -212,12 +206,8 @@ def detect_cooperation_dilemma(game: FiniteGame) -> DilemmaReport:
     sw = social_welfare_optimum(game)
     incentives = []
     for i in range(game.num_players):
-        gain = deviation_incentive(game, sw, i)
-        witness = None
-        if gain > 0.0:
-            opp = tuple(a for j, a in enumerate(sw) if j != i)
-            witness = min(best_response_set(game, i, opp))
-        incentives.append(PlayerIncentive(player=i, gain=gain, witness=witness))
+        gain, best = _incentive(game, sw, i)
+        incentives.append(PlayerIncentive(i, gain, best if gain > 0.0 else None))
     return DilemmaReport(
         sw_profile=sw,
         sw_total=float(game.payoffs[sw].sum()),

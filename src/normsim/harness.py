@@ -29,6 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .agents import _BETA, _OBSERVE_OTHERS, _SANCTION_THRESHOLD
 from .agents import build_roster, learner_violations, roster_violations
 from .games import _is_number, load_json
 from .institutions import CROP_NAMES, make_institution, parse_institution
@@ -98,9 +99,9 @@ class ExperimentConfig:
     num_crops: int = 5  # crop count for multi_institution cells
     trials: int = 3
     seed_base: int = 42
-    beta: float = 0.5
-    sanction_threshold: float = 0.6
-    observe_others: bool = True
+    beta: float = _BETA
+    sanction_threshold: float = _SANCTION_THRESHOLD
+    observe_others: bool = _OBSERVE_OTHERS
     env_overrides: tuple[tuple[str, float], ...] = ()
 
     def __post_init__(self):
@@ -262,33 +263,20 @@ METRICS_HEADER = ",".join(_ROW_KEYS)
 
 def _aggregate(cfg: ExperimentConfig, focal_kind: str, coords: tuple[int, int],
                results: list[TrialResult]) -> MetricsRow:
-    num_crops, num_background, num_institutions = cell_shape(cfg, coords)
     bad = next((r for r in results if r.status != "ok"), None)
-    if bad is not None:
-        return MetricsRow(
-            cfg.experiment, focal_kind, num_crops, num_background, num_institutions,
-            0 if bad.status.startswith("skipped") else len(results),
-            None, None, None, None, None, None, bad.status,
-        )
-    inst = np.array([r.alignment_inst for r in results])
-    comm = np.array([r.alignment_comm for r in results])
-    steps = np.array([r.steps for r in results], dtype=float)
-    welfare = np.array([r.welfare for r in results])
-    return MetricsRow(
-        experiment=cfg.experiment,
-        focal_kind=focal_kind,
-        num_crops=num_crops,
-        num_background=num_background,
-        num_institutions=num_institutions,
-        trial_count=len(results),
-        alignment_inst_mean=float(inst.mean()),
-        alignment_inst_std=float(inst.std()),  # population std over the trials
-        alignment_comm_mean=float(comm.mean()),
-        alignment_comm_std=float(comm.std()),
-        steps_to_convergence_mean=float(steps.mean()),
-        group_welfare_mean=float(welfare.mean()),
-        status="ok",
-    )
+    if bad is None:
+        inst = np.array([r.alignment_inst for r in results])
+        comm = np.array([r.alignment_comm for r in results])
+        steps = np.array([r.steps for r in results], dtype=float)
+        welfare = np.array([r.welfare for r in results])
+        # std is the population std over the trials
+        stats = tuple(map(float, (inst.mean(), inst.std(), comm.mean(), comm.std(),
+                                  steps.mean(), welfare.mean())))
+        count, status = len(results), "ok"
+    else:
+        stats, status = (None,) * 6, bad.status
+        count = 0 if status.startswith("skipped") else len(results)
+    return MetricsRow(cfg.experiment, focal_kind, *cell_shape(cfg, coords), count, *stats, status)
 
 
 def transcript_filename(focal_kind: str, coords: tuple[int, int], trial: int) -> str:
@@ -432,9 +420,9 @@ class SimConfig:
 
     env: EnvConfig
     focal_kind: str = "normative"
-    beta: float = 0.5
-    sanction_threshold: float = 0.6
-    observe_others: bool = True
+    beta: float = _BETA
+    sanction_threshold: float = _SANCTION_THRESHOLD
+    observe_others: bool = _OBSERVE_OTHERS
     oracle_kind: str = "scripted"
     chat: ChatConfig | None = None
 

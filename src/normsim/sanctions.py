@@ -38,7 +38,6 @@ import contextlib
 import itertools
 import math
 import operator
-import warnings
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
@@ -219,10 +218,7 @@ def apply_transform(sg: SanctionGame, classifiers: Sequence[int]) -> FiniteGame:
     """The base game with each player's realized sanction cost subtracted everywhere."""
     cls = _check_classifiers(sg, classifiers)
     cost = np.stack([_cost(sg, cls, (...,), i) for i in range(sg.num_players)], axis=-1)
-    with warnings.catch_warnings():
-        # sanctioned payoffs legitimately go negative; the range note is for inputs
-        warnings.simplefilter("ignore", games.PayoffRangeWarning)
-        return FiniteGame(sg.base.action_names, sg.base.payoffs - cost)
+    return FiniteGame(sg.base.action_names, sg.base.payoffs - cost)
 
 
 def is_dilemma_resolving(base: FiniteGame, transformed: FiniteGame, player: int) -> bool:
@@ -230,14 +226,11 @@ def is_dilemma_resolving(base: FiniteGame, transformed: FiniteGame, player: int)
     and every such deviation is strictly losing in the transformed game."""
     if base.num_actions != transformed.num_actions:
         raise ValueError("base and transformed games have different shapes")
+    games._check_player(base, player)
     sw = games.social_welfare_optimum(base)
-    opp = tuple(a for j, a in enumerate(sw) if j != player)
-    base_u = games._own_utilities(base, player, opp)
-    trans_u = games._own_utilities(transformed, player, opp)
-    profitable = [a for a in range(base.num_actions[player]) if base_u[a] > base_u[sw[player]]]
-    if not profitable:
-        return False
-    return all(trans_u[a] < trans_u[sw[player]] for a in profitable)
+    base_u, trans_u = games._own_row(base, sw, player), games._own_row(transformed, sw, player)
+    profitable = base_u > base_u[sw[player]]
+    return bool(profitable.any() and (trans_u[profitable] < trans_u[sw[player]]).all())
 
 
 def sanction_minimax(sg: SanctionGame, base_profile: Sequence[int], player: int) -> float:
@@ -316,13 +309,8 @@ def theorem1_feasibility(sg: SanctionGame, target: Sequence[int]) -> Feasibility
     target = games._check_profile(sg.base, target)
     players = []
     for i in range(sg.num_players):
-        delta = games.deviation_incentive(sg.base, target, i)
-        if delta == 0.0:
-            punish = target
-        else:
-            opp = tuple(a for j, a in enumerate(target) if j != i)
-            best = min(games.best_response_set(sg.base, i, opp))
-            punish = target[:i] + (best,) + target[i + 1 :]
+        delta, best = games._incentive(sg.base, target, i)
+        punish = target if delta == 0.0 else target[:i] + (best,) + target[i + 1 :]
         minimax = sanction_minimax(sg, punish, i)
         players.append(PlayerFeasibility(i, delta, minimax, punish, delta == 0.0 or -delta > minimax))
     all_enforceable = all(p.enforceable for p in players)

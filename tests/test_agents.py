@@ -601,7 +601,7 @@ def test_build_roster():
     roster = agents.build_roster(follow_cfg, "normative", beta=0.3, observe_others=False)
     assert isinstance(roster[0], agents.NormativeAgent)
     assert roster[0].state.beta == 0.3 and roster[0].observe_others is False
-    assert [a.institution_id for a in roster[1:]] == [0, 0]
+    assert [a.crowd.institution_id for a in roster[1:]] == [0, 0]
 
     roster = agents.build_roster(follow_cfg, "baseline")
     assert isinstance(roster[0], agents.BaselineAgent)
@@ -623,13 +623,13 @@ def test_build_roster():
         num_background=2,
         background_mode="defy_institution",
     )
-    assert [a.defy_crop for a in agents.build_roster(defy0, "normative")[1:]] == [1, 1]
+    assert [a.crowd.defy_crop for a in agents.build_roster(defy0, "normative")[1:]] == [1, 1]
     defy2 = orchard.EnvConfig(
         institutions=(institutions.make_institution(0, crop=2),),
         num_background=1,
         background_mode="defy_institution",
     )
-    assert agents.build_roster(defy2, "normative")[1].defy_crop == 0
+    assert agents.build_roster(defy2, "normative")[1].crowd.defy_crop == 0
     # a defied rotation that reaches the defiers' crop (bananas, at step 1)
     clash = orchard.EnvConfig(
         institutions=(institutions.Institution(0, "Ophilia", institutions.RotatingDeclaration((0, 1))),),

@@ -51,6 +51,29 @@ def test_analyze_text(game_file, capsys):
     )
 
 
+def test_analyze_notes_the_payoff_range_of_each_loaded_file(
+    game_file, sanctions_file, tmp_path, capsys
+):
+    """A game inside [0, 1] gets no note, and a sanctions file that fails to
+    load gets its error line alone."""
+    inside = tmp_path / "inside.json"
+    inside.write_text(json.dumps(
+        {"players": 1, "actions": [["a", "b"]], "utilities": {"a": [0.0], "b": [1.0]}}
+    ))
+    code, _, err = run(capsys, "analyze", str(inside))
+    assert (code, err) == (0, "")
+    rejected = tmp_path / "rejected.json"
+    obj = json.loads(sanctions_file.read_text())
+    obj["classifiers"][0] = [entry for entry in obj["classifiers"][0] if entry["sanctions"]]
+    rejected.write_text(json.dumps(obj))
+    code, _, err = run(capsys, "analyze", str(game_file), "--sanctions", str(rejected))
+    assert code == 2
+    assert err == (
+        f"warning: {game_file}: payoffs fall outside [0, 1]; the game is kept as-is\n"
+        f"{rejected}: player 0's menu lacks a never-sanction entry\n"
+    )
+
+
 def test_analyze_feasibility(game_file, sanctions_file, capsys):
     code, out, _ = run(capsys, "analyze", str(game_file), "--sanctions", str(sanctions_file))
     assert code == 0

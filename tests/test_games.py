@@ -71,11 +71,6 @@ def test_no_dilemma_when_optimum_is_nash():
     assert all(p.witness is None for p in report.incentives)
 
 
-def test_payoff_range_warning():
-    with pytest.warns(games.PayoffRangeWarning):
-        games.game_from_table([["a", "b"]], {(0,): [2.0], (1,): [0.0]})
-
-
 def test_payoffs_are_read_only(pd):
     with pytest.raises(ValueError):
         pd.payoffs[0, 0, 0] = 99.0

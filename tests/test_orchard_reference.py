@@ -242,17 +242,17 @@ def ref_background_policy(obs, mode, my_institution=None, defy_crop=None):
 
 class ReferenceBackgroundAgent(agents.BackgroundAgent):
     def _policy(self, obs):
-        return ref_background_policy(obs, self.mode, self.institution_id, self.defy_crop)
+        return ref_background_policy(obs, *self.crowd)
 
     def discuss(self, obs):
         _, criticisms = self._policy(obs)
         if criticisms:
             return " ".join(c.text for c in criticisms), criticisms
-        sig = _signal_for(obs, self.institution_id)
-        if self.mode == "follow_authoritative":
+        sig = _signal_for(obs, self.crowd.institution_id)
+        if self.crowd.mode == "follow_authoritative":
             text = FOLLOW_IDLE.format(institution=sig.name, crop=obs.crop_names[sig.crop])
         else:
-            text = DEFY_IDLE.format(crop=obs.crop_names[self.defy_crop])
+            text = DEFY_IDLE.format(crop=obs.crop_names[self.crowd.defy_crop])
         return text, ()
 
     def act(self, obs):
@@ -280,9 +280,7 @@ def reference_roster(roster):
     out = []
     for agent in roster:
         if isinstance(agent, agents.BackgroundAgent):
-            agent = ReferenceBackgroundAgent(
-                agent.index, agent.mode, agent.institution_id, agent.defy_crop
-            )
+            agent = ReferenceBackgroundAgent(agent.index, *agent.crowd)
         elif isinstance(agent, agents.NormativeAgent):
             state = agent.state
             agent = ReferenceNormativeAgent(

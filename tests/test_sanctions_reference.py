@@ -1,8 +1,9 @@
-"""The array-based sanction layer against the scalar loops it replaced.
+"""The array-based sanction layer against the scalar loops it replaced, and
+the game layer against its per-call checks and per-caller incentive rules.
 
-The `ref_*` functions below are the earlier per-pair implementations, kept
-verbatim as the reference. Every float is compared exactly, the sign of zero
-included, over seeded random games and menus.
+The `ref_*` functions below are the earlier implementations, kept verbatim as
+the reference. Every float is compared exactly, the sign of zero included,
+over seeded random games and menus; errors are compared by type and text.
 """
 import itertools
 import math
@@ -16,6 +17,8 @@ from normsim.games import FiniteGame
 from normsim.sanctions import (
     CE_TOLERANCE,
     CEReport,
+    FeasibilityReport,
+    PlayerFeasibility,
     _check_classifiers,
     enumerate_classifier_profiles,
     non_resolving_witness,
@@ -118,6 +121,97 @@ def ref_verify_correlated_equilibrium(sg, advice, base_profile, mode="literal"):
 
 
 # ---------------------------------------------------------------------------
+# Reference: the game layer, each call checking its own opponents
+# ---------------------------------------------------------------------------
+
+
+def ref_own_utilities(game, player, opponents):
+    opp = tuple(opponents)
+    if not 0 <= player < game.num_players:
+        raise ValueError(f"no player {player}")
+    if len(opp) != game.num_players - 1:
+        raise ValueError(
+            f"expected {game.num_players - 1} opponent actions, got {len(opp)}"
+        )
+    counts = game.num_actions
+    others = [i for i in range(game.num_players) if i != player]
+    for i, a in zip(others, opp):
+        if not 0 <= a < counts[i]:
+            raise ValueError(f"action {a} out of range for player {i}")
+    index = opp[:player] + (slice(None),) + opp[player:]
+    return game.payoffs[index + (player,)]
+
+
+def ref_best_response_set(game, player, opponents):
+    utils = ref_own_utilities(game, player, opponents)
+    return tuple(int(a) for a in np.flatnonzero(utils == utils.max()))
+
+
+def ref_deviation_incentive(game, profile, player):
+    profile = games._check_profile(game, profile)
+    opp = tuple(a for j, a in enumerate(profile) if j != player)
+    utils = ref_own_utilities(game, player, opp)
+    return float(utils.max() - utils[profile[player]])
+
+
+def ref_is_nash(game, profile):
+    return all(
+        ref_deviation_incentive(game, profile, i) == 0.0 for i in range(game.num_players)
+    )
+
+
+def ref_detect_cooperation_dilemma(game):
+    sw = games.social_welfare_optimum(game)
+    incentives = []
+    for i in range(game.num_players):
+        gain = ref_deviation_incentive(game, sw, i)
+        witness = None
+        if gain > 0.0:
+            opp = tuple(a for j, a in enumerate(sw) if j != i)
+            witness = min(ref_best_response_set(game, i, opp))
+        incentives.append(games.PlayerIncentive(player=i, gain=gain, witness=witness))
+    return games.DilemmaReport(
+        sw_profile=sw,
+        sw_total=float(game.payoffs[sw].sum()),
+        incentives=tuple(incentives),
+        dilemma_players=tuple(p.player for p in incentives if p.gain > 0.0),
+    )
+
+
+def ref_is_dilemma_resolving(base, transformed, player):
+    if base.num_actions != transformed.num_actions:
+        raise ValueError("base and transformed games have different shapes")
+    sw = games.social_welfare_optimum(base)
+    opp = tuple(a for j, a in enumerate(sw) if j != player)
+    base_u = ref_own_utilities(base, player, opp)
+    trans_u = ref_own_utilities(transformed, player, opp)
+    profitable = [a for a in range(base.num_actions[player]) if base_u[a] > base_u[sw[player]]]
+    if not profitable:
+        return False
+    return all(trans_u[a] < trans_u[sw[player]] for a in profitable)
+
+
+def ref_theorem1_feasibility(sg, target):
+    target = games._check_profile(sg.base, target)
+    players = []
+    for i in range(sg.num_players):
+        delta = ref_deviation_incentive(sg.base, target, i)
+        if delta == 0.0:
+            punish = target
+        else:
+            opp = tuple(a for j, a in enumerate(target) if j != i)
+            best = min(ref_best_response_set(sg.base, i, opp))
+            punish = target[:i] + (best,) + target[i + 1 :]
+        minimax = sanctions.sanction_minimax(sg, punish, i)
+        players.append(PlayerFeasibility(i, delta, minimax, punish, delta == 0.0 or -delta > minimax))
+    all_enforceable = all(p.enforceable for p in players)
+    witness = sanctions.find_nash_witness(sg, target) if all_enforceable else None
+    return FeasibilityReport(
+        target=target, players=tuple(players), enforceable=all_enforceable, witness=witness
+    )
+
+
+# ---------------------------------------------------------------------------
 # Exact comparison
 # ---------------------------------------------------------------------------
 
@@ -139,6 +233,42 @@ def same_report(a: CEReport, b: CEReport) -> bool:
     )
 
 
+def same_dilemma(a: games.DilemmaReport, b: games.DilemmaReport) -> bool:
+    return (
+        (a.sw_profile, a.dilemma_players) == (b.sw_profile, b.dilemma_players)
+        and same_float(a.sw_total, b.sw_total)
+        and len(a.incentives) == len(b.incentives)
+        and all(
+            (p.player, p.witness) == (q.player, q.witness) and same_float(p.gain, q.gain)
+            for p, q in zip(a.incentives, b.incentives)
+        )
+    )
+
+
+def same_feasibility(a: FeasibilityReport, b: FeasibilityReport) -> bool:
+    return (
+        (a.target, a.enforceable, a.witness) == (b.target, b.enforceable, b.witness)
+        and len(a.players) == len(b.players)
+        and all(
+            (p.player, p.punish_profile, p.enforceable) == (q.player, q.punish_profile, q.enforceable)
+            and same_float(p.delta, q.delta)
+            and same_float(p.minimax, q.minimax)
+            for p, q in zip(a.players, b.players)
+        )
+    )
+
+
+def raised(fn, *args) -> tuple[type, str]:
+    """The type and text of the exception `fn(*args)` raises."""
+    with pytest.raises(Exception) as info:
+        fn(*args)
+    return info.type, str(info.value)
+
+
+def same_error(fn, ref, *args) -> None:
+    assert raised(fn, *args) == raised(ref, *args)
+
+
 # ---------------------------------------------------------------------------
 # Random games, menus and advice
 # ---------------------------------------------------------------------------
@@ -151,6 +281,13 @@ def random_game(rng) -> FiniteGame:
     counts = tuple(int(rng.integers(1, 4)) for _ in range(int(rng.integers(1, 4))))
     names = [[f"p{i}a{k}" for k in range(c)] for i, c in enumerate(counts)]
     return FiniteGame(names, rng.choice(PAYOFFS, size=counts + (len(counts),)))
+
+
+def integer_game(seed, like: FiniteGame) -> FiniteGame:
+    """A game shaped like `like` with integer payoffs in [-2, 2], so that best
+    responses tie often; its generator is its own, apart from the seed's."""
+    rng = np.random.default_rng((seed, 1))
+    return FiniteGame(like.action_names, rng.integers(-2, 3, size=like.payoffs.shape).astype(float))
 
 
 def random_menu(rng, game, owner, max_size):
@@ -229,6 +366,62 @@ def test_matches_scalar_reference(seed):
                 sanctions.verify_correlated_equilibrium(sg, advice, base_profile, mode),
                 ref_verify_correlated_equilibrium(sg, advice, base_profile, mode),
             )
+    cls = random_profile(rng, sizes)
+    for base in (sg.base, integer_game(seed, sg.base)):
+        check_game_layer(sanctions.SanctionGame(base=base, menus=sg.menus), cls)
+
+
+def check_game_layer(sg, cls):
+    """Every profile and player of `sg.base` through the game layer, the
+    transform by `cls` through the resolution test, and each error path."""
+    base, n, counts = sg.base, sg.num_players, sg.base.num_actions
+    transformed = sanctions.apply_transform(sg, cls)
+    assert same_dilemma(
+        games.detect_cooperation_dilemma(base), ref_detect_cooperation_dilemma(base)
+    )
+    for i in range(n):
+        for other in (base, transformed):
+            assert sanctions.is_dilemma_resolving(base, other, i) is ref_is_dilemma_resolving(
+                base, other, i
+            )
+    for profile in games.enumerate_profiles(base):
+        assert games.is_nash(base, profile) is ref_is_nash(base, profile)
+        assert same_feasibility(
+            sanctions.theorem1_feasibility(sg, profile), ref_theorem1_feasibility(sg, profile)
+        )
+        for i in range(n):
+            assert same_float(
+                games.deviation_incentive(base, profile, i),
+                ref_deviation_incentive(base, profile, i),
+            )
+            opp = profile[:i] + profile[i + 1 :]
+            assert games.best_response_set(base, i, opp) == ref_best_response_set(base, i, opp)
+
+    zero = (0,) * n
+    for player in (-1, n):  # no such player, named before a wrong opponent count
+        for opp in (zero[1:], zero):
+            same_error(games.best_response_set, ref_best_response_set, base, player, opp)
+        same_error(games.deviation_incentive, ref_deviation_incentive, base, zero, player)
+        same_error(sanctions.is_dilemma_resolving, ref_is_dilemma_resolving, base, transformed, player)
+    for wrong in (zero, zero[2:]) if n > 1 else (zero,):  # too many or too few opponents
+        same_error(games.best_response_set, ref_best_response_set, base, 0, wrong)
+    for wrong in (zero[1:], zero + (0,)):  # a profile of the wrong length
+        same_error(games.is_nash, ref_is_nash, base, wrong)
+        same_error(games.deviation_incentive, ref_deviation_incentive, base, wrong, 0)
+        same_error(sanctions.theorem1_feasibility, ref_theorem1_feasibility, sg, wrong)
+    for i in range(n):
+        for a in (-1, counts[i]):  # player i's action out of range
+            bad = zero[:i] + (a,) + zero[i + 1 :]
+            same_error(games.is_nash, ref_is_nash, base, bad)
+            same_error(sanctions.theorem1_feasibility, ref_theorem1_feasibility, sg, bad)
+            for player in range(n):
+                same_error(games.deviation_incentive, ref_deviation_incentive, base, bad, player)
+                if player != i:
+                    opp = bad[:player] + bad[player + 1 :]
+                    same_error(games.best_response_set, ref_best_response_set, base, player, opp)
+    # the shapes are checked before the player
+    other = FiniteGame(base.action_names + (("x",),), np.zeros(counts + (1, n + 1)))
+    same_error(sanctions.is_dilemma_resolving, ref_is_dilemma_resolving, base, other, n)
 
 
 def test_random_cases_exercise_every_branch():
@@ -248,6 +441,20 @@ def test_random_cases_exercise_every_branch():
             reports.add((mode, report.holds))
     assert witnesses == {"none", "never", "other"}
     assert len(reports) == 4
+
+
+def test_integer_games_tie_at_the_optimum():
+    """In some of the integer games above, a player who gains by leaving the
+    welfare optimum has tied best responses there, so the lowest one is named."""
+    tied = 0
+    for seed in range(300):
+        game = integer_game(seed, random_sanction_game(np.random.default_rng(seed)).base)
+        report = games.detect_cooperation_dilemma(game)
+        sw = report.sw_profile
+        for p in report.incentives:
+            opp = sw[: p.player] + sw[p.player + 1 :]
+            tied += p.witness is not None and len(games.best_response_set(game, p.player, opp)) > 1
+    assert tied
 
 
 # ---------------------------------------------------------------------------
