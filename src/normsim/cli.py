@@ -54,22 +54,62 @@ def _fail(message: str) -> int:
     return 2
 
 
+def _made_out(path) -> bool:
+    """Make the `--out` directory; if it cannot be made, print why and give False."""
+    try:
+        Path(path).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"unusable --out directory: {exc}", file=sys.stderr)
+        return False
+    return True
+
+
 # ---------------------------------------------------------------------------
 # analyze
 # ---------------------------------------------------------------------------
-
-
-def _feasibility_dict(game, report) -> dict:
-    players = [
-        {**vars(p), "punish_profile": profile_key(game, p.punish_profile)} for p in report.players
-    ]
-    return {**vars(report), "target": profile_key(game, report.target), "players": players}
 
 
 def _note_range(path, game) -> None:
     """Note on stderr a loaded file whose payoffs leave [0, 1]; the game is analyzed as it is."""
     if game.payoffs.min() < 0.0 or game.payoffs.max() > 1.0:
         print(f"warning: {path}: payoffs fall outside [0, 1]; the game is kept as-is", file=sys.stderr)
+
+
+def _analyze_lines(report: dict) -> list[str]:
+    """The text rendering of the report that `analyze --json` prints."""
+    game, dilemma = report["game"], report["dilemma"]
+    actions = " x ".join("|".join(a) for a in game["actions"])
+    lines = [
+        f"game: {game['players']} players, actions {actions}",
+        f"social welfare optimum: {dilemma['sw_profile']} (total {dilemma['sw_total']:g})",
+    ]
+    if dilemma["has_dilemma"]:
+        players = ", ".join(map(str, dilemma["dilemma_players"]))
+        gains = ", ".join(f"{p['gain']:g}" for p in dilemma["incentives"] if p["gain"] > 0.0)
+        lines.append(f"cooperation dilemma: yes — players {players}; deviation gains {gains}")
+    else:
+        lines.append("cooperation dilemma: no — the welfare optimum is stable")
+    feasibility = report["feasibility"]
+    if feasibility is not None:
+        lines.append(f"feasibility at {feasibility['target']}:")
+        for p in feasibility["players"]:
+            verdict = "enforceable" if p["enforceable"] else "NOT enforceable"
+            lines.append(f"  player {p['player']}: delta {p['delta']:g}, minimax {p['minimax']:g}, "
+                         f"punishing profile {p['punish_profile']} -> {verdict}")
+        if not feasibility["enforceable"]:
+            lines.append("enforceable: no")
+        elif feasibility["witness"] is None:
+            lines.append("enforceable: yes (all players); no witness classifier profile in the menus")
+        else:
+            witness = ",".join(map(str, feasibility["witness"]))
+            lines.append(f"enforceable: yes (all players); witness classifier indices {witness}")
+    advice = report["advice"]
+    if advice is not None:
+        verdict = "holds" if advice["holds"] else (
+            f"VIOLATED — worst_violation {advice['worst_violation']:g} "
+            f"(player {advice['violating_player']}, deviation {advice['violating_deviation']})")
+        lines.append(f"advice check ({advice['mode']}): {verdict}")
+    return lines
 
 
 def cmd_analyze(args) -> int:
@@ -104,70 +144,34 @@ def cmd_analyze(args) -> int:
     except GameFormatError as exc:
         return _fail(str(exc))
 
+    report = {
+        "game": {"players": game.num_players, "actions": [list(a) for a in game.action_names]},
+        "dilemma": {
+            "sw_profile": profile_key(game, dilemma.sw_profile),
+            "sw_total": dilemma.sw_total,
+            "has_dilemma": dilemma.has_dilemma,
+            "dilemma_players": list(dilemma.dilemma_players),
+            "incentives": [
+                {
+                    "player": p.player,
+                    "gain": p.gain,
+                    "witness": None if p.witness is None else game.action_names[p.player][p.witness],
+                }
+                for p in dilemma.incentives
+            ],
+        },
+        "feasibility": {
+            **vars(feasibility),
+            "target": profile_key(game, feasibility.target),
+            "players": [{**vars(p), "punish_profile": profile_key(game, p.punish_profile)}
+                        for p in feasibility.players],
+        } if feasibility else None,
+        "advice": vars(advice_report) if advice_report else None,
+    }
     if args.json:
-        payload = {
-            "game": {
-                "players": game.num_players,
-                "actions": [list(a) for a in game.action_names],
-            },
-            "dilemma": {
-                "sw_profile": profile_key(game, dilemma.sw_profile),
-                "sw_total": dilemma.sw_total,
-                "has_dilemma": dilemma.has_dilemma,
-                "dilemma_players": list(dilemma.dilemma_players),
-                "incentives": [
-                    {
-                        "player": p.player,
-                        "gain": p.gain,
-                        "witness": game.action_names[p.player][p.witness]
-                        if p.witness is not None
-                        else None,
-                    }
-                    for p in dilemma.incentives
-                ],
-            },
-            "feasibility": _feasibility_dict(game, feasibility) if feasibility else None,
-            "advice": vars(advice_report) if advice_report else None,
-        }
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        print(json.dumps(report, indent=2, sort_keys=True))
     else:
-        actions = " x ".join("|".join(a) for a in game.action_names)
-        print(f"game: {game.num_players} players, actions {actions}")
-        print(
-            f"social welfare optimum: {profile_key(game, dilemma.sw_profile)} "
-            f"(total {dilemma.sw_total:g})"
-        )
-        if dilemma.has_dilemma:
-            players = ", ".join(str(p) for p in dilemma.dilemma_players)
-            gains = ", ".join(
-                f"{p.gain:g}" for p in dilemma.incentives if p.gain > 0.0
-            )
-            print(f"cooperation dilemma: yes — players {players}; deviation gains {gains}")
-        else:
-            print("cooperation dilemma: no — the welfare optimum is stable")
-        if feasibility is not None:
-            print(f"feasibility at {profile_key(game, feasibility.target)}:")
-            for p in feasibility.players:
-                verdict = "enforceable" if p.enforceable else "NOT enforceable"
-                print(
-                    f"  player {p.player}: delta {p.delta:g}, minimax {p.minimax:g}, "
-                    f"punishing profile {profile_key(game, p.punish_profile)} -> {verdict}"
-                )
-            if feasibility.enforceable:
-                witness = ",".join(str(i) for i in feasibility.witness)
-                print(f"enforceable: yes (all players); witness classifier indices {witness}")
-            else:
-                print("enforceable: no")
-        if advice_report is not None:
-            if advice_report.holds:
-                print(f"advice check ({advice_report.mode}): holds")
-            else:
-                print(
-                    f"advice check ({advice_report.mode}): VIOLATED — "
-                    f"worst_violation {advice_report.worst_violation:g} "
-                    f"(player {advice_report.violating_player}, "
-                    f"deviation {advice_report.violating_deviation})"
-                )
+        print("\n".join(_analyze_lines(report)))
     if advice_report is not None and not advice_report.holds:
         return 1
     return 0
@@ -224,8 +228,9 @@ def cmd_simulate(args) -> int:
         print(f"episode failed: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 
+    if not _made_out(args.out):  # a failed episode leaves no directory behind
+        return 2
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     (out / "transcript.txt").write_text(render_transcript(history, sim.env), encoding="utf-8")
     save_episode(history, sim.env, out / "episode.json")
 
@@ -260,7 +265,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_experiment(args) -> int:
     cfg = _load_config(harness.parse_experiment_config, args.config)
-    if cfg is None:
+    if cfg is None or not _made_out(args.out):
         return 2
     rows = harness.run_experiment(cfg, args.out, jobs=args.jobs)
     failed = [r for r in rows if r.status.startswith("failed")]
@@ -289,18 +294,16 @@ def cmd_report(args) -> int:
             rows.extend(harness.load_metrics(path))
     except (OSError, ValueError) as exc:
         return _fail(f"unusable metrics file: {exc}")
+    if args.out and not _made_out(args.out):
+        return 2
     cells = harness.build_comparison(rows)
     if args.json:
         print(json.dumps(cells, indent=2, sort_keys=True))
     else:
         print(harness.comparison_table(cells))
     if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        header = harness.COMPARISON_HEADER.split(",")
-        lines = [harness.COMPARISON_HEADER]
-        lines += [",".join(harness.format_value(cell[c]) for c in header) for cell in cells]
-        (out / "comparison.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        lines = map(",".join, harness.comparison_rows(cells))
+        (Path(args.out) / "comparison.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
     return 0
 
 

@@ -24,7 +24,7 @@ import json
 import math
 import os
 from dataclasses import asdict, dataclass, fields
-from itertools import product, repeat
+from itertools import product, repeat, zip_longest
 from pathlib import Path
 
 import numpy as np
@@ -558,21 +558,21 @@ def load_metrics(path) -> list[dict]:
     return rows
 
 
-COMPARISON_HEADER = (
-    "experiment,num_crops,num_background,num_institutions,"
-    "normative_alignment_inst,baseline_alignment_inst,"
-    "normative_alignment_comm,baseline_alignment_comm,"
-    "normative_welfare,baseline_welfare"
+_COMPARISON_COLUMNS = (
+    "experiment", "num_crops", "num_background", "num_institutions",
+    "normative_alignment_inst", "baseline_alignment_inst",
+    "normative_alignment_comm", "baseline_alignment_comm",
+    "normative_welfare", "baseline_welfare",
 )
+COMPARISON_HEADER = ",".join(_COMPARISON_COLUMNS)
 
 
 def build_comparison(rows: list[dict]) -> list[dict]:
     """Fold per-kind rows into one normative-vs-baseline row per cell."""
-    columns = COMPARISON_HEADER.split(",")
     cells: dict[tuple, dict] = {}
     for row in rows:
-        key = tuple(row[c] for c in columns[:4])  # the cell: experiment and shape
-        cell = cells.setdefault(key, {**dict.fromkeys(columns), **dict(zip(columns, key))})
+        key = tuple(row[c] for c in _COMPARISON_COLUMNS[:4])  # the cell: experiment and shape
+        cell = cells.setdefault(key, dict(zip_longest(_COMPARISON_COLUMNS, key)))
         kind = row["focal_kind"]
         cell[f"{kind}_alignment_inst"] = row["alignment_inst_mean"]
         cell[f"{kind}_alignment_comm"] = row["alignment_comm_mean"]
@@ -582,13 +582,15 @@ def build_comparison(rows: list[dict]) -> list[dict]:
     ))
 
 
+def comparison_rows(cells: list[dict]) -> list[list[str]]:
+    """The comparison's header, then each cell's formatted values."""
+    header = list(_COMPARISON_COLUMNS)
+    return [header] + [[format_value(cell[c]) for c in header] for cell in cells]
+
+
 def comparison_table(cells: list[dict]) -> str:
     """The comparison as an aligned text table."""
-    columns = COMPARISON_HEADER.split(",")
-    table = [columns]
-    for cell in cells:
-        table.append([format_value(cell[c]) for c in columns])
-    widths = [max(len(row[i]) for row in table) for i in range(len(columns))]
-    lines = ["  ".join(value.ljust(widths[i]) for i, value in enumerate(row)).rstrip()
-             for row in table]
-    return "\n".join(lines)
+    table = comparison_rows(cells)
+    widths = [max(map(len, column)) for column in zip(*table)]
+    return "\n".join("  ".join(value.ljust(w) for value, w in zip(row, widths)).rstrip()
+                     for row in table)

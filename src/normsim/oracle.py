@@ -80,34 +80,21 @@ class OracleResponse:
 
 def render_context(obs: Observation) -> str:
     """The observation as prompt text. Pure function of the observation."""
+    names, crops = obs.agent_names, obs.crop_names
+    sections = {
+        "Institution signals:": [f"{sig.name}'s Message: {sig.text}" for sig in obs.signals],
+        "Last step's harvests:": [f"{names[i]}: {crops[crop]}"
+                                  for i, crop in enumerate(obs.last_step_actions)],
+        "Criticisms heard last step:": [
+            f"{names[c.sender]} criticized {names[c.target]} for harvesting "
+            f"{crops[c.criticized_crop]}." for c in obs.last_step_criticisms],
+        "Discussion so far this step:": [f'{names[entry.speaker]}: "{entry.text}"'
+                                         for entry in obs.discussion_so_far],
+    }
     lines = [f"Time step {obs.t}."]
-    lines.append("Institution signals:")
-    if obs.signals:
-        for sig in obs.signals:
-            lines.append(f"  {sig.name}'s Message: {sig.text}")
-    else:
-        lines.append("  (none)")
-    lines.append("Last step's harvests:")
-    if obs.last_step_actions:
-        for i, crop in enumerate(obs.last_step_actions):
-            lines.append(f"  {obs.agent_names[i]}: {obs.crop_names[crop]}")
-    else:
-        lines.append("  (none)")
-    lines.append("Criticisms heard last step:")
-    if obs.last_step_criticisms:
-        for c in obs.last_step_criticisms:
-            lines.append(
-                f"  {obs.agent_names[c.sender]} criticized {obs.agent_names[c.target]} "
-                f"for harvesting {obs.crop_names[c.criticized_crop]}."
-            )
-    else:
-        lines.append("  (none)")
-    lines.append("Discussion so far this step:")
-    if obs.discussion_so_far:
-        for entry in obs.discussion_so_far:
-            lines.append(f'  {obs.agent_names[entry.speaker]}: "{entry.text}"')
-    else:
-        lines.append("  (none)")
+    for title, entries in sections.items():
+        lines.append(title)
+        lines += [f"  {entry}" for entry in entries] or ["  (none)"]
     return "\n".join(lines)
 
 

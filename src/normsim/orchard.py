@@ -42,13 +42,9 @@ BACKGROUND_NAMES = (
     "John", "Anthony", "Jane", "Darcy", "Maya", "Noah", "Petra", "Quinn", "Rosa", "Sam",
 )
 
-_SINGULAR = {
-    "apples": "apple",
-    "bananas": "banana",
-    "peaches": "peach",
-    "oranges": "orange",
-    "plums": "plum",
-}
+# The transcript's harvest line for each crop of CROP_NAMES, by crop index.
+_HARVEST_LABELS = tuple(f"Harvest {fruit} from {fruit} tree"
+                        for fruit in ("apple", "banana", "peach", "orange", "plum"))
 
 BACKGROUND_MODES = ("follow_authoritative", "defy_institution")
 WELFARE_OVERFLOW = ("of worst-case welfare overflow a float: lower the rewards, "
@@ -63,12 +59,6 @@ def raise_violations(violations: list[str]) -> None:
     """Raise one ValueError whose lines are all the violations found, if any."""
     if violations:
         raise ValueError("\n".join(violations))
-
-
-def singular_crop(name: str) -> str:
-    if name in _SINGULAR:
-        return _SINGULAR[name]
-    return name[:-2] if name.endswith("es") else name.rstrip("s")
 
 
 @dataclass(frozen=True)
@@ -95,6 +85,12 @@ class EnvConfig:
         violations = []
         if not 2 <= self.num_crops <= len(CROP_NAMES):
             violations.append(f"num_crops must be in [2, {len(CROP_NAMES)}]")
+        else:  # a declaration may name only crops of that list
+            for inst in self.institutions:
+                crops = getattr(inst.policy, "crops", None) or (inst.policy.crop,)
+                outside = next((c for c in crops if not 0 <= c < self.num_crops), None)
+                if outside is not None:
+                    violations.append(f"{inst.name} declares crop {outside}, outside the crop list")
         if len(self.institution_ids) != len(self.institutions):
             violations.append("institution ids must be unique")
         if self.num_background < 0:
@@ -370,7 +366,6 @@ def render_transcript(history: Sequence[WorldState], cfg: EnvConfig) -> str:
     """The village-journal text for a full episode, from the focal agent's seat."""
     names = roster_names(cfg)
     per_turn = len(names)
-    harvest = [f"Harvest {fruit} from {fruit} tree" for fruit in map(singular_crop, cfg.crop_names)]
     steps = []
     for state in history:
         lines = [_RULE, f"Time: {_clock_label(state.t)}", _RULE, "",
@@ -384,7 +379,7 @@ def render_transcript(history: Sequence[WorldState], cfg: EnvConfig) -> str:
                 lines.append(f'{prefix}{names[entry.speaker]}: "{entry.text}"')
             lines.append("")
         lines.append("ACTIONS:")
-        lines += [f"{names[idx]}: {harvest[crop]}" for idx, crop in enumerate(state.actions)]
+        lines += [f"{names[idx]}: {_HARVEST_LABELS[crop]}" for idx, crop in enumerate(state.actions)]
         lines.append("\n")  # a blank line closes the step
         steps.append("\n".join(lines))
     return "".join(steps)

@@ -689,6 +689,25 @@ def test_experiment_and_report(tmp_path, capsys):
     assert cells[0]["baseline_alignment_comm"] is not None
 
 
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_experiment_json_prints_the_rows_of_metrics_json(tmp_path, capsys, jobs):
+    config = write_config(tmp_path, {
+        "experiment": "multi_institution",
+        "focal": ["normative", "baseline"],
+        "num_institutions_grid": [1, 2],
+        "num_background_grid": [2],
+        "trials": 2,
+        "env": {"max_timesteps": 4, "eval_window": 2},
+    }, "exp.json")
+    out_dir = tmp_path / "exp_out"
+    code, out, err = run(capsys, "experiment", str(config), "--out", str(out_dir),
+                         "--jobs", jobs, "--json")
+    assert (code, err) == (0, "")
+    rows = json.loads((out_dir / "metrics.json").read_text())["rows"]
+    assert len(rows) == 4
+    assert out == json.dumps(rows, indent=2, sort_keys=True) + "\n"
+
+
 def test_experiment_config_error(tmp_path, capsys):
     config = write_config(tmp_path, {"experiment": "bake_off"}, "bad.json")
     code, _, err = run(capsys, "experiment", str(config))
@@ -757,3 +776,24 @@ def test_report_rejects_unusable_rows(tmp_path, capsys, name, text):
     code, out, err = run(capsys, "report", str(bad))
     assert (code, out) == (2, "")
     assert len(err.splitlines()) == 1 and err.startswith(f"unusable metrics file: {bad}: row ")
+
+
+def test_unusable_out_directory_exit_2(tmp_path, capsys):
+    """A file where `--out` (or its parent) should be a directory is one stderr line and exit 2."""
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    sim = write_config(tmp_path, SIM_CONFIG)
+    experiment = write_config(tmp_path, {
+        "experiment": "single_nonauthoritative", "num_crops_grid": [2], "num_background_grid": [1],
+        "trials": 1, "env": {"max_timesteps": 4, "eval_window": 2},
+    }, "exp.json")
+    metrics = tmp_path / "metrics.csv"
+    metrics.write_text(cli.harness.METRICS_HEADER + "\n")
+    for argv in (["simulate", str(sim)], ["experiment", str(experiment), "--jobs", "1"],
+                 ["report", str(metrics)]):
+        for out_dir in (taken, taken / "sub"):
+            code, out, err = run(capsys, *argv, "--out", str(out_dir))
+            assert (code, out) == (2, "")
+            assert len(err.splitlines()) == 1 and err.startswith("unusable --out directory: ")
+            assert str(taken) in err
+    assert taken.read_text() == ""

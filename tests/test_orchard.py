@@ -53,6 +53,25 @@ def test_env_config_validation():
         follow_cfg(max_timesteps=4, eval_window=5)
 
 
+def test_env_config_refuses_declarations_outside_the_crop_list():
+    """One line per institution that names a crop past num_crops, constant or rotating."""
+    rotating = institutions.Institution(
+        id=1, name="Bram", policy=institutions.RotatingDeclaration((0, 1, 7)))
+    with pytest.raises(ValueError) as info:
+        orchard.EnvConfig(
+            institutions=(institutions.make_institution(0, crop=3, authoritative=True), rotating,
+                          institutions.make_institution(2, crop=1)),
+            num_crops=2, num_background=2, max_timesteps=4, eval_window=2)
+    assert str(info.value).splitlines() == [
+        "Ophilia declares crop 3, outside the crop list",
+        "Bram declares crop 7, outside the crop list",
+    ]
+    inside = orchard.EnvConfig(institutions=(
+        institutions.Institution(id=0, name="Bram", policy=institutions.RotatingDeclaration((1, 0))),
+    ), num_crops=2)
+    assert inside.crop_names == ("apples", "bananas")
+
+
 def test_roster_names():
     assert orchard.roster_names(follow_cfg(num_background=2)) == ("Alice", "John", "Anthony")
     names = orchard.roster_names(follow_cfg(num_background=11))
