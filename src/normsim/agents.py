@@ -8,18 +8,21 @@ Three kinds of villager:
   criticize anyone who OBEYED the institution last step.
 - The baseline newcomer obeys an institution signal (picked uniformly at
   random when there are several) and never criticizes.
-- The normative newcomer keeps one expert per institution plus a
-  community-majority expert, each predicting whether a given crop draws
-  criticism. Expert weights update by the Weighted Majority rule (wrong,
-  non-abstaining experts are multiplied by beta). The agent harvests the crop
-  with the lowest weighted criticism vote and, once a single institution
-  expert holds more than `sanction_threshold` of the total weight, criticizes
-  deviations from that institution's declaration itself.
+- The normative newcomer keeps one expert per institution, named by that
+  institution's id, plus a community-majority expert, named None. Each expert
+  predicts whether a given crop draws criticism. Expert weights update by the
+  Weighted Majority rule (wrong, non-abstaining experts are multiplied by
+  beta). The agent harvests the crop with the lowest weighted criticism vote
+  and, once a single institution expert holds more than `sanction_threshold`
+  of the total weight, criticizes deviations from that institution's
+  declaration itself.
 
 Villagers of one kind (mode, institution, defiance crop) form a `Crowd` and act
 alike: the crowd's script for a step (crop, criticisms, idle line) gives every
-member's turn, so `orchard.step` builds it once per step for all of them. The
-learner finds each expert's safe crop once per update and once per choice.
+member's turn, so `orchard.step` builds it once per step for all of them. A
+village's background villagers form one crowd, which `build_roster` derives
+from the config by the same rules that `roster_violations` checks. The learner
+finds each expert's safe crop once per update and once per choice.
 """
 from __future__ import annotations
 
@@ -30,7 +33,8 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .orchard import Criticism, EnvConfig, Observation, crowd_entries, modal_crop, raise_violations
+from .orchard import (Criticism, EnvConfig, Observation, crowd_entries, others_modal_crop,
+                      raise_violations, signal_from)
 
 INSTITUTION_CRITICISM = (
     "{target}, I'm extremely disappointed in your continued disobedience of "
@@ -57,39 +61,14 @@ NORMATIVE_IDLE = "I'm watching what the community values before committing to a 
 _BETA, _SANCTION_THRESHOLD, _OBSERVE_OTHERS = 0.5, 0.6, True
 
 
-@dataclass(frozen=True)
-class Expert:
-    """A predictor of community criticism: one institution's declaration, or
-    the majority crop of the other agents."""
-
-    kind: str  # "institution" | "community"
-    institution_id: int | None = None
-
-    def __post_init__(self):
-        if self.kind not in ("institution", "community"):
-            raise ValueError(f"unknown expert kind {self.kind!r}")
-        if (self.kind == "institution") != (self.institution_id is not None):
-            raise ValueError("institution experts (and only they) need an institution_id")
-
-
-def _signal_for(obs: Observation, institution_id: int):
-    """The first signal `institution_id` sent this step; None if it sent none."""
-    return next((s for s in obs.signals if s.institution_id == institution_id), None)
-
-
-def _safe_crop(expert: Expert, obs: Observation) -> int | None:
+def _safe_crop(expert: int | None, obs: Observation) -> int | None:
     """The one crop `expert` predicts draws no criticism: its institution's
-    declaration, or the modal crop of the other agents' last actions (one O(N)
-    count). None = abstain."""
-    if expert.kind == "institution":
-        sig = _signal_for(obs, expert.institution_id)
+    declaration, or for the community expert (None) the modal crop of the other
+    agents' last actions (one O(N) count). None = abstain."""
+    if expert is not None:
+        sig = signal_from(obs.signals, expert)
         return None if sig is None else sig.crop
-    actions = obs.last_step_actions
-    others = Counter(actions)
-    if 0 <= obs.agent_index < len(actions):
-        others[actions[obs.agent_index]] -= 1
-    others = +others  # drops the agent's own crop if it was its only harvester
-    return modal_crop(others) if others else None
+    return others_modal_crop(obs.last_step_actions, obs.agent_index)
 
 
 def learner_violations(beta: float, sanction_threshold: float) -> list[str]:
@@ -104,9 +83,10 @@ def learner_violations(beta: float, sanction_threshold: float) -> list[str]:
 
 @dataclass(frozen=True)
 class NormativeState:
-    """The learned institutional parameters: positive per-expert weights."""
+    """The learned institutional parameters: positive per-expert weights. An
+    expert is the id of the institution it follows, or None for the community."""
 
-    experts: tuple[Expert, ...]
+    experts: tuple[int | None, ...]
     weights: tuple[float, ...]
     beta: float = _BETA  # multiplicative penalty for a wrong prediction
     sanction_threshold: float = _SANCTION_THRESHOLD  # weight share above which the agent sanctions
@@ -126,7 +106,7 @@ class NormativeState:
 def initial_state(institution_ids: Iterable[int], beta: float = _BETA,
                   sanction_threshold: float = _SANCTION_THRESHOLD) -> NormativeState:
     """Unit weights over one expert per institution plus the community expert."""
-    experts = tuple(Expert("institution", i) for i in institution_ids) + (Expert("community"),)
+    experts = tuple(institution_ids) + (None,)
     return NormativeState(
         experts=experts,
         weights=(1.0,) * len(experts),
@@ -161,13 +141,14 @@ def predict_sanction(ns: NormativeState, obs: Observation, action: int) -> Sanct
     return SanctionPrediction(action=action, probability=_sanction_vote(ns.weights, crops, action))
 
 
-def leading_institution(ns: NormativeState) -> tuple[Expert | None, float]:
-    """The heaviest institution expert (first on ties) and its share of ALL weight."""
+def leading_institution(ns: NormativeState) -> tuple[int | None, float]:
+    """The heaviest institution expert's id (first on ties) and its share of ALL
+    weight; None and 0 without institution experts."""
     total = sum(ns.weights)
-    best: Expert | None = None
+    best: int | None = None
     best_weight = -math.inf
     for expert, weight in zip(ns.experts, ns.weights):
-        if expert.kind == "institution" and weight > best_weight:
+        if expert is not None and weight > best_weight:
             best, best_weight = expert, weight
     if best is None:
         return None, 0.0
@@ -180,11 +161,11 @@ def sanction_criticisms(ns: NormativeState, obs: Observation) -> tuple[str, tupl
     deviations from that institution's declaration and says what a follower of
     it would say; with no criticism left it says its own idle line."""
     idle = NORMATIVE_ARRIVAL if obs.t == 0 else NORMATIVE_IDLE
-    expert, share = leading_institution(ns)
-    if (expert is None or share <= ns.sanction_threshold or not obs.last_step_actions
-            or _signal_for(obs, expert.institution_id) is None):
+    leader, share = leading_institution(ns)
+    if (leader is None or share <= ns.sanction_threshold or not obs.last_step_actions
+            or signal_from(obs.signals, leader) is None):
         return idle, ()
-    follow = Crowd("follow_authoritative", expert.institution_id)
+    follow = Crowd("follow_authoritative", leader)
     return follow.script(obs)._replace(idle=idle).turn(obs.agent_index)
 
 
@@ -275,23 +256,6 @@ def run_weighted_majority(
 # ---------------------------------------------------------------------------
 
 
-def _background_action(obs: Observation, mode: str, my_institution: int | None,
-                       defy_crop: int | None):
-    """(signal reacted to, crop harvested) of a background villager."""
-    if my_institution is None:
-        raise ValueError(f"{mode} mode needs an institution to react to")
-    sig = _signal_for(obs, my_institution)
-    if sig is None:
-        raise ValueError(f"no signal from institution {my_institution}")
-    if mode == "follow_authoritative":
-        return sig, sig.crop
-    if mode == "defy_institution":
-        if defy_crop is None or defy_crop == sig.crop:
-            raise ValueError("defy mode needs a defy_crop different from the declaration")
-        return sig, defy_crop
-    raise ValueError(f"unknown background mode {mode!r}")
-
-
 class _CrowdScript(NamedTuple):
     """What villagers of one kind do in one step. `criticisms` holds a (target,
     crop, text) per agent the kind criticizes; each villager skips itself."""
@@ -319,20 +283,30 @@ class Crowd(NamedTuple):
     def script(self, obs: Observation) -> _CrowdScript:
         """The crowd's script for `obs`'s step; O(N + criticisms)."""
         mode, my_institution, defy_crop = self
-        sig, action = _background_action(obs, mode, my_institution, defy_crop)
+        if my_institution is None:
+            raise ValueError(f"{mode} mode needs an institution to react to")
+        sig = signal_from(obs.signals, my_institution)
+        if sig is None:
+            raise ValueError(f"no signal from institution {my_institution}")
         names, crops = obs.agent_names, obs.crop_names
         follow = mode == "follow_authoritative"
         if follow:  # criticize last step's strays from the declaration
+            action, basis = sig.crop, my_institution
             idle = FOLLOW_IDLE.format(institution=sig.name, crop=crops[sig.crop])
             template, fields = INSTITUTION_CRITICISM, {"institution": sig.name}
-        else:  # criticize last step's obeyers on community grounds
+        elif mode == "defy_institution":  # criticize last step's obeyers on community grounds
+            if defy_crop is None or defy_crop == sig.crop:
+                raise ValueError("defy mode needs a defy_crop different from the declaration")
+            action, basis = defy_crop, None
             idle = DEFY_IDLE.format(crop=crops[defy_crop])
             template, fields = COMMUNITY_CRITICISM, {"expected": crops[defy_crop]}
+        else:
+            raise ValueError(f"unknown background mode {mode!r}")
         criticisms = tuple(
             (j, crop, template.format(target=names[j], crop=crops[crop], **fields))
             for j, crop in enumerate(obs.last_step_actions) if (crop != sig.crop) == follow
         )
-        return _CrowdScript(action, my_institution if follow else None, criticisms, idle)
+        return _CrowdScript(action, basis, criticisms, idle)
 
 
 def background_policy(obs: Observation, mode: str, my_institution: int | None = None,
@@ -424,29 +398,36 @@ class NormativeAgent:
 def defiance_crop(institution) -> int:
     """The crop defy-mode villagers harvest: the smallest crop that differs from
     the defied institution's first declaration."""
-    return 0 if institution.policy.crop_at(0) != 0 else 1
+    return 0 if institution.crop_at(0) != 0 else 1
+
+
+def _village_crowd(cfg: EnvConfig) -> tuple[Crowd | None, list[str]]:
+    """The crowd `cfg`'s background villagers form, or None and the staffing
+    rules `cfg` breaks, one line each; with no background villagers, None and
+    no rule."""
+    if cfg.num_background == 0:
+        return None, []
+    if cfg.background_mode == "follow_authoritative":
+        leaders = [inst for inst in cfg.institutions if inst.authoritative]
+        if len(leaders) != 1:
+            return None, ["follow_authoritative needs exactly one authoritative institution"]
+        return Crowd(cfg.background_mode, leaders[0].id), []
+    if not cfg.institutions:
+        return None, ["defy_institution needs an institution to defy"]
+    defied, crop = cfg.institutions[0], defiance_crop(cfg.institutions[0])
+    # A declaration repeats, so one period shows every crop it declares.
+    steps = range(min(cfg.max_timesteps, len(defied.crops)))
+    clash = next((t for t in steps if defied.crop_at(t) == crop), None)
+    if clash is not None:
+        return None, [f"defy_institution: {defied.name} declares {cfg.crop_names[crop]}, "
+                      f"the crop its defiers harvest, at step {clash}"]
+    return Crowd(cfg.background_mode, defied.id, crop), []
 
 
 def roster_violations(cfg: EnvConfig) -> list[str]:
     """The rules `build_roster` needs to staff the background villagers, one line
     per rule broken; with no background villagers none applies."""
-    if cfg.num_background == 0:
-        return []
-    if cfg.background_mode == "follow_authoritative":
-        if sum(inst.authoritative for inst in cfg.institutions) == 1:
-            return []
-        return ["follow_authoritative needs exactly one authoritative institution"]
-    if not cfg.institutions:
-        return ["defy_institution needs an institution to defy"]
-    defied, crop = cfg.institutions[0], defiance_crop(cfg.institutions[0])
-    # A rotation repeats, so one period shows every declaration; a constant
-    # declaration is never its own defiance crop.
-    steps = range(min(cfg.max_timesteps, len(getattr(defied.policy, "crops", ()))))
-    clash = next((t for t in steps if defied.policy.crop_at(t) == crop), None)
-    if clash is None:
-        return []
-    return [f"defy_institution: {defied.name} declares {cfg.crop_names[crop]}, "
-            f"the crop its defiers harvest, at step {clash}"]
+    return _village_crowd(cfg)[1]
 
 
 def build_roster(
@@ -462,7 +443,8 @@ def build_roster(
     backgrounds defy the first institution by harvesting its `defiance_crop`.
     A config that breaks `roster_violations` raises one ValueError listing them.
     """
-    raise_violations(roster_violations(cfg))
+    crowd, violations = _village_crowd(cfg)
+    raise_violations(violations)
     institution_ids = [inst.id for inst in cfg.institutions]
     if focal_kind == "normative":
         focal = NormativeAgent(0, institution_ids, beta, sanction_threshold, observe_others)
@@ -470,13 +452,4 @@ def build_roster(
         focal = BaselineAgent(0, cfg.seed)
     else:
         raise ValueError(f"unknown focal kind {focal_kind!r}")
-
-    agents: list = [focal]
-    if cfg.num_background > 0:
-        if cfg.background_mode == "follow_authoritative":
-            target, crop = next(inst for inst in cfg.institutions if inst.authoritative), None
-        else:
-            target, crop = cfg.institutions[0], defiance_crop(cfg.institutions[0])
-        agents += [BackgroundAgent(1 + i, cfg.background_mode, target.id, crop)
-                   for i in range(cfg.num_background)]
-    return agents
+    return [focal] + [BackgroundAgent(1 + i, *crowd) for i in range(cfg.num_background)]

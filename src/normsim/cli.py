@@ -54,14 +54,9 @@ def _fail(message: str) -> int:
     return 2
 
 
-def _made_out(path) -> bool:
-    """Make the `--out` directory; if it cannot be made, print why and give False."""
-    try:
-        Path(path).mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        print(f"unusable --out directory: {exc}", file=sys.stderr)
-        return False
-    return True
+def _unusable_out(exc: OSError) -> int:
+    """Report an `--out` directory that cannot be made or written."""
+    return _fail(f"unusable --out directory: {exc}")
 
 
 # ---------------------------------------------------------------------------
@@ -228,11 +223,13 @@ def cmd_simulate(args) -> int:
         print(f"episode failed: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 
-    if not _made_out(args.out):  # a failed episode leaves no directory behind
-        return 2
     out = Path(args.out)
-    (out / "transcript.txt").write_text(render_transcript(history, sim.env), encoding="utf-8")
-    save_episode(history, sim.env, out / "episode.json")
+    try:  # a failed episode leaves no directory behind
+        out.mkdir(parents=True, exist_ok=True)
+        (out / "transcript.txt").write_text(render_transcript(history, sim.env), encoding="utf-8")
+        save_episode(history, sim.env, out / "episode.json")
+    except OSError as exc:
+        return _unusable_out(exc)
 
     metrics = {
         "steps_to_convergence": steps_to_convergence(history, sim.env),
@@ -265,9 +262,12 @@ def cmd_simulate(args) -> int:
 
 def cmd_experiment(args) -> int:
     cfg = _load_config(harness.parse_experiment_config, args.config)
-    if cfg is None or not _made_out(args.out):
+    if cfg is None:
         return 2
-    rows = harness.run_experiment(cfg, args.out, jobs=args.jobs)
+    try:  # the directory is made before any cell runs
+        rows = harness.run_experiment(cfg, args.out, jobs=args.jobs)
+    except OSError as exc:
+        return _unusable_out(exc)
     failed = [r for r in rows if r.status.startswith("failed")]
     if args.json:
         print(json.dumps([r.to_dict() for r in rows], indent=2, sort_keys=True))
@@ -294,16 +294,18 @@ def cmd_report(args) -> int:
             rows.extend(harness.load_metrics(path))
     except (OSError, ValueError) as exc:
         return _fail(f"unusable metrics file: {exc}")
-    if args.out and not _made_out(args.out):
-        return 2
     cells = harness.build_comparison(rows)
+    if args.out:
+        out, lines = Path(args.out), map(",".join, harness.comparison_rows(cells))
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+            (out / "comparison.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        except OSError as exc:
+            return _unusable_out(exc)
     if args.json:
         print(json.dumps(cells, indent=2, sort_keys=True))
     else:
         print(harness.comparison_table(cells))
-    if args.out:
-        lines = map(",".join, harness.comparison_rows(cells))
-        (Path(args.out) / "comparison.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
     return 0
 
 

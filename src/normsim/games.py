@@ -1,9 +1,9 @@
 """Finite normal-form games.
 
 Dense payoff tensors over small named action spaces, plus the solution-concept
-helpers the rest of the toolkit builds on: social-welfare optima, best
-responses, deviation incentives, pure Nash checks, and cooperation-dilemma
-detection. Games round-trip through a JSON table format whose utility keys are
+helpers the rest of the toolkit builds on: social-welfare optima, pure Nash
+checks, and cooperation-dilemma detection, which names each player's deviation
+gain and lowest best response at the optimum. Games round-trip through a JSON table format whose utility keys are
 comma-joined action names.
 """
 from __future__ import annotations
@@ -147,29 +147,6 @@ def _incentive(game: FiniteGame, profile: Profile, player: int) -> tuple[float, 
     its own payoff) and its lowest best response there."""
     row = _own_row(game, profile, player)
     return float(row.max() - row[profile[player]]), int(np.argmax(row))
-
-
-def best_response_set(game: FiniteGame, player: int, opponents: Sequence[int]) -> tuple[int, ...]:
-    """All payoff-maximizing actions of `player` against fixed opponents.
-
-    `opponents` lists the other players' actions in increasing player order
-    (length num_players - 1). `player` is checked first, then the length of
-    `opponents`, then their actions in player order. Ties mean exact payoff
-    equality; the result is ascending.
-    """
-    opp = tuple(opponents)
-    _check_player(game, player)
-    if len(opp) != game.num_players - 1:
-        raise ValueError(f"expected {game.num_players - 1} opponent actions, got {len(opp)}")
-    row = _own_row(game, _check_profile(game, opp[:player] + (0,) + opp[player:]), player)
-    return tuple(int(a) for a in np.flatnonzero(row == row.max()))
-
-
-def deviation_incentive(game: FiniteGame, profile: Sequence[int], player: int) -> float:
-    """Best-response payoff minus current payoff for `player` at `profile` (>= 0)."""
-    profile = _check_profile(game, profile)
-    _check_player(game, player)
-    return _incentive(game, profile, player)[0]
 
 
 def is_nash(game: FiniteGame, profile: Sequence[int]) -> bool:

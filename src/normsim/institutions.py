@@ -1,7 +1,8 @@
 """Classification institutions: the village Chieftains.
 
-Each institution declares a crop at the start of every timestep and renders it
-as a fixed-template signal. For game-level analysis, a declaration maps to the
+Each institution holds the crops it declares, one per step in turn (a single
+crop is a constant declaration), and renders the step's crop as a
+fixed-template signal. For game-level analysis, a declaration maps to the
 joint classifier profile that sanctions exactly the deviations from the
 declared crop, wrapped as point-mass advice.
 
@@ -28,37 +29,21 @@ SIGNAL_TEMPLATE = (
 
 
 @dataclass(frozen=True)
-class ConstantDeclaration:
-    """Declare the same crop every step."""
+class Institution:
+    """A chieftain that declares `crops[t % len(crops)]` at step t: one crop
+    every step, or a rotation through several."""
 
-    crop: int
-
-    def crop_at(self, t: int) -> int:
-        return self.crop
-
-
-@dataclass(frozen=True)
-class RotatingDeclaration:
-    """Cycle through a crop list, one entry per step."""
-
+    id: int
+    name: str
     crops: tuple[int, ...]
+    authoritative: bool = False  # environment/harness ground truth, never observed
 
     def __post_init__(self):
-        crops = tuple(self.crops)
-        if not crops:
-            raise ValueError("rotation needs at least one crop")
-        object.__setattr__(self, "crops", crops)
+        if not self.crops:
+            raise ValueError("an institution declares at least one crop")
 
     def crop_at(self, t: int) -> int:
         return self.crops[t % len(self.crops)]
-
-
-@dataclass(frozen=True)
-class Institution:
-    id: int
-    name: str
-    policy: ConstantDeclaration | RotatingDeclaration
-    authoritative: bool = False  # environment/harness ground truth, never observed
 
 
 @dataclass(frozen=True)
@@ -76,17 +61,15 @@ def institution_name(idx: int) -> str:
 
 
 def make_institution(idx: int, crop: int, authoritative: bool = False) -> Institution:
-    """An id-named institution with a constant declaration."""
-    return Institution(
-        id=idx, name=institution_name(idx), policy=ConstantDeclaration(crop), authoritative=authoritative
-    )
+    """An id-named institution that declares `crop` every step."""
+    return Institution(idx, institution_name(idx), (crop,), authoritative)
 
 
 def declare(inst: Institution, t: int, crop_names: tuple[str, ...] = CROP_NAMES) -> InstitutionSignal:
     """The institution's signal at step t. Pure: same inputs, same bytes."""
     if t < 0:
         raise ValueError("timestep must be >= 0")
-    crop = inst.policy.crop_at(t)
+    crop = inst.crop_at(t)
     if not 0 <= crop < len(crop_names):
         raise ValueError(f"{inst.name} declared crop {crop}, outside the crop list")
     return InstitutionSignal(
@@ -103,7 +86,7 @@ def advice_profile(inst: Institution, sg: SanctionGame, t: int) -> AdviceDistrib
 
     Raises LookupError when a player's menu has no such classifier.
     """
-    declared = inst.policy.crop_at(t)
+    declared = inst.crop_at(t)
     target = (declared,) * sg.num_players
     indices = []
     for player in range(sg.num_players):
@@ -144,12 +127,12 @@ def parse_institution(obj, idx: int, crop_names: tuple[str, ...]) -> Institution
         rotation = obj["rotation"]
         if not isinstance(rotation, (list, tuple)) or not rotation:
             raise ValueError(f"institutions[{idx}].rotation must be a non-empty array")
-        policy = RotatingDeclaration(tuple(crop_index(label) for label in rotation))
+        crops = tuple(crop_index(label) for label in rotation)
     elif "crop" in obj:
-        policy = ConstantDeclaration(crop_index(obj["crop"]))
+        crops = (crop_index(obj["crop"]),)
     else:
         raise ValueError(f"institutions[{idx}] needs 'crop' or 'rotation'")
     authoritative = obj.get("authoritative", False)
     if not isinstance(authoritative, bool):
         raise ValueError(f"institutions[{idx}].authoritative must be a boolean")
-    return Institution(id=idx, name=name, policy=policy, authoritative=authoritative)
+    return Institution(idx, name, crops, authoritative)

@@ -87,8 +87,7 @@ class EnvConfig:
             violations.append(f"num_crops must be in [2, {len(CROP_NAMES)}]")
         else:  # a declaration may name only crops of that list
             for inst in self.institutions:
-                crops = getattr(inst.policy, "crops", None) or (inst.policy.crop,)
-                outside = next((c for c in crops if not 0 <= c < self.num_crops), None)
+                outside = next((c for c in inst.crops if not 0 <= c < self.num_crops), None)
                 if outside is not None:
                     violations.append(f"{inst.name} declares crop {outside}, outside the crop list")
         if len(self.institution_ids) != len(self.institutions):
@@ -215,6 +214,21 @@ def modal_crop(actions: Sequence[int] | Counter) -> int:
     counts = Counter(actions)
     best = max(counts.values())
     return min(crop for crop, k in counts.items() if k == best)
+
+
+def others_modal_crop(actions: Sequence[int], me: int) -> int | None:
+    """The modal crop of `actions` without agent `me`'s (ties to the lowest
+    crop); None when no one else acted."""
+    others = Counter(actions)
+    if 0 <= me < len(actions):
+        others[actions[me]] -= 1
+    others = +others  # drops `me`'s crop if `me` was its only harvester
+    return modal_crop(others) if others else None
+
+
+def signal_from(signals: Sequence[InstitutionSignal], institution_id) -> InstitutionSignal | None:
+    """The first of `signals` that `institution_id` sent; None if it sent none."""
+    return next((s for s in signals if s.institution_id == institution_id), None)
 
 
 def _validate_criticism(c: Criticism, speaker: int, cfg: EnvConfig, last_actions: tuple[int, ...]) -> None:
@@ -402,12 +416,11 @@ def alignment_metric(history: Sequence[WorldState], cfg: EnvConfig, reference) -
     matches = 0
     for state in window:
         if reference == "community_modal":
-            others = [a for i, a in enumerate(state.actions) if i != 0]
-            if not others:
+            ref_crop = others_modal_crop(state.actions, 0)
+            if ref_crop is None:
                 raise ValueError("community_modal needs at least one background agent")
-            ref_crop = modal_crop(others)
         else:
-            sig = next((s for s in state.signals if s.institution_id == reference), None)
+            sig = signal_from(state.signals, reference)
             if sig is None:
                 raise KeyError(f"no institution with id {reference!r} in the signals")
             ref_crop = sig.crop
@@ -441,12 +454,6 @@ def group_welfare(history: Sequence[WorldState]) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _policy_to_dict(policy) -> dict:
-    if hasattr(policy, "crops"):
-        return {"rotation": list(policy.crops)}
-    return {"crop": policy.crop}
-
-
 def episode_to_dict(history: Sequence[WorldState], cfg: EnvConfig) -> dict:
     """Structured dump of the full episode plus the config needed to replay it."""
     config = {f.name: getattr(cfg, f.name) for f in fields(cfg)}
@@ -455,7 +462,7 @@ def episode_to_dict(history: Sequence[WorldState], cfg: EnvConfig) -> dict:
             "id": inst.id,
             "name": inst.name,
             "authoritative": inst.authoritative,
-            **_policy_to_dict(inst.policy),
+            **({"crop": inst.crops[0]} if len(inst.crops) == 1 else {"rotation": list(inst.crops)}),
         }
         for inst in cfg.institutions
     ]

@@ -33,7 +33,7 @@ def make_obs(signals=(), last_actions=(), agent_index=0, t=1, discussion=(),
 
 
 def linear_signal_for(signals, institution_id):
-    """The lookup `agents._signal_for` replaced: a scan, first match wins."""
+    """The lookup `orchard.signal_from` must match: a scan, first match wins."""
     return next((s for s in signals if s.institution_id == institution_id), None)
 
 
@@ -50,49 +50,33 @@ def test_signal_lookup_matches_linear_scan(seed):
         signals = pool[int(rng.integers(len(pool)))]
         obs = make_obs(signals=signals)
         for inst in rng.permutation(6) - 1:
-            assert agents._signal_for(obs, int(inst)) is linear_signal_for(signals, int(inst))
+            assert orchard.signal_from(obs.signals, int(inst)) is linear_signal_for(signals, int(inst))
 
 
-def state_for(expert_specs, weights, **kwargs):
-    experts = tuple(
-        agents.Expert("community") if spec is None else agents.Expert("institution", spec)
-        for spec in expert_specs
-    )
-    return agents.NormativeState(experts=experts, weights=weights, **kwargs)
-
-
-def test_expert_validation():
-    with pytest.raises(ValueError, match="institution_id"):
-        agents.Expert("institution")
-    with pytest.raises(ValueError, match="institution_id"):
-        agents.Expert("community", institution_id=1)
-    with pytest.raises(ValueError, match="kind"):
-        agents.Expert("oracle", institution_id=1)
+def state_for(experts, weights, **kwargs):
+    return agents.NormativeState(experts=tuple(experts), weights=weights, **kwargs)
 
 
 def test_normative_state_validation():
-    inst = agents.Expert("institution", 0)
     with pytest.raises(ValueError, match="one weight per expert"):
-        agents.NormativeState(experts=(inst,), weights=(1.0, 1.0))
+        agents.NormativeState(experts=(0,), weights=(1.0, 1.0))
     with pytest.raises(ValueError, match="positive"):
-        agents.NormativeState(experts=(inst,), weights=(0.0,))
+        agents.NormativeState(experts=(0,), weights=(0.0,))
     with pytest.raises(ValueError, match="beta"):
-        agents.NormativeState(experts=(inst,), weights=(1.0,), beta=1.0)
+        agents.NormativeState(experts=(0,), weights=(1.0,), beta=1.0)
     with pytest.raises(ValueError, match="sanction_threshold"):
-        agents.NormativeState(experts=(inst,), weights=(1.0,), sanction_threshold=1.5)
+        agents.NormativeState(experts=(0,), weights=(1.0,), sanction_threshold=1.5)
 
 
 def test_initial_state():
     ns = agents.initial_state([0, 3], beta=0.4, sanction_threshold=0.7)
-    assert [e.kind for e in ns.experts] == ["institution", "institution", "community"]
-    assert [e.institution_id for e in ns.experts] == [0, 3, None]
+    assert ns.experts == (0, 3, None)
     assert ns.weights == (1.0, 1.0, 1.0)
     assert (ns.beta, ns.sanction_threshold) == (0.4, 0.7)
 
 
 def test_expert_votes():
-    inst = agents.Expert("institution", 0)
-    comm = agents.Expert("community")
+    inst, comm = 0, None
     obs = make_obs(signals=(sig(0, 0),), last_actions=(2, 1, 1), agent_index=0)
     # an expert votes "criticized" for every crop but its safe crop
     assert agents._safe_crop(inst, obs) == 0
@@ -131,13 +115,9 @@ def test_predict_sanction_scale_invariance():
 
 def test_leading_institution():
     ns = state_for([0, 1, None], (1.0, 3.0, 2.0))
-    expert, share = agents.leading_institution(ns)
-    assert expert.institution_id == 1
-    assert share == 0.5  # 3 over all six units, community included
+    assert agents.leading_institution(ns) == (1, 0.5)  # 3 over all six units, community included
     tied = state_for([0, 1, None], (2.0, 2.0, 1.0))
-    expert, share = agents.leading_institution(tied)
-    assert expert.institution_id == 0  # first wins ties
-    assert share == 0.4
+    assert agents.leading_institution(tied) == (0, 0.4)  # first wins ties
     assert agents.leading_institution(state_for([None], (1.0,))) == (None, 0.0)
 
 
@@ -203,11 +183,11 @@ def test_wm_update_oracle_values():
 def test_wm_update_computes_community_crop_once(monkeypatch):
     calls = []
 
-    def counting_modal_crop(actions):
+    def counting_modal_crop(actions, me):
         calls.append(actions)
-        return orchard.modal_crop(actions)
+        return orchard.others_modal_crop(actions, me)
 
-    monkeypatch.setattr(agents, "modal_crop", counting_modal_crop)
+    monkeypatch.setattr(agents, "others_modal_crop", counting_modal_crop)
     actions = tuple(j % 3 for j in range(321))
     obs = make_obs(signals=(sig(0, 0),), last_actions=actions, agent_index=0)
     observed = [(actions[j], j % 2 == 0) for j in range(1, 321)]
@@ -277,12 +257,12 @@ def test_step_scans_last_actions_a_fixed_number_of_times(mode, focal_kind):
 def test_step_builds_one_crowd_script_per_villager_kind(mode, monkeypatch):
     calls = Counter()
 
-    def counting_background_action(obs, mode, my_institution, defy_crop):
-        calls[mode, my_institution, defy_crop] += 1
-        return background_action(obs, mode, my_institution, defy_crop)
+    def counting_script(crowd, obs):
+        calls[crowd] += 1
+        return script(crowd, obs)
 
-    background_action = agents._background_action
-    monkeypatch.setattr(agents, "_background_action", counting_background_action)
+    script = agents.Crowd.script
+    monkeypatch.setattr(agents.Crowd, "script", counting_script)
     scans_in_one_step(320, mode, "baseline")  # 320 villagers speak and act alike
     assert list(calls.values()) == [1]
 
@@ -358,8 +338,7 @@ def crowd_rosters():
     interleave, one of two crowds and one whose crowd's institution sends no
     signal."""
     insts = tuple(
-        institutions.Institution(i, institutions.institution_name(i),
-                                 institutions.RotatingDeclaration(crops), i == 1)
+        institutions.Institution(i, institutions.institution_name(i), crops, i == 1)
         for i, crops in enumerate(((0, 1, 2), (2, 0), (1,)))
     )
     cases = []
@@ -632,7 +611,7 @@ def test_build_roster():
     assert agents.build_roster(defy2, "normative")[1].crowd.defy_crop == 0
     # a defied rotation that reaches the defiers' crop (bananas, at step 1)
     clash = orchard.EnvConfig(
-        institutions=(institutions.Institution(0, "Ophilia", institutions.RotatingDeclaration((0, 1))),),
+        institutions=(institutions.Institution(0, "Ophilia", (0, 1)),),
         num_background=1,
         background_mode="defy_institution",
     )
@@ -651,7 +630,7 @@ def test_build_roster():
 
 
 def test_roster_violations():
-    rotation = institutions.Institution(0, "Ophilia", institutions.RotatingDeclaration((2, 0, 1)))
+    rotation = institutions.Institution(0, "Ophilia", (2, 0, 1))
 
     def env(**settings):
         return orchard.EnvConfig(institutions=(rotation,), background_mode="defy_institution",

@@ -778,22 +778,41 @@ def test_report_rejects_unusable_rows(tmp_path, capsys, name, text):
     assert len(err.splitlines()) == 1 and err.startswith(f"unusable metrics file: {bad}: row ")
 
 
-def test_unusable_out_directory_exit_2(tmp_path, capsys):
-    """A file where `--out` (or its parent) should be a directory is one stderr line and exit 2."""
-    taken = tmp_path / "taken"
-    taken.write_text("")
-    sim = write_config(tmp_path, SIM_CONFIG)
+def out_commands(tmp_path) -> dict:
+    """Each command that writes into `--out`, without the `--out` option."""
     experiment = write_config(tmp_path, {
         "experiment": "single_nonauthoritative", "num_crops_grid": [2], "num_background_grid": [1],
         "trials": 1, "env": {"max_timesteps": 4, "eval_window": 2},
     }, "exp.json")
     metrics = tmp_path / "metrics.csv"
     metrics.write_text(cli.harness.METRICS_HEADER + "\n")
-    for argv in (["simulate", str(sim)], ["experiment", str(experiment), "--jobs", "1"],
-                 ["report", str(metrics)]):
+    return {"simulate": ["simulate", str(write_config(tmp_path, SIM_CONFIG))],
+            "experiment": ["experiment", str(experiment), "--jobs", "1"],
+            "report": ["report", str(metrics)]}
+
+
+def test_unusable_out_directory_exit_2(tmp_path, capsys):
+    """A file where `--out` (or its parent) should be a directory is one stderr line and exit 2."""
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    for argv in out_commands(tmp_path).values():
         for out_dir in (taken, taken / "sub"):
             code, out, err = run(capsys, *argv, "--out", str(out_dir))
             assert (code, out) == (2, "")
             assert len(err.splitlines()) == 1 and err.startswith("unusable --out directory: ")
             assert str(taken) in err
     assert taken.read_text() == ""
+
+
+@pytest.mark.parametrize("command, name", [
+    ("simulate", "transcript.txt"), ("experiment", "metrics.csv"), ("report", "comparison.csv")])
+def test_out_file_that_cannot_be_written_exit_2(tmp_path, capsys, command, name):
+    """A directory where a command writes a file is one stderr line and exit 2,
+    with nothing printed."""
+    blocked = tmp_path / "out" / name
+    blocked.mkdir(parents=True)
+    argv = out_commands(tmp_path)[command]
+    code, out, err = run(capsys, *argv, "--out", str(tmp_path / "out"))
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1 and err.startswith("unusable --out directory: ")
+    assert str(blocked) in err

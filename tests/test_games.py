@@ -29,9 +29,11 @@ def test_pd_nash(pd):
 
 
 def test_pd_best_responses(pd):
-    assert games.best_response_set(pd, 0, (0,)) == (1,)
-    assert games.best_response_set(pd, 0, (1,)) == (1,)
-    assert games.deviation_incentive(pd, (1, 1), 0) == 0.0
+    # defecting is player 0's only best response to either action, so it gains nothing at (D, D)
+    for opp in (0, 1):
+        row = pd.payoffs[:, opp, 0]
+        assert np.flatnonzero(row == row.max()).tolist() == [1]
+    assert pd.payoffs[:, 1, 0].max() - pd.payoffs[1, 1, 0] == 0.0
 
 
 def test_effort_game(effort):
@@ -168,6 +170,11 @@ def _random_game(rng, num_players, num_actions):
     return games.game_from_table(actions, table)
 
 
+def own_row(game, profile, player):
+    """`player`'s payoffs over its own actions, the others held at `profile`."""
+    return game.payoffs[profile[:player] + (slice(None),) + profile[player + 1 :] + (player,)]
+
+
 def test_incentive_properties_random_games():
     rng = np.random.default_rng(20240817)
     for _ in range(150):
@@ -179,15 +186,10 @@ def test_incentive_properties_random_games():
         )
         assert sum(games.payoffs_at(game, sw)) == best_total
         for profile in games.enumerate_profiles(game):
-            gains = [games.deviation_incentive(game, profile, i) for i in range(n)]
+            gains = [own_row(game, profile, i).max() - game.payoffs[profile][i] for i in range(n)]
             assert all(g >= 0.0 for g in gains)
             assert games.is_nash(game, profile) == all(g == 0.0 for g in gains)
-        for i in range(n):
-            opp = tuple(a for j, a in enumerate(sw) if j != i)
-            brs = games.best_response_set(game, i, opp)
-            assert brs
-            utilities = [
-                games.payoffs_at(game, sw[:i] + (b,) + sw[i + 1 :])[i]
-                for b in range(game.payoffs.shape[i])
-            ]
-            assert all(utilities[b] == max(utilities) for b in brs)
+        for p in games.detect_cooperation_dilemma(game).incentives:
+            utilities = own_row(game, sw, p.player).tolist()
+            assert p.gain == max(utilities) - utilities[sw[p.player]]
+            assert p.witness == (utilities.index(max(utilities)) if p.gain > 0.0 else None)

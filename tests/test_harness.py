@@ -86,7 +86,7 @@ def test_cell_env_multi_institution():
     cfg = ExperimentConfig("multi_institution", num_crops=4)
     env = harness.cell_env(cfg, (3, 2), seed=7)
     assert env.num_crops == 4
-    assert [inst.policy.crop for inst in env.institutions] == [0, 1, 2]
+    assert [inst.crops for inst in env.institutions] == [(0,), (1,), (2,)]
     assert [inst.authoritative for inst in env.institutions] == [True, False, False]
     assert env.background_mode == "follow_authoritative"
 

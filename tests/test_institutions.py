@@ -18,13 +18,15 @@ def test_declaration_text_golden():
 
 
 def test_constant_and_rotating_policies():
-    const = institutions.ConstantDeclaration(2)
+    const = institutions.make_institution(0, crop=2)
+    assert const.crops == (2,)
     assert [const.crop_at(t) for t in range(4)] == [2, 2, 2, 2]
-    rot = institutions.RotatingDeclaration((0, 3, 1))
-    assert [rot.crop_at(t) for t in range(5)] == [0, 3, 1, 0, 3]
-    inst = institutions.Institution(id=1, name="Bram", policy=rot)
+    inst = institutions.Institution(id=1, name="Bram", crops=(0, 3, 1))
+    assert [inst.crop_at(t) for t in range(5)] == [0, 3, 1, 0, 3]
     assert institutions.declare(inst, 4).crop == 3
     assert "oranges" in institutions.declare(inst, 1).text
+    with pytest.raises(ValueError, match="at least one crop"):
+        institutions.Institution(id=1, name="Bram", crops=())
 
 
 def test_institution_names_fall_back():
@@ -64,11 +66,11 @@ def test_parse_institution():
         {"name": "Ophilia", "crop": "bananas", "authoritative": True}, 0, crops
     )
     assert inst.authoritative
-    assert inst.policy.crop_at(0) == 1
+    assert inst.crops == (1,)
 
     rot = institutions.parse_institution({"rotation": ["plums", "apples"]}, 1, crops)
     assert rot.name == "Bram"
-    assert rot.policy.crop_at(1) == 0
+    assert rot.crops == (4, 0)
 
     for bad, message in [
         ("nope", "must be an object"),

@@ -55,8 +55,7 @@ def test_env_config_validation():
 
 def test_env_config_refuses_declarations_outside_the_crop_list():
     """One line per institution that names a crop past num_crops, constant or rotating."""
-    rotating = institutions.Institution(
-        id=1, name="Bram", policy=institutions.RotatingDeclaration((0, 1, 7)))
+    rotating = institutions.Institution(id=1, name="Bram", crops=(0, 1, 7))
     with pytest.raises(ValueError) as info:
         orchard.EnvConfig(
             institutions=(institutions.make_institution(0, crop=3, authoritative=True), rotating,
@@ -67,7 +66,7 @@ def test_env_config_refuses_declarations_outside_the_crop_list():
         "Bram declares crop 7, outside the crop list",
     ]
     inside = orchard.EnvConfig(institutions=(
-        institutions.Institution(id=0, name="Bram", policy=institutions.RotatingDeclaration((1, 0))),
+        institutions.Institution(id=0, name="Bram", crops=(1, 0)),
     ), num_crops=2)
     assert inside.crop_names == ("apples", "bananas")
 
@@ -439,6 +438,18 @@ def test_episode_dump(tmp_path):
     # byte-stable on re-dump
     orchard.save_episode(history, cfg, tmp_path / "episode2.json")
     assert path.read_bytes() == (tmp_path / "episode2.json").read_bytes()
+
+
+def test_episode_dump_writes_one_declared_crop_as_crop():
+    """A one-crop rotation is the same declaration as a constant one, and dumps alike."""
+    insts = (institutions.Institution(0, "Ophilia", (1,), True),
+             institutions.Institution(1, "Bram", (2, 0)))
+    cfg = orchard.EnvConfig(institutions=insts, num_background=1, max_timesteps=2,
+                            eval_window=1)
+    history = orchard.run_episode(cfg, [Scripted(0, [1, 1]), Scripted(1, [1, 1])])
+    dumped = orchard.episode_to_dict(history, cfg)["config"]["institutions"]
+    assert [{k: v for k, v in inst.items() if k in ("crop", "rotation")} for inst in dumped] == [
+        {"crop": 1}, {"rotation": [2, 0]}]
 
 
 def test_episode_determinism():

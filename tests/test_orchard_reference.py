@@ -112,9 +112,9 @@ def ref_step(prev, agents, cfg):
 
 
 def ref_expert_vote(expert, obs, action):
-    if expert.kind == "institution":
+    if expert is not None:
         sig = next(
-            (s for s in obs.signals if s.institution_id == expert.institution_id), None
+            (s for s in obs.signals if s.institution_id == expert), None
         )
         if sig is None:
             return None
@@ -143,7 +143,7 @@ def ref_sanction_criticisms(ns, obs):
     expert, share = leading_institution(ns)
     if expert is None or share <= ns.sanction_threshold or not obs.last_step_actions:
         return ()
-    sig = next((s for s in obs.signals if s.institution_id == expert.institution_id), None)
+    sig = next((s for s in obs.signals if s.institution_id == expert), None)
     if sig is None:
         return ()
     criticisms = []
@@ -155,7 +155,7 @@ def ref_sanction_criticisms(ns, obs):
                 sender=obs.agent_index,
                 target=j,
                 criticized_crop=crop,
-                basis=expert.institution_id,
+                basis=expert,
                 text=INSTITUTION_CRITICISM.format(
                     target=obs.agent_names[j], institution=sig.name
                 ),
@@ -285,7 +285,7 @@ def reference_roster(roster):
             state = agent.state
             agent = ReferenceNormativeAgent(
                 0,
-                [e.institution_id for e in state.experts if e.kind == "institution"],
+                [e for e in state.experts if e is not None],
                 beta=state.beta,
                 sanction_threshold=state.sanction_threshold,
                 observe_others=agent.observe_others,
@@ -310,12 +310,11 @@ def random_episode(rng):
     for i in range(count):
         authoritative = i == leader if mode == "follow_authoritative" else bool(rng.integers(2))
         if rng.random() < 0.5:
-            policy = institutions.ConstantDeclaration(int(rng.integers(num_crops)))
+            crops = (int(rng.integers(num_crops)),)
         else:
-            crops = rng.integers(num_crops, size=int(rng.integers(1, 5)))
-            policy = institutions.RotatingDeclaration(tuple(int(c) for c in crops))
+            crops = tuple(int(c) for c in rng.integers(num_crops, size=int(rng.integers(1, 5))))
         insts.append(
-            institutions.Institution(i, institutions.institution_name(i), policy, authoritative)
+            institutions.Institution(i, institutions.institution_name(i), crops, authoritative)
         )
     max_timesteps = int(rng.integers(1, 21))
     cfg = orchard.EnvConfig(
@@ -398,7 +397,7 @@ def test_random_episodes_cover_the_axes():
         seen["crops", cfg.num_crops] += 1
         seen["no background"] += cfg.num_background == 0
         seen["40 background"] += cfg.num_background == 40
-        seen["rotation"] += any(hasattr(i.policy, "crops") for i in cfg.institutions)
+        seen["rotation"] += any(len(i.crops) > 1 for i in cfg.institutions)
         seen["underflow"] += failure == "ValueError: weights must be positive"
         seen["defy crop declared"] += "the crop its defiers harvest" in (failure or "")
         seen["completed"] += failure is None
@@ -454,8 +453,7 @@ def test_votes_and_policies_match_reference(seed):
         obs = random_observation(rng)
         num_crops = len(obs.crop_names)
         ns = agents.NormativeState(
-            experts=tuple(agents.Expert("institution", i) for i in range(3))
-            + (agents.Expert("community"),),
+            experts=(0, 1, 2, None),
             weights=tuple(float(w) for w in rng.uniform(0.01, 2.0, size=4)),
             sanction_threshold=float(rng.choice([0.1, 0.3, 0.6])),
         )
