@@ -115,12 +115,6 @@ def initial_state(institution_ids: Iterable[int], beta: float = _BETA,
     )
 
 
-@dataclass(frozen=True)
-class SanctionPrediction:
-    action: int
-    probability: float  # weighted vote that the community will criticize this action
-
-
 def _sanction_vote(weights: Sequence[float], crops: Sequence[int | None], action: int) -> float:
     """Weighted share of the non-abstaining experts, given each one's safe crop,
     that predict criticism of `action`; 0 when all abstain."""
@@ -135,10 +129,9 @@ def _sanction_vote(weights: Sequence[float], crops: Sequence[int | None], action
     return saying_sanction / voting if voting > 0.0 else 0.0
 
 
-def predict_sanction(ns: NormativeState, obs: Observation, action: int) -> SanctionPrediction:
+def predict_sanction(ns: NormativeState, obs: Observation, action: int) -> float:
     """Weighted share of non-abstaining experts predicting criticism; 0 when all abstain."""
-    crops = [_safe_crop(expert, obs) for expert in ns.experts]
-    return SanctionPrediction(action=action, probability=_sanction_vote(ns.weights, crops, action))
+    return _sanction_vote(ns.weights, [_safe_crop(expert, obs) for expert in ns.experts], action)
 
 
 def leading_institution(ns: NormativeState) -> tuple[int | None, float]:
@@ -395,12 +388,6 @@ class NormativeAgent:
         return normative_action(self._state, obs)
 
 
-def defiance_crop(institution) -> int:
-    """The crop defy-mode villagers harvest: the smallest crop that differs from
-    the defied institution's first declaration."""
-    return 0 if institution.crop_at(0) != 0 else 1
-
-
 def _village_crowd(cfg: EnvConfig) -> tuple[Crowd | None, list[str]]:
     """The crowd `cfg`'s background villagers form, or None and the staffing
     rules `cfg` breaks, one line each; with no background villagers, None and
@@ -414,7 +401,8 @@ def _village_crowd(cfg: EnvConfig) -> tuple[Crowd | None, list[str]]:
         return Crowd(cfg.background_mode, leaders[0].id), []
     if not cfg.institutions:
         return None, ["defy_institution needs an institution to defy"]
-    defied, crop = cfg.institutions[0], defiance_crop(cfg.institutions[0])
+    defied = cfg.institutions[0]
+    crop = 0 if defied.crop_at(0) != 0 else 1  # the smallest crop its first declaration leaves
     # A declaration repeats, so one period shows every crop it declares.
     steps = range(min(cfg.max_timesteps, len(defied.crops)))
     clash = next((t for t in steps if defied.crop_at(t) == crop), None)
@@ -440,7 +428,8 @@ def build_roster(
     """The episode's agent handles: the focal agent at index 0, then backgrounds.
 
     Follow-mode backgrounds track the authoritative institution; defy-mode
-    backgrounds defy the first institution by harvesting its `defiance_crop`.
+    backgrounds defy the first institution by harvesting the smallest crop
+    that differs from its first declaration.
     A config that breaks `roster_violations` raises one ValueError listing them.
     """
     crowd, violations = _village_crowd(cfg)

@@ -309,18 +309,16 @@ def run_experiment(
     """Expand the grid, run every (cell, focal kind, trial), aggregate, persist.
 
     Writes metrics.csv, metrics.json, and one transcript per completed trial
-    into `out_dir`. Failed trials mark their row `failed: ...`; the caller
+    into `out_dir`; both metrics files are created before the first trial, so
+    a path that cannot be written fails at once. Failed trials mark their row `failed: ...`; the caller
     decides the process exit code from the statuses.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    grid = cfg.grid()
-    tasks = [
-        (kind, coords, trial)
-        for kind in cfg.focal_kinds
-        for coords in grid
-        for trial in range(cfg.trials)
-    ]
+    for name in ("metrics.csv", "metrics.json"):  # an unusable path fails before any trial
+        (out / name).write_bytes(b"")
+    cells = [(kind, coords) for kind in cfg.focal_kinds for coords in cfg.grid()]
+    tasks = [(kind, coords, trial) for kind, coords in cells for trial in range(cfg.trials)]
     if jobs is None:
         jobs = os.cpu_count() or 1
     jobs = min(jobs, len(tasks))  # a pool starts all its workers up front
@@ -333,17 +331,15 @@ def run_experiment(
         chunksize = math.ceil(len(tasks) / (4 * jobs))  # a trial takes ms: ~4 chunks per worker
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             outcomes = list(pool.map(run_cell, *args, chunksize=chunksize))
-    results = dict(zip(tasks, outcomes))
 
     rows: list[MetricsRow] = []
-    for kind in cfg.focal_kinds:
-        for coords in grid:
-            cell = [results[(kind, coords, t)] for t in range(cfg.trials)]
-            rows.append(_aggregate(cfg, kind, coords, cell))
-            for t, r in enumerate(cell):
-                if r.status == "ok":
-                    name = transcript_filename(kind, coords, t)
-                    (out / name).write_text(r.transcript, encoding="utf-8")
+    for k, (kind, coords) in enumerate(cells):  # each cell's trials are one slice, in task order
+        cell = outcomes[k * cfg.trials:(k + 1) * cfg.trials]
+        rows.append(_aggregate(cfg, kind, coords, cell))
+        for t, r in enumerate(cell):
+            if r.status == "ok":
+                name = transcript_filename(kind, coords, t)
+                (out / name).write_text(r.transcript, encoding="utf-8")
     write_metrics_csv(rows, out / "metrics.csv")
     write_metrics_json(cfg, rows, out / "metrics.json")
     return rows

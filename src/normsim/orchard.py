@@ -29,7 +29,6 @@ from __future__ import annotations
 import json
 import math
 import operator
-from collections import Counter
 from dataclasses import dataclass, field, fields
 from functools import cached_property, lru_cache
 from pathlib import Path
@@ -206,23 +205,17 @@ class AgentHandle(Protocol):
     def act(self, obs: Observation) -> int: ...
 
 
-def modal_crop(actions: Sequence[int] | Counter) -> int:
-    """Most common crop (of a crop sequence, or of a Counter of positive crop
-    counts); ties go to the lowest index."""
+def modal_crop(actions: Sequence[int]) -> int:
+    """Most common crop of a crop sequence; ties go to the lowest index."""
     if not actions:
         raise ValueError("no actions")
-    counts = Counter(actions)
-    best = max(counts.values())
-    return min(crop for crop, k in counts.items() if k == best)
+    return min(set(actions), key=lambda crop: (-actions.count(crop), crop))
 
 
 def others_modal_crop(actions: Sequence[int], me: int) -> int | None:
-    """The modal crop of `actions` without agent `me`'s (ties to the lowest
+    """The modal crop of `actions` without agent `me`'s slot (ties to the lowest
     crop); None when no one else acted."""
-    others = Counter(actions)
-    if 0 <= me < len(actions):
-        others[actions[me]] -= 1
-    others = +others  # drops `me`'s crop if `me` was its only harvester
+    others = actions[:me] + actions[me + 1:] if 0 <= me < len(actions) else actions
     return modal_crop(others) if others else None
 
 
@@ -335,18 +328,14 @@ def step(prev: WorldState | None, agents: Sequence[AgentHandle], cfg: EnvConfig)
     actions = tuple(actions)
 
     criticisms = tuple(c for entry in discussion for c in entry.criticisms)
-    received = Counter(c.target for c in criticisms)
-    sent = Counter(c.sender for c in criticisms)
+    received, sent = [0] * len(actions), [0] * len(actions)
+    for c in criticisms:
+        received[c.target] += 1
+        sent[c.sender] += 1
     frac = actions.count(modal_crop(actions)) / len(actions)
     base = cfg.harvest_reward + cfg.monoculture_bonus * frac
-    value = {(0, 0): base - cfg.sanction_cost_received * 0 - cfg.sanction_cost_sent * 0}
-    rewards = [value[0, 0]] * len(actions)
-    for i in received.keys() | sent.keys():  # one reward per distinct (received, sent) pair
-        pair = received.get(i, 0), sent.get(i, 0)
-        if pair not in value:
-            value[pair] = (base - cfg.sanction_cost_received * pair[0]
-                           - cfg.sanction_cost_sent * pair[1])
-        rewards[i] = value[pair]
+    cost_received, cost_sent = cfg.sanction_cost_received, cfg.sanction_cost_sent
+    rewards = [base - cost_received * r - cost_sent * s for r, s in zip(received, sent)]
     return WorldState(t, signals, discussion, actions, criticisms, tuple(rewards))
 
 

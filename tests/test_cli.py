@@ -816,3 +816,15 @@ def test_out_file_that_cannot_be_written_exit_2(tmp_path, capsys, command, name)
     assert (code, out) == (2, "")
     assert len(err.splitlines()) == 1 and err.startswith("unusable --out directory: ")
     assert str(blocked) in err
+
+
+@pytest.mark.parametrize("name", ["metrics.csv", "metrics.json"])
+def test_experiment_with_unusable_metrics_path_runs_no_trial(tmp_path, capsys, monkeypatch, name):
+    """A full default grid whose metrics file cannot be written exits 2 before its first trial."""
+    calls = []
+    monkeypatch.setattr(cli.harness, "run_cell", lambda *args: calls.append(args))
+    (tmp_path / "out" / name).mkdir(parents=True)
+    config = write_config(tmp_path, {"experiment": "single_nonauthoritative"}, "grid.json")
+    code, out, err = run(capsys, "experiment", str(config), "--out", str(tmp_path / "out"))
+    assert (code, out, calls) == (2, "", [])
+    assert err.startswith("unusable --out directory: ") and name in err

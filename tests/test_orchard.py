@@ -1,7 +1,9 @@
 """Orchard environment: phases, reward arithmetic, transcripts, metrics."""
 import json
+from collections import Counter
 from typing import NamedTuple
 
+import numpy as np
 import pytest
 
 from normsim import institutions, orchard
@@ -82,6 +84,25 @@ def test_modal_crop_tie_breaks():
     assert orchard.modal_crop([3]) == 3
     with pytest.raises(ValueError):
         orchard.modal_crop([])
+
+
+def counted_modal_crop(actions):
+    """The modal crop by counting: the highest count, then the lowest crop."""
+    counts = Counter(actions)
+    best = max(counts.values())
+    return min(crop for crop, k in counts.items() if k == best)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_modal_crops_match_counting(seed):
+    rng = np.random.default_rng(seed)
+    for _ in range(200):
+        actions = tuple(int(c) for c in rng.integers(5, size=int(rng.integers(1, 9))))
+        assert orchard.modal_crop(actions) == counted_modal_crop(actions)
+        for me in range(-1, len(actions) + 1):  # an index outside `actions` leaves them all
+            others = [c for j, c in enumerate(actions) if j != me]
+            expected = counted_modal_crop(others) if others else None
+            assert orchard.others_modal_crop(actions, me) == expected
 
 
 def test_reward_arithmetic_oracle_values():

@@ -6,8 +6,8 @@ implementations of `orchard.step`, the expert vote (now `agents._safe_crop`),
 `agents.normative_action`, `agents.wm_update`, `agents.background_policy` and
 the villagers calling them, kept verbatim as the reference. Seeded random
 episodes must give the same episode dump, transcript, failure text and final
-focal weights, float bits included: rewards too, which `orchard.step` computes
-once per distinct (received, sent) criticism count pair.
+focal weights, float bits included: rewards too, which `orchard.step` prices
+from per-agent criticism counts with the reference's operands in its order.
 `agents.normative_action` returns only the crop, the first element of
 `ref_normative_action`'s pair.
 """
@@ -27,7 +27,6 @@ from normsim.agents import (
     INSTITUTION_CRITICISM,
     NORMATIVE_ARRIVAL,
     NORMATIVE_IDLE,
-    SanctionPrediction,
     derive_outcomes,
     leading_institution,
 )
@@ -135,8 +134,7 @@ def ref_predict_sanction(ns, obs, action):
         voting += weight
         if vote:
             saying_sanction += weight
-    probability = saying_sanction / voting if voting > 0.0 else 0.0
-    return SanctionPrediction(action=action, probability=probability)
+    return saying_sanction / voting if voting > 0.0 else 0.0
 
 
 def ref_sanction_criticisms(ns, obs):
@@ -166,7 +164,7 @@ def ref_sanction_criticisms(ns, obs):
 
 def ref_normative_action(ns, obs):
     num_crops = len(obs.crop_names)
-    probs = [ref_predict_sanction(ns, obs, c).probability for c in range(num_crops)]
+    probs = [ref_predict_sanction(ns, obs, c) for c in range(num_crops)]
     best = min(probs)
     tied = [c for c in range(num_crops) if probs[c] == best]
     if obs.last_step_actions and obs.last_step_actions[obs.agent_index] in tied:
@@ -464,8 +462,7 @@ def test_votes_and_policies_match_reference(seed):
                 vote = None if crop is None else action != crop
                 assert vote == ref_expert_vote(expert, obs, action)
         for action in range(num_crops):
-            prediction = agents.predict_sanction(ns, obs, action)
-            assert prediction == ref_predict_sanction(ns, obs, action)
+            assert agents.predict_sanction(ns, obs, action) == ref_predict_sanction(ns, obs, action)
         if obs.agent_index < len(obs.last_step_actions):
             assert agents.normative_action(ns, obs) == ref_normative_action(ns, obs)[0]
         observed = [(int(rng.integers(num_crops)), bool(rng.integers(2))) for _ in range(5)]
