@@ -276,8 +276,8 @@ def parse_game(obj) -> FiniteGame:
     return _parse_game(obj)[0]
 
 
-def _parse_game(obj) -> tuple[FiniteGame, dict[str, Profile]]:
-    """The game, and the profile of each of its utility keys."""
+def _parse_game(obj) -> tuple[FiniteGame, dict[str, int]]:
+    """The game, and the C-order index of the profile each utility key names."""
     if not isinstance(obj, dict):
         raise GameFormatError("game description must be a JSON object")
     players = obj.get("players")
@@ -296,29 +296,29 @@ def _parse_game(obj) -> tuple[FiniteGame, dict[str, Profile]]:
         raise GameFormatError("'utilities' must be an object keyed by action profiles")
     counts = tuple(len(p) for p in names)
     # lexicographic, which is the C order of the payoff tensor
-    profiles = {
-        PROFILE_SEPARATOR.join(names[i][a] for i, a in enumerate(profile)): profile
-        for profile in itertools.product(*(range(c) for c in counts))
+    keys = {
+        PROFILE_SEPARATOR.join(names[i][a] for i, a in enumerate(profile)): flat
+        for flat, profile in enumerate(itertools.product(*(range(c) for c in counts)))
     }
-    missing = sorted(profiles.keys() - utilities.keys())
-    unknown = sorted(utilities.keys() - profiles.keys())
+    missing = sorted(keys.keys() - utilities.keys())
+    unknown = sorted(utilities.keys() - keys.keys())
     if missing:
         raise GameFormatError(f"'utilities' is missing profiles: {', '.join(missing[:5])}")
     if unknown:
         raise GameFormatError(f"'utilities' has unknown profiles: {', '.join(unknown[:5])}")
 
-    rows, shape = list(map(utilities.__getitem__, profiles)), counts + (players,)
+    rows, shape = list(map(utilities.__getitem__, keys)), counts + (players,)
     # whole-list checks, FiniteGame's being the finite one; on a failure the scan names the fault
     if _typed(rows, list, tuple) and set(map(len, rows)) == {players}:
         with contextlib.suppress(OverflowError, GameFormatError):  # OverflowError: a huge int
             if _typed(itertools.chain.from_iterable(rows), int, float):
-                return FiniteGame(names, np.array(rows, dtype=np.float64).reshape(shape)), profiles
+                return FiniteGame(names, np.array(rows, dtype=np.float64).reshape(shape)), keys
     for key, values in utilities.items():
         if not isinstance(values, (list, tuple)) or len(values) != players:
             raise GameFormatError(f"'utilities'[{key!r}] must list {players} payoffs")
         if not all(_is_number(v) for v in values):
             raise GameFormatError(f"'utilities'[{key!r}] must contain finite numbers")
-    return FiniteGame(names, np.array(rows, dtype=np.float64).reshape(shape)), profiles
+    return FiniteGame(names, np.array(rows, dtype=np.float64).reshape(shape)), keys
 
 
 def load_game(path) -> FiniteGame:

@@ -28,17 +28,18 @@ x + -0.0 == x bit for bit, so a sum may run over every player, owner included.
 JSON format (docs/config.md): a sanction-game file is a game file plus
 "classifiers", one menu per player of {"sanctions": [{"profile": "C,D",
 "target": 1}], "cost", "self_cost"} entries; an advice file is {"support":
-[{"profile_indices": [1, 1], "p": 1.0}]}. Each input is checked once: profile
-keys are looked up in the game parser's key table, advice rows are checked in
-whole-list passes, and constructors keep the pairs and rows the parser built.
+[{"profile_indices": [1, 1], "p": 1.0}]}. Both are checked in whole-list passes.
+Sanction menus reach one compile as a table of (entry, profile, target) pairs,
+and a parsed game builds its classifier objects only when `menus` is read.
 """
 from __future__ import annotations
 
 import contextlib
+import functools
 import itertools
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -72,11 +73,9 @@ class ClassificationFunction:
     self_cost: float = 0.0  # paid by the owner per sanction issued
 
     def __post_init__(self):
-        pairs = self.sanctions
-        if not _normalized(pairs, frozenset, int):
-            pairs = frozenset(
-                (tuple(map(operator.index, profile)), int(target)) for profile, target in pairs
-            )
+        pairs = frozenset(
+            (tuple(map(operator.index, profile)), int(target)) for profile, target in self.sanctions
+        )
         if self.owner < 0:
             raise ValueError("owner must be a player index")
         if self.owner in map(operator.itemgetter(1), pairs):
@@ -95,90 +94,88 @@ class ClassificationFunction:
         return not self.sanctions
 
 
-def _normalized(pairs, kind: type, second: type) -> bool:
-    """Whether a constructor can keep `pairs`, a `kind` of (tuple of ints, `second`)
-    pairs, as it is. Fewer than 8 are rebuilt, which is faster than checking them."""
-    if type(pairs) is not kind or len(pairs) < 8 or not games._typed(pairs, tuple):
-        return False
-    flat = list(itertools.chain.from_iterable(pairs))
-    return (
-        set(map(len, pairs)) == {2}
-        and games._typed(flat[::2], tuple)
-        and games._typed(flat[1::2], second)
-        and games._typed(itertools.chain.from_iterable(flat[::2]), int)
-    )
-
-
 def never_sanction(owner: int) -> ClassificationFunction:
     """The empty classifier: sanctions nobody, costs nothing."""
     return ClassificationFunction(owner=owner, sanctions=frozenset(), cost=0.0, self_cost=0.0)
 
 
-@dataclass(frozen=True, eq=False)
 class SanctionGame:
     """A base game plus one finite classifier menu per player.
 
     Every menu must contain a never-sanction entry, so refusing to punish is
-    always an available strategy. The menus are compiled into the read-only
-    cost arrays `self_cost` and `imposed` described in the module docstring.
+    always an available strategy. The constructor and `parse_sanction_game` both
+    end in one compile, which sets `num_players`, `sizes` (the menu lengths),
+    `never` (each menu's first never-sanction index) and the read-only cost
+    arrays `self_cost` and `imposed` of the module docstring.
     """
 
-    base: FiniteGame
-    menus: tuple[tuple[ClassificationFunction, ...], ...]
-    self_cost: tuple[np.ndarray, ...] = field(init=False, repr=False)
-    imposed: tuple[np.ndarray, ...] = field(init=False, repr=False)
-
-    def __post_init__(self):
-        menus = tuple(tuple(menu) for menu in self.menus)
-        n, counts = self.base.num_players, self.base.num_actions
+    def __init__(self, base: FiniteGame, menus: Sequence[Sequence[ClassificationFunction]]):
+        menus = tuple(tuple(menu) for menu in menus)
+        n, counts = base.num_players, base.num_actions
         if len(menus) != n:
             raise ValueError(f"{len(menus)} menus for {n} players")
-        self_costs, imposed = [], []
+        entries = [c for menu in menus for c in menu]
+        shape = (len(entries),) + counts + (n,)
+        # one row (entry, *profile, target) per sanctioned pair, entries numbered over
+        # all menus, range-checked before any indexing: numpy would wrap a negative index
+        rows = [(g, *profile, t) for g, c in enumerate(entries) for profile, t in c.sanctions]
+        try:
+            rows = np.array(rows, dtype=np.intp).reshape(len(rows), 2 + n)
+            owned = all(c.owner == i for i, menu in enumerate(menus) for c in menu)
+            valid = owned and bool(((rows >= 0) & (rows < shape)).all())
+        except (ValueError, OverflowError):  # a profile of the wrong length, a huge index
+            valid = False
         for i, menu in enumerate(menus):
             if not menu:
                 raise ValueError(f"player {i} has an empty classifier menu")
             if not any(c.is_never for c in menu):
                 raise ValueError(f"player {i}'s menu lacks a never-sanction entry")
-            # one row (entry, target, *profile) per sanctioned pair, range-checked
-            # before any indexing: numpy would wrap a negative index
-            rows = [(k, t, *profile) for k, c in enumerate(menu) for profile, t in c.sanctions]
-            try:
-                pairs = np.array(rows, dtype=np.intp).reshape(len(rows), 2 + n)
-                valid = all(c.owner == i for c in menu) and bool(
-                    ((pairs >= 0) & (pairs < (len(menu), n) + counts)).all()
-                )
-            except (ValueError, OverflowError):  # a profile of the wrong length, a huge index
-                valid = False
-            if not valid:  # raise the first fault, in menu order
-                for c in menu:
-                    if c.owner != i:
-                        raise ValueError(
-                            f"classifier owned by player {c.owner} placed in player {i}'s menu"
-                        )
-                    for profile, target in c.sanctions:
-                        if not 0 <= target < n:
-                            raise ValueError(f"sanction target {target} is not a player")
-                        if len(profile) != n or any(
-                            not 0 <= a < counts[j] for j, a in enumerate(profile)
-                        ):
-                            raise ValueError(f"sanctioned profile {profile} not in the base game")
-            k, target, profile = pairs[:, 0], pairs[:, 1], tuple(pairs[:, 2:].T)
-            issued = np.zeros((len(menu),) + counts, dtype=np.int64)
-            np.add.at(issued, (k,) + profile, 1)
-            costs = np.full((len(menu),) + counts + (n,), -0.0)
-            costs[(k,) + profile + (target,)] = np.array([c.cost for c in menu])[k]
-            rates = np.array([c.self_cost for c in menu], float).reshape((-1,) + (1,) * n)
-            self_costs.append(rates * issued)
-            imposed.append(costs)
-        for array in self_costs + imposed:
-            array.setflags(write=False)
-        object.__setattr__(self, "menus", menus)
-        object.__setattr__(self, "self_cost", tuple(self_costs))
-        object.__setattr__(self, "imposed", tuple(imposed))
+            for c in () if valid else menu:  # raise the first fault, in menu order
+                if c.owner != i:
+                    raise ValueError(
+                        f"classifier owned by player {c.owner} placed in player {i}'s menu"
+                    )
+                for profile, target in c.sanctions:
+                    if not 0 <= target < n:
+                        raise ValueError(f"sanction target {target} is not a player")
+                    if len(profile) != n or not all(0 <= a < k for a, k in zip(profile, counts)):
+                        raise ValueError(f"sanctioned profile {profile} not in the base game")
+        self.menus = menus  # the property builds only a parsed game's menus
+        rates = np.array([(c.cost, c.self_cost) for c in entries], float).reshape(-1, 2).T
+        self._compile(base, list(map(len, menus)), np.ravel_multi_index(tuple(rows.T), shape), *rates)
 
-    @property
-    def num_players(self) -> int:
-        return self.base.num_players
+    def _compile(self, base: FiniteGame, sizes, codes, cost, self_cost) -> None:
+        """Set every field from the pair table: `codes` holds the C-order index of each
+        sanctioned pair's (entry, *profile, target), entries numbered over all menus,
+        where a repeat counts once; `cost` and `self_cost` hold each entry's rates."""
+        n, shape = base.num_players, (len(cost),) + base.num_actions + (base.num_players,)
+        codes = np.unique(codes)  # sorted, so each entry's pairs are one run
+        entry = codes // math.prod(shape[1:])
+        issued = np.bincount(codes // n, minlength=math.prod(shape[:-1])).reshape(shape[:-1])
+        imposed = np.full(math.prod(shape), -0.0)
+        imposed[codes] = cost[entry]
+        self_costs, imposed = self_cost.reshape((-1,) + (1,) * n) * issued, imposed.reshape(shape)
+        self_costs.setflags(write=False)
+        imposed.setflags(write=False)
+        bounds = list(itertools.pairwise([0, *itertools.accumulate(sizes)]))
+        is_never = np.bincount(entry, minlength=len(cost)) == 0
+        self.base, self.num_players, self.sizes = base, n, tuple(sizes)
+        self._table = shape, codes, cost, self_cost
+        self.never = tuple(int(np.argmax(is_never[lo:hi])) for lo, hi in bounds)
+        self.self_cost = tuple(self_costs[lo:hi] for lo, hi in bounds)
+        self.imposed = tuple(imposed[lo:hi] for lo, hi in bounds)
+
+    @functools.cached_property
+    def menus(self) -> tuple[tuple[ClassificationFunction, ...], ...]:
+        """Each player's classifiers, built from the pair table on first read."""
+        shape, codes, cost, rates = self._table
+        entry, *profile, target = (index.tolist() for index in np.unravel_index(codes, shape))
+        pairs = [[] for _ in cost]
+        for g, pair in zip(entry, zip(zip(*profile), target)):
+            pairs[g].append(pair)
+        owners = np.repeat(np.arange(self.num_players), self.sizes).tolist()
+        entries = map(ClassificationFunction, owners, map(frozenset, pairs), cost.tolist(), rates.tolist())
+        return tuple(tuple(itertools.islice(entries, size)) for size in self.sizes)
 
 
 def _check_classifiers(sg: SanctionGame, classifiers: Sequence[int]) -> ClassifierProfile:
@@ -186,14 +183,14 @@ def _check_classifiers(sg: SanctionGame, classifiers: Sequence[int]) -> Classifi
     if len(cls) != sg.num_players:
         raise ValueError(f"classifier profile {cls} has wrong length")
     for i, c in enumerate(cls):
-        if not 0 <= c < len(sg.menus[i]):
+        if not 0 <= c < sg.sizes[i]:
             raise ValueError(f"classifier index {c} not in player {i}'s menu")
     return cls
 
 
 def enumerate_classifier_profiles(sg: SanctionGame) -> Iterator[ClassifierProfile]:
     """All joint menu selections in lexicographic order."""
-    return itertools.product(*(range(len(menu)) for menu in sg.menus))
+    return itertools.product(*map(range, sg.sizes))
 
 
 def _cost(sg: SanctionGame, cls, profile: tuple, player: int) -> np.ndarray:
@@ -284,11 +281,10 @@ def find_nash_witness(sg: SanctionGame, target: Sequence[int]) -> ClassifierProf
     never = non_resolving_witness(sg)
     if nash(np.array(never)[:, None])[0]:
         return never
-    sizes = tuple(len(menu) for menu in sg.menus)
-    total = math.prod(sizes)
+    total = math.prod(sg.sizes)
     start, block = 0, _FIRST_BLOCK
     while start < total:
-        cls = np.unravel_index(np.arange(start, min(start + block, total)), sizes)
+        cls = np.unravel_index(np.arange(start, min(start + block, total)), sg.sizes)
         hits = np.flatnonzero(nash(cls))
         if hits.size:
             return tuple(int(k[hits[0]]) for k in cls)
@@ -323,7 +319,7 @@ def theorem1_feasibility(sg: SanctionGame, target: Sequence[int]) -> Feasibility
 def non_resolving_witness(sg: SanctionGame) -> ClassifierProfile:
     """The all-never-sanction profile: its transform is the identity, so it never
     resolves a dilemma (and never changes any Nash verdict)."""
-    return tuple(next(k for k, c in enumerate(menu) if c.is_never) for menu in sg.menus)
+    return sg.never
 
 
 def declaration_classifier(
@@ -370,6 +366,20 @@ def exhaustive_menu(
 # ---------------------------------------------------------------------------
 
 
+def _normalized(support) -> bool:
+    """Whether `AdviceDistribution` can keep `support`, a tuple of (tuple of ints,
+    float) rows, as it is. Fewer than 8 are rebuilt, which is faster than checking them."""
+    if type(support) is not tuple or len(support) < 8 or not games._typed(support, tuple):
+        return False
+    flat = list(itertools.chain.from_iterable(support))
+    return (
+        set(map(len, support)) == {2}
+        and games._typed(flat[::2], tuple)
+        and games._typed(flat[1::2], float)
+        and games._typed(itertools.chain.from_iterable(flat[::2]), int)
+    )
+
+
 @dataclass(frozen=True)
 class AdviceDistribution:
     """A distribution over joint classifier profiles (menu indices)."""
@@ -378,7 +388,7 @@ class AdviceDistribution:
 
     def __post_init__(self):
         support = self.support
-        if not _normalized(support, tuple, float):
+        if not _normalized(support):
             support = tuple((tuple(profile), float(p)) for profile, p in support)
         probabilities = list(map(operator.itemgetter(1), support))
         if not all(map(math.isfinite, probabilities)) or min(probabilities, default=0.0) < 0.0:
@@ -393,11 +403,10 @@ class AdviceDistribution:
     def validate_for(self, sg: SanctionGame) -> np.ndarray:
         """The advised menu indices as one (rows, players) array. ValueError
         names the first row that is not a classifier profile of `sg`."""
-        sizes = [len(menu) for menu in sg.menus]
         with contextlib.suppress(ValueError):  # rows of different lengths
             advised = np.array([profile for profile, _ in self.support])
-            if advised.dtype.kind in "iu" and advised.shape[1:] == (len(sizes),):
-                if ((advised >= 0) & (advised < sizes)).all():
+            if advised.dtype.kind in "iu" and advised.shape[1:] == (sg.num_players,):
+                if ((advised >= 0) & (advised < sg.sizes)).all():
                     return advised.astype(np.intp, copy=False)
         return np.array([_check_classifiers(sg, cls) for cls, _ in self.support], np.intp)
 
@@ -441,7 +450,7 @@ def verify_correlated_equilibrium(
 
     worst, who, dev, rec = 0.0, None, None, None
     for i in range(sg.num_players):
-        menu = np.arange(len(sg.menus[i]))
+        menu = np.arange(sg.sizes[i])
         if conditioned:  # one group per recommendation, in advice order within it
             rows = np.flatnonzero(p > 0.0)
             rows = rows[np.argsort(advised[rows, i], kind="stable")]
@@ -492,12 +501,49 @@ def institution_environment_check(
 # ---------------------------------------------------------------------------
 
 
+def _pair_table(base: FiniteGame, keys: dict[str, int], raw_menus):
+    """The whole-list checks. Well-formed menus give `SanctionGame._compile`'s
+    arguments; others give None, a KeyError, a TypeError or an OverflowError."""
+    n, typed = base.num_players, games._typed
+    raw = list(itertools.chain.from_iterable(raw_menus))
+    if not (typed(raw_menus, list, tuple) and all(raw_menus) and typed(raw, dict)):
+        return None
+    sets = list(map(operator.itemgetter("sanctions"), raw))
+    entries = list(itertools.chain.from_iterable(sets))
+    profiles = list(map(operator.itemgetter("profile"), entries))
+    targets = list(map(operator.itemgetter("target"), entries))
+    rates = [c.get(label, 0.0) for label in ("cost", "self_cost") for c in raw]
+    if not (typed(sets, list, tuple) and typed(entries, dict) and typed(profiles, str)
+            and typed(targets, int) and typed(rates, int, float)):
+        return None
+    sizes, lengths = list(map(len, raw_menus)), list(map(len, sets))
+    entry = np.repeat(np.arange(len(raw)), lengths)
+    target = np.array(targets, dtype=np.intp)
+    rates = np.array(rates, dtype=float).reshape(2, -1) + 0.0  # -0.0 would sign a zero minimax
+    if not (
+        all(0 in lengths[end - size : end] for size, end in zip(sizes, itertools.accumulate(sizes)))
+        and np.isfinite(rates).all() and (rates >= 0.0).all()
+        and ((target >= 0) & (target < n) & (target != np.repeat(np.arange(n), sizes)[entry])).all()
+    ):
+        return None
+    flat = np.array(list(map(keys.__getitem__, profiles)), dtype=np.intp)
+    return sizes, (entry * math.prod(base.num_actions) + flat) * n + target, *rates
+
+
 def parse_sanction_game(obj) -> SanctionGame:
-    base, profiles = games._parse_game(obj)
+    base, keys = games._parse_game(obj)
     raw_menus = obj.get("classifiers")
     if not isinstance(raw_menus, (list, tuple)) or len(raw_menus) != base.num_players:
         raise GameFormatError("'classifiers' must list one menu per player")
-    menus = []
+    try:
+        table = _pair_table(base, keys, raw_menus)
+    except (KeyError, TypeError, OverflowError):  # OverflowError: an int too large for a float
+        table = None
+    if table is not None:  # the menus wait for a read
+        sg = SanctionGame.__new__(SanctionGame)
+        sg._compile(base, *table)
+        return sg
+    menus = []  # a whole-list check failed: scan every entry, naming the first fault
     for i, raw_menu in enumerate(raw_menus):
         if not isinstance(raw_menu, (list, tuple)) or not raw_menu:
             raise GameFormatError(f"'classifiers'[{i}] must be a non-empty array")
@@ -516,21 +562,15 @@ def parse_sanction_game(obj) -> SanctionGame:
                 key, target = entry["profile"], entry["target"]
                 if type(key) is not str:
                     raise GameFormatError(f"{where} profile must be a profile key string")
-                # parse_profile raises the error for a key that names no profile
-                profile = profiles.get(key) or games.parse_profile(base, key)
+                profile = games.parse_profile(base, key)  # raises for a key naming no profile
                 if type(target) is not int:  # JSON integers only: not bool, not float
                     raise GameFormatError(f"{where} target must be a player index")
                 pairs.add((profile, target))
-            cost = raw.get("cost", 0.0)
-            self_cost = raw.get("self_cost", 0.0)
+            cost, self_cost = raw.get("cost", 0.0), raw.get("self_cost", 0.0)
             if not games._is_number(cost) or not games._is_number(self_cost):
                 raise GameFormatError(f"{where} costs must be finite numbers")
             try:
-                menu.append(
-                    ClassificationFunction(
-                        owner=i, sanctions=frozenset(pairs), cost=float(cost), self_cost=float(self_cost)
-                    )
-                )
+                menu.append(ClassificationFunction(i, frozenset(pairs), float(cost), float(self_cost)))
             except ValueError as exc:
                 raise GameFormatError(f"{where}: {exc}") from exc
         menus.append(tuple(menu))

@@ -18,7 +18,7 @@ from typing import Mapping
 import numpy as np
 import pytest
 
-from normsim import games, sanctions
+from normsim import cli, games, sanctions
 from normsim.games import (
     PROFILE_SEPARATOR,
     FiniteGame,
@@ -32,6 +32,7 @@ from normsim.sanctions import (
     SanctionGame,
     _check_classifiers,
 )
+from tests.conftest import declaration_menus, sanction_game_to_dict
 from test_sanctions_reference import (
     random_advice,
     random_sanction_game,
@@ -731,3 +732,121 @@ def test_constructors_keep_only_what_is_normalized(seed):
             ref = outcome(ref_support, support)
             assert new[0] == ref[0] and (new[1:] == ref[1:] if new[0] == "error" else (
                 new[1] == ref[1] and {type(p) for _, p in new[1]} <= {float})), (new, ref)
+
+
+# ---------------------------------------------------------------------------
+# The array parse at its edges: errors, menus and cost bytes as the reference
+# ---------------------------------------------------------------------------
+
+EDGE_KEYS = [",".join(p) for p in itertools.product("CDE", repeat=3)]
+
+
+def edge_sanction_game(pairs):
+    """A 3-player, 3-action sanction game whose menus each hold the never entry
+    and one classifier of `pairs` distinct (profile, target) pairs."""
+    return {
+        "players": 3,
+        "actions": [["C", "D", "E"]] * 3,
+        "utilities": {key: [k % 5, k % 3, 1 - k % 2] for k, key in enumerate(EDGE_KEYS)},
+        "classifiers": [[{"sanctions": []}, {"sanctions": [
+            {"profile": EDGE_KEYS[k // 2], "target": (owner + 1 + k % 2) % 3} for k in range(pairs)
+        ], "cost": 1.5, "self_cost": 0.25}] for owner in range(3)],
+    }
+
+
+def edge_cases():
+    """(name, sanction-game object, "ok" or a fragment of the error it raises)."""
+    cases = [(f"{size} pairs", edge_sanction_game(size), "ok") for size in (0, 1, 7, 8, 9, 30)]
+
+    def case(name, expect, change):
+        obj = edge_sanction_game(9)
+        change(obj, obj["classifiers"], obj["classifiers"][0][1])  # player 0's sanctioning entry
+        cases.append((name, obj, expect))
+
+    case("a pair twice in one classifier", "ok",
+         lambda o, menus, c: c["sanctions"].insert(5, dict(c["sanctions"][2])))
+    case("one pair in two classifiers", "ok",
+         lambda o, menus, c: menus[0].append({"sanctions": c["sanctions"][1:3], "cost": 2}))
+    for name, target, expect in (("the owner", 0, "self-targeting"), ("3", 3, "is not a player"),
+                                 ("-1", -1, "is not a player"), ("true", True, "player index"),
+                                 ("1.0", 1.0, "player index"), ("huge", HUGE, "is not a player")):
+        case(f"target {name}", expect, lambda o, menus, c, t=target: c["sanctions"][4].update(target=t))
+    for label in ("cost", "self_cost"):
+        for name, value, expect in (
+            ("-0.0", -0.0, "ok"), ("0", 0, "ok"), ("3", 3, "ok"), ("1e300 as an int", 10**300, "ok"),
+            ("huge", HUGE, "finite numbers"), ("true", True, "finite numbers"),
+            ("false", False, "finite numbers"), ("-1", -1, ">= 0"), ("nan", math.nan, "finite numbers"),
+        ):
+            case(f"{label} {name}", expect, lambda o, menus, c, k=label, v=value: c.update({k: v}))
+        case(f"{label} missing", "ok", lambda o, menus, c, k=label: c.pop(k))
+    case("no empty classifier", "never-sanction", lambda o, menus, c: menus[1].pop(0))
+    case("a fault in menu 0 before a missing never entry in menu 1", "is not a player",
+         lambda o, menus, c: (c["sanctions"][0].update(target=5), menus[1].pop(0)))
+    case("a missing never entry in menu 0 before a fault in menu 1", "never-sanction",
+         lambda o, menus, c: (menus[0].pop(0), menus[1][1]["sanctions"][0].update(target=7)))
+    case("tuple rows", "ok", lambda o, menus, c: (
+        c.update(sanctions=tuple(c["sanctions"])), menus.__setitem__(2, tuple(menus[2])),
+        o.update(classifiers=tuple(menus))))
+    for name, value in (("an object", {"profile": "C,C,C", "target": 1}), ("a string", "C,C,C"),
+                        ("null", None), ("a number", 1)):
+        case(f"sanctions {name}", "'sanctions' array", lambda o, menus, c, v=value: c.update(sanctions=v))
+    case("sanctions missing", "'sanctions' array", lambda o, menus, c: c.pop("sanctions"))
+    return cases
+
+
+def same_bytes(a: SanctionGame, b: SanctionGame) -> bool:
+    """`a` has `b`'s base and menus, and the cost arrays, sizes and never-sanction
+    indices of `b`'s menus compiled pair by pair, byte for byte."""
+    arrays = ref_cost_arrays(b.base, b.menus)
+    return (
+        same_game(a.base, b.base)
+        and a.menus == b.menus
+        and a.sizes == tuple(map(len, b.menus))
+        and a.never == tuple(next(k for k, c in enumerate(m) if c.is_never) for m in b.menus)
+        and all(x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+                for x, y in zip(a.self_cost + a.imposed, arrays[0] + arrays[1]))
+    )
+
+
+@pytest.mark.parametrize("name, obj, expect", edge_cases(), ids=lambda v: v if type(v) is str else "")
+def test_array_parse_edges_match_reference(name, obj, expect):
+    new = outcome(sanctions.parse_sanction_game, obj)
+    assert_same(new, outcome(ref_parse_sanction_game, obj), same_bytes)
+    if expect != "ok":
+        assert new[0] == "error" and expect in new[2], new
+        return
+    assert new[0] == "ok", new
+    parsed = new[1]
+    rebuilt = SanctionGame(parsed.base, parsed.menus)
+    assert same_bytes(rebuilt, parsed) and (rebuilt.sizes, rebuilt.never) == (parsed.sizes, parsed.never)
+    assert all(x.tobytes() == y.tobytes()
+               for x, y in zip(rebuilt.self_cost + rebuilt.imposed, parsed.self_cost + parsed.imposed))
+
+
+def test_analyze_builds_no_classifier(tmp_path, monkeypatch, capsys):
+    """An analyze request compiles its menus straight from the file; the menus,
+    built when first read, equal the reference parser's."""
+    obj = edge_sanction_game(0)
+    base = sanctions.parse_sanction_game(obj).base
+    obj = sanction_game_to_dict(SanctionGame(base, declaration_menus(base, (0, 1, 2), 2.0)))
+    game, advice = tmp_path / "sanctions.json", tmp_path / "advice.json"
+    game.write_text(json.dumps(obj))
+    advice.write_text(json.dumps({"support": [{"profile_indices": [1, 1, 0], "p": 0.5},
+                                              {"profile_indices": [0, 1, 1], "p": 0.5}]}))
+    built = []
+    post_init = ClassificationFunction.__post_init__
+
+    def counted(self):
+        built.append(self.owner)
+        post_init(self)
+
+    monkeypatch.setattr(ClassificationFunction, "__post_init__", counted)
+    for mode in ("literal", "conditioned"):
+        code = cli.main(["analyze", str(game), "--sanctions", str(game), "--advice", str(advice),
+                         "--mode", mode, "--json"])
+        assert code in (0, 1) and json.loads(capsys.readouterr().out)["feasibility"]
+    assert built == []
+    sg = sanctions.load_sanction_game(game)
+    assert built == []
+    assert sg.menus == ref_parse_sanction_game(obj).menus
+    assert len(built) == 2 * 6  # the reference's six classifiers, then the lazy menus' six
