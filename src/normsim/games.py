@@ -9,6 +9,7 @@ comma-joined action names.
 from __future__ import annotations
 
 import contextlib
+import functools
 import itertools
 import json
 import math
@@ -276,6 +277,13 @@ def parse_game(obj) -> FiniteGame:
     return _parse_game(obj)[0]
 
 
+@functools.lru_cache(maxsize=16)
+def _profile_keys(names: tuple[tuple[str, ...], ...]) -> dict[str, int]:
+    """Each profile key over the action names `names`, mapped to the C-order index
+    of its profile. Parses of one name set share the dict: read it, never change it."""
+    return {PROFILE_SEPARATOR.join(key): flat for flat, key in enumerate(itertools.product(*names))}
+
+
 def _parse_game(obj) -> tuple[FiniteGame, dict[str, int]]:
     """The game, and the C-order index of the profile each utility key names."""
     if not isinstance(obj, dict):
@@ -294,12 +302,7 @@ def _parse_game(obj) -> tuple[FiniteGame, dict[str, int]]:
     utilities = obj.get("utilities")
     if not isinstance(utilities, dict):
         raise GameFormatError("'utilities' must be an object keyed by action profiles")
-    counts = tuple(len(p) for p in names)
-    # lexicographic, which is the C order of the payoff tensor
-    keys = {
-        PROFILE_SEPARATOR.join(names[i][a] for i, a in enumerate(profile)): flat
-        for flat, profile in enumerate(itertools.product(*(range(c) for c in counts)))
-    }
+    counts, keys = tuple(len(p) for p in names), _profile_keys(names)
     missing = sorted(keys.keys() - utilities.keys())
     unknown = sorted(utilities.keys() - keys.keys())
     if missing:

@@ -31,6 +31,8 @@ JSON format (docs/config.md): a sanction-game file is a game file plus
 [{"profile_indices": [1, 1], "p": 1.0}]}. Both are checked in whole-list passes.
 Sanction menus reach one compile as a table of (entry, profile, target) pairs,
 and a parsed game builds its classifier objects only when `menus` is read.
+Advice is held as an index array and a probability vector, filled straight from
+the decoded lists; its `support` tuple is built only when read.
 """
 from __future__ import annotations
 
@@ -366,48 +368,53 @@ def exhaustive_menu(
 # ---------------------------------------------------------------------------
 
 
-def _normalized(support) -> bool:
-    """Whether `AdviceDistribution` can keep `support`, a tuple of (tuple of ints,
-    float) rows, as it is. Fewer than 8 are rebuilt, which is faster than checking them."""
-    if type(support) is not tuple or len(support) < 8 or not games._typed(support, tuple):
-        return False
-    flat = list(itertools.chain.from_iterable(support))
-    return (
-        set(map(len, support)) == {2}
-        and games._typed(flat[::2], tuple)
-        and games._typed(flat[1::2], float)
-        and games._typed(itertools.chain.from_iterable(flat[::2]), int)
-    )
-
-
-@dataclass(frozen=True)
 class AdviceDistribution:
-    """A distribution over joint classifier profiles (menu indices)."""
+    """A distribution over joint classifier profiles (menu indices): the read-only
+    float64 vector `p` and, when every row is a run of ints of one length that fits
+    intp, the read-only (rows, players) intp array `rows` (else None). `support`,
+    the ((index, ...), p) rows, is built from them on first read."""
 
-    support: tuple[tuple[ClassifierProfile, float], ...]
+    def __init__(self, support):
+        support = tuple((tuple(profile), float(p)) for profile, p in support)
+        profiles = [profile for profile, _ in support]
+        flat = list(itertools.chain.from_iterable(profiles))
+        self._hold(profiles, flat if games._typed(flat, int) else None, [p for _, p in support])
 
-    def __post_init__(self):
-        support = self.support
-        if not _normalized(support):
-            support = tuple((tuple(profile), float(p)) for profile, p in support)
-        probabilities = list(map(operator.itemgetter(1), support))
-        if not all(map(math.isfinite, probabilities)) or min(probabilities, default=0.0) < 0.0:
-            for profile, p in support:  # name the first fault
-                if not math.isfinite(p) or p < 0.0:
-                    raise ValueError(f"probability {p} for {profile} must be finite and >= 0")
-        total = sum(probabilities)
+    def _hold(self, profiles, flat, p) -> None:
+        """Set `rows` from the index rows `profiles`, whose indices in row order are
+        `flat` (None when one is not an int), and `p` from the probabilities `p`;
+        then check `p`. When `rows` cannot hold the indices, `support` is built here."""
+        width, self.rows = len(profiles[0]) if profiles else 0, None
+        if flat is not None and set(map(len, profiles)) <= {width}:
+            with contextlib.suppress(OverflowError):  # an index too large for intp
+                self.rows = np.array(flat, np.intp).reshape(len(profiles), width)
+                self.rows.setflags(write=False)
+        if self.rows is None:  # the cached property's slot: `validate_for` scans these rows
+            vars(self)["support"] = tuple(zip(map(tuple, profiles), map(float, p)))
+        self.p = np.array(p, np.float64)
+        self.p.setflags(write=False)
+        valid, p = np.isfinite(self.p) & (self.p >= 0.0), self.p.tolist()
+        if not valid.all():  # name the first fault
+            k = int(np.argmin(valid))
+            raise ValueError(f"probability {p[k]} for {tuple(profiles[k])} must be finite and >= 0")
+        total = sum(p)  # in row order: np.sum would change the last bits
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"advice probabilities sum to {total}, expected 1")
-        object.__setattr__(self, "support", support)
+
+    @functools.cached_property
+    def support(self) -> tuple[tuple[ClassifierProfile, float], ...]:
+        return tuple(zip(map(tuple, self.rows.tolist()), self.p.tolist()))
+
+    def __eq__(self, other):
+        return self.support == other.support if type(other) is AdviceDistribution else NotImplemented
 
     def validate_for(self, sg: SanctionGame) -> np.ndarray:
-        """The advised menu indices as one (rows, players) array. ValueError
+        """The advised menu indices as one (rows, players) intp array. ValueError
         names the first row that is not a classifier profile of `sg`."""
-        with contextlib.suppress(ValueError):  # rows of different lengths
-            advised = np.array([profile for profile, _ in self.support])
-            if advised.dtype.kind in "iu" and advised.shape[1:] == (sg.num_players,):
-                if ((advised >= 0) & (advised < sg.sizes)).all():
-                    return advised.astype(np.intp, copy=False)
+        rows = self.rows
+        if rows is not None and rows.shape[1] == sg.num_players:
+            if ((rows >= 0) & (rows < sg.sizes)).all():
+                return rows
         return np.array([_check_classifiers(sg, cls) for cls, _ in self.support], np.intp)
 
 
@@ -444,8 +451,7 @@ def verify_correlated_equilibrium(
     if mode not in ("literal", "conditioned"):
         raise ValueError(f"unknown mode {mode!r}")
     base_profile = games._check_profile(sg.base, base_profile)
-    advised = advice.validate_for(sg)
-    p = np.array([q for _, q in advice.support])
+    advised, p = advice.validate_for(sg), advice.p
     conditioned = mode == "conditioned"
 
     worst, who, dev, rec = 0.0, None, None, None
@@ -591,14 +597,14 @@ def parse_advice(obj) -> AdviceDistribution:
     try:  # whole-list checks; when one fails, a scan names the first fault
         indices = list(map(operator.itemgetter("profile_indices"), raw))
         p = list(map(operator.itemgetter("p"), raw))
+        flat = list(itertools.chain.from_iterable(indices))
         checked = (
-            games._typed(raw, dict) and games._typed(indices, list, tuple)
-            and games._typed(itertools.chain.from_iterable(indices), int)
+            games._typed(raw, dict) and games._typed(indices, list, tuple) and games._typed(flat, int)
             and games._typed(p, int, float) and all(map(math.isfinite, p))
         )
     except (KeyError, TypeError, OverflowError):  # OverflowError: an int too large for a float
         checked = False
-    support = tuple(zip(map(tuple, indices), map(float, p))) if checked else []
+    support = []
     for k, entry in enumerate(() if checked else raw):
         if not isinstance(entry, dict):
             raise GameFormatError(f"'support'[{k}] must be an object")
@@ -609,7 +615,11 @@ def parse_advice(obj) -> AdviceDistribution:
             raise GameFormatError(f"'support'[{k}] needs a numeric probability 'p'")
         support.append((indices, p))
     try:
-        return AdviceDistribution(support=support)
+        if not checked:
+            return AdviceDistribution(support)
+        advice = AdviceDistribution.__new__(AdviceDistribution)  # the arrays straight from the lists
+        advice._hold(indices, flat, p)
+        return advice
     except ValueError as exc:
         raise GameFormatError(str(exc)) from exc
 

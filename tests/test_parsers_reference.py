@@ -691,6 +691,28 @@ def ref_support(support):
     return support
 
 
+def ref_advice_arrays(support):
+    """`AdviceDistribution`'s `rows` and `p` by their definition: `rows` when every
+    row is a run of ints (no bools) of one length that fits intp, else None."""
+    fits = np.iinfo(np.intp)
+    indices = [k for profile, _ in support for k in profile]
+    ints = all(type(k) is int and fits.min <= k <= fits.max for k in indices)
+    rows = None
+    if ints and len({len(profile) for profile, _ in support}) <= 1:
+        rows = np.array(indices, np.intp).reshape(len(support), -1 if indices else 0)
+    return rows, np.array([p for _, p in support], np.float64)
+
+
+def same_advice_arrays(advice, support) -> bool:
+    """`advice` holds read-only arrays that match `ref_advice_arrays(support)` byte for byte."""
+    ref_rows, ref_p = ref_advice_arrays(support)
+    if (advice.rows is None) != (ref_rows is None):
+        return False
+    pairs = [(advice.p, ref_p)] + ([] if ref_rows is None else [(advice.rows, ref_rows)])
+    return all(not a.flags.writeable and a.dtype == b.dtype and a.shape == b.shape
+               and a.tobytes() == b.tobytes() for a, b in pairs)
+
+
 def odd_value(rng, value):
     """`value` as a numpy int, a bool, a float, or unchanged."""
     return [np.int64(value), bool(value % 2), float(value), value, value][int(rng.integers(5))]
@@ -699,7 +721,8 @@ def odd_value(rng, value):
 @pytest.mark.parametrize("seed", range(60))
 def test_constructors_keep_only_what_is_normalized(seed):
     """Pairs and rows that are not already tuples of ints are rebuilt (or refused)
-    exactly as before, at every size around the rebuild threshold."""
+    exactly as before, at sizes around the eight rows below which a constructor
+    once skipped its keep-as-is check; the advice arrays hold the rebuilt rows."""
     rng = np.random.default_rng(seed)
     for size in (0, 1, 7, 8, 9, 30):
         profiles = [tuple(int(a) for a in rng.integers(3, size=3)) for _ in range(size)]
@@ -728,10 +751,12 @@ def test_constructors_keep_only_what_is_normalized(seed):
             rows[k] = [(list(rows[k][0]), rows[k][1]), (rows[k][0], int(rows[k][1] > 0.5)),
                        (rows[k][0], -0.0), (rows[k][0], float("nan"))][int(rng.integers(4))]
         for support in (tuple(rows), rows):
-            new = outcome(lambda: AdviceDistribution(support).support)
+            new = outcome(AdviceDistribution, support)
             ref = outcome(ref_support, support)
             assert new[0] == ref[0] and (new[1:] == ref[1:] if new[0] == "error" else (
-                new[1] == ref[1] and {type(p) for _, p in new[1]} <= {float})), (new, ref)
+                new[1].support == ref[1] and {type(p) for _, p in new[1].support} <= {float})), (new, ref)
+            if new[0] == "ok":
+                assert same_advice_arrays(new[1], ref[1])
 
 
 # ---------------------------------------------------------------------------
@@ -850,3 +875,97 @@ def test_analyze_builds_no_classifier(tmp_path, monkeypatch, capsys):
     assert built == []
     assert sg.menus == ref_parse_sanction_game(obj).menus
     assert len(built) == 2 * 6  # the reference's six classifiers, then the lazy menus' six
+
+
+# ---------------------------------------------------------------------------
+# Advice as arrays: parsed and hand-built, against the reference
+# ---------------------------------------------------------------------------
+
+# Each kind of advice, and what its parse or `validate_for` ends in: "ok" or a fragment of the error.
+ADVICE_KINDS = {"rectangular": "ok", "long": "ok", "ragged": "has wrong length",
+                "zero-width": "has wrong length", "wide": "has wrong length",
+                "huge": "not in player", "negative": "not in player", "out of range": "not in player",
+                "bool": "needs integer 'profile_indices'", "negative p": "must be finite and >= 0"}
+
+
+def advice_case(rng, kind, sizes):
+    """Index rows and probabilities over menus of `sizes`, with the fault `kind` names."""
+    count = 4096 if kind == "long" else int(rng.integers(2, 12))
+    rows = np.stack([rng.integers(s, size=count) for s in sizes], axis=1).tolist()
+    weights = rng.choice((0.0, 0.1, 0.3, 0.7, 1.0), size=count)
+    weights[0] += 0.5
+    p = [1 / count] * count if kind == "long" and rng.random() < 0.5 else (weights / weights.sum()).tolist()
+    k, j = int(rng.integers(count)), int(rng.integers(len(sizes)))
+    if kind == "ragged":
+        rows[k] = rows[k] + [0] if rng.random() < 0.5 else rows[k][:-1]
+    elif kind == "zero-width":
+        rows = [[] for _ in rows]
+    elif kind == "wide":
+        rows = [row + [0] for row in rows]
+    elif kind in ("huge", "negative", "out of range", "bool"):
+        rows[k][j] = {"huge": int(rng.choice((-1, 1))) * 2**70, "negative": -1,
+                      "out of range": sizes[j], "bool": bool(rng.integers(2))}[kind]
+    elif kind == "negative p":
+        p[k], p[(k + 1) % count] = -0.25, p[(k + 1) % count] + p[k] + 0.25
+    return rows, [0 if q == 0.0 and rng.random() < 0.5 else q for q in p]  # a JSON 0 is an int
+
+
+def ref_advised(support, sg):
+    """`validate_for`'s array by the per-row check it ran before the arrays."""
+    return np.array([_check_classifiers(sg, profile) for profile, _ in support], np.intp)
+
+
+@pytest.mark.parametrize("seed", range(4 * len(ADVICE_KINDS)))
+def test_advice_arrays_match_reference(seed):
+    """Parsed and hand-built advice hold the reference's rows, probabilities and
+    support, and give its `validate_for` array or error and its CE reports."""
+    rng = np.random.default_rng(seed)
+    kind = list(ADVICE_KINDS)[seed % len(ADVICE_KINDS)]
+    sg = sanctions.parse_sanction_game(random_objects(rng)[1])
+    rows, p = advice_case(rng, kind, sg.sizes)
+    obj = {"support": [{"profile_indices": row, "p": q} for row, q in zip(rows, p)]}
+    pairs = list(zip(map(tuple, rows), p))
+    base_profile = tuple(int(rng.integers(c)) for c in sg.base.num_actions)
+    for new, ref, expect in (
+        (outcome(sanctions.parse_advice, obj), outcome(ref_parse_advice, obj), ADVICE_KINDS[kind]),
+        (outcome(AdviceDistribution, pairs), outcome(ref_support, pairs),
+         "ok" if kind == "bool" else ADVICE_KINDS[kind]),  # operator.index takes a bool
+    ):
+        assert_same(new, ref, lambda a, b: True)
+        if new[0] == "ok":
+            advice, support = new[1], ref[1] if type(ref[1]) is tuple else ref[1].support
+            assert same_advice_arrays(advice, support)
+            assert advice.support == support and {type(q) for _, q in advice.support} == {float}
+            new = outcome(advice.validate_for, sg)
+            assert_same(new, outcome(ref_advised, support, sg),
+                        lambda a, b: a.dtype == np.intp and a.tolist() == b.tolist())
+        assert (new[0] == "ok") if expect == "ok" else (expect in new[2]), (kind, new)
+        for mode in ("literal", "conditioned") if new[0] == "ok" else ():
+            assert same_report(
+                sanctions.verify_correlated_equilibrium(sg, advice, base_profile, mode),
+                ref_verify_correlated_equilibrium(sg, AdviceDistribution(support), base_profile, mode),
+            )
+
+
+def test_analyze_builds_no_support(tmp_path, monkeypatch, capsys):
+    """An analyze request checks its advice on the arrays; `support`, built when
+    first read, equals the reference parser's."""
+    obj = edge_sanction_game(0)
+    base = sanctions.parse_sanction_game(obj).base
+    game, advice = tmp_path / "sanctions.json", tmp_path / "advice.json"
+    game.write_text(json.dumps(sanction_game_to_dict(SanctionGame(base, declaration_menus(base, (0, 1, 2), 2.0)))))
+    rows = [list(profile) for profile in itertools.product((0, 1), repeat=3)] * 8
+    advice.write_text(json.dumps({"support": [{"profile_indices": row, "p": 1 / 64} for row in rows]}))
+    built = []
+    lazy = AdviceDistribution.__dict__["support"]
+    monkeypatch.setattr(lazy, "func", lambda self, func=lazy.func: built.append(1) or func(self))
+    for mode in ("literal", "conditioned"):
+        code = cli.main(["analyze", str(game), "--sanctions", str(game), "--advice", str(advice),
+                         "--mode", mode, "--json"])
+        assert code in (0, 1) and json.loads(capsys.readouterr().out)["advice"]
+    assert built == []
+    parsed = sanctions.load_advice(advice)
+    assert built == []
+    support = parsed.support
+    assert len(built) == 1 and parsed.support is support
+    assert support == ref_parse_advice(json.loads(advice.read_text())).support
