@@ -22,7 +22,8 @@ alike: the crowd's script for a step (crop, criticisms, idle line) gives every
 member's turn, so `orchard.step` builds it once per step for all of them. A
 village's background villagers form one crowd, which `build_roster` derives
 from the config by the same rules that `roster_violations` checks. The learner
-finds each expert's safe crop once per update and once per choice.
+finds every expert's safe crop in one O(k + N) pass per update and per choice
+(k institutions, N villagers), then spends O(k) per distinct outcome or crop.
 """
 from __future__ import annotations
 
@@ -61,14 +62,15 @@ NORMATIVE_IDLE = "I'm watching what the community values before committing to a 
 _BETA, _SANCTION_THRESHOLD, _OBSERVE_OTHERS = 0.5, 0.6, True
 
 
-def _safe_crop(expert: int | None, obs: Observation) -> int | None:
-    """The one crop `expert` predicts draws no criticism: its institution's
-    declaration, or for the community expert (None) the modal crop of the other
-    agents' last actions (one O(N) count). None = abstain."""
-    if expert is not None:
-        sig = signal_from(obs.signals, expert)
-        return None if sig is None else sig.crop
-    return others_modal_crop(obs.last_step_actions, obs.agent_index)
+def _safe_crops(experts: Sequence[int | None], obs: Observation) -> list[int | None]:
+    """The one crop each expert predicts draws no criticism, None to abstain: its
+    institution's first signal's crop (one pass over `obs.signals`), or for the
+    community expert (None) the others' modal last crop, counted once if present."""
+    declared = {}
+    for sig in obs.signals:
+        declared.setdefault(sig.institution_id, sig.crop)
+    community = others_modal_crop(obs.last_step_actions, obs.agent_index) if None in experts else None
+    return [community if expert is None else declared.get(expert) for expert in experts]
 
 
 def learner_violations(beta: float, sanction_threshold: float) -> list[str]:
@@ -131,7 +133,7 @@ def _sanction_vote(weights: Sequence[float], crops: Sequence[int | None], action
 
 def predict_sanction(ns: NormativeState, obs: Observation, action: int) -> float:
     """Weighted share of non-abstaining experts predicting criticism; 0 when all abstain."""
-    return _sanction_vote(ns.weights, [_safe_crop(expert, obs) for expert in ns.experts], action)
+    return _sanction_vote(ns.weights, _safe_crops(ns.experts, obs), action)
 
 
 def leading_institution(ns: NormativeState) -> tuple[int | None, float]:
@@ -166,7 +168,7 @@ def normative_action(ns: NormativeState, obs: Observation) -> int:
     """The crop minimizing the criticism vote (ties: previous own action, then
     lowest index)."""
     num_crops = len(obs.crop_names)
-    crops = [_safe_crop(expert, obs) for expert in ns.experts]
+    crops = _safe_crops(ns.experts, obs)
     probs = [_sanction_vote(ns.weights, crops, c) for c in range(num_crops)]
     best = min(probs)
     tied = [c for c in range(num_crops) if probs[c] == best]
@@ -184,7 +186,7 @@ def wm_update(
     are grouped, and each penalty is still one multiplication, so the weights
     are the per-pair products bit for bit."""
     weights = list(ns.weights)
-    crops = [_safe_crop(expert, obs) for expert in ns.experts]
+    crops = _safe_crops(ns.experts, obs)
     for (action, sanctioned), times in Counter(observed).items():
         for k, crop in enumerate(crops):
             if crop is not None and (action != crop) != bool(sanctioned):

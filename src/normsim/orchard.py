@@ -17,12 +17,13 @@ generators, so identical configs and policies replay byte-identically.
 Transcripts render in the village-journal layout with a clock advancing 30
 simulated minutes per step from 8:00 AM.
 
-A step costs O(N + criticisms) for N agents. What all agents see alike is built
-once per step, so an `Observation` is a named tuple of shared references that
-only its agent index and the log so far set apart. Each crowd of scripted
-villagers (see `AgentHandle`) is answered once per step: a crowd's criticisms
-are checked once per step, and each run of its consecutive members is played as
-one block. Only other handles get a copy of the log so far.
+A step costs O(N + k + criticisms) for N agents and k institutions, whose
+signals each config declares once (`EnvConfig.signal_cycles`). What all agents
+see alike is built once per step, so an `Observation` is a named tuple of shared
+references that only its agent index and the log so far set apart. Each crowd of
+scripted villagers (see `AgentHandle`) is answered once per step: a crowd's
+criticisms are checked once per step, and each run of its consecutive members is
+played as one block. Only other handles get a copy of the log so far.
 """
 from __future__ import annotations
 
@@ -116,6 +117,12 @@ class EnvConfig:
     def institution_ids(self) -> frozenset:
         """The ids a criticism may cite (a property, so not in the dump)."""
         return frozenset(inst.id for inst in self.institutions)
+
+    @cached_property
+    def signal_cycles(self) -> tuple[tuple[InstitutionSignal, ...], ...]:
+        """Each institution's signals over one period: step t's is `cycle[t % len(cycle)]`."""
+        return tuple(tuple(declare(inst, t, self.crop_names) for t in range(len(inst.crops)))
+                     for inst in self.institutions)
 
     def welfare_overflows(self, count: int) -> bool:
         """Whether `count` steps' group welfare can sum past the largest float.
@@ -274,7 +281,7 @@ def step(prev: WorldState | None, agents: Sequence[AgentHandle], cfg: EnvConfig)
         raise ValueError(f"{len(agents)} agent handles for {cfg.num_agents} configured agents")
     t = 0 if prev is None else prev.t + 1
     names = roster_names(cfg)
-    signals = tuple(declare(inst, t, cfg.crop_names) for inst in cfg.institutions)
+    signals = tuple(cycle[t % len(cycle)] for cycle in cfg.signal_cycles)
     last_actions = () if prev is None else prev.actions
     last_criticisms = () if prev is None else prev.criticisms
 

@@ -79,12 +79,76 @@ def test_expert_votes():
     inst, comm = 0, None
     obs = make_obs(signals=(sig(0, 0),), last_actions=(2, 1, 1), agent_index=0)
     # an expert votes "criticized" for every crop but its safe crop
-    assert agents._safe_crop(inst, obs) == 0
+    assert agents._safe_crops((inst,), obs) == [0]
     # community judges against the modal crop of the OTHER agents
-    assert agents._safe_crop(comm, obs) == 1
+    assert agents._safe_crops((comm,), obs) == [1]
     # abstentions: no matching signal, no previous actions
-    assert agents._safe_crop(inst, make_obs(signals=(sig(9, 0),))) is None
-    assert agents._safe_crop(comm, make_obs(signals=(sig(0, 0),))) is None
+    assert agents._safe_crops((inst,), make_obs(signals=(sig(9, 0),))) == [None]
+    assert agents._safe_crops((comm,), make_obs(signals=(sig(0, 0),))) == [None]
+
+
+def per_expert_safe_crop(expert, obs):
+    """The rule `agents._safe_crops` replaced: one signal scan per expert."""
+    if expert is not None:
+        sig = orchard.signal_from(obs.signals, expert)
+        return None if sig is None else sig.crop
+    return orchard.others_modal_crop(obs.last_step_actions, obs.agent_index)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_safe_crops_match_the_per_expert_rule(seed):
+    rng = np.random.default_rng(seed)
+    seen = Counter()
+    for _ in range(300):
+        # ids 0..3 sign the signals, so ids repeat often and experts 4 and 5 hear nothing
+        size = int(rng.integers(0, 7))
+        signals = [sig(int(i), int(c)) for i, c in zip(rng.integers(4, size=size),
+                                                      rng.integers(3, size=size))]
+        n = int(rng.integers(0, 5))  # background villagers: with N = 0 nobody else acted
+        last = () if rng.random() < 0.2 else tuple(int(c) for c in rng.integers(3, size=n + 1))
+        obs = make_obs(signals, last, agent_index=int(rng.integers(n + 1)), num_agents=n + 1)
+        experts = tuple(None if e == 6 else int(e) for e in rng.integers(7, size=int(rng.integers(7))))
+        assert agents._safe_crops(experts, obs) == [per_expert_safe_crop(e, obs) for e in experts]
+        ids = [s.institution_id for s in signals]
+        seen["duplicate ids"] += len(set(ids)) < len(ids)
+        seen["unknown ids"] += any(e is not None and e not in ids for e in experts)
+        seen["no last actions"] += not last and None in experts
+        seen["N = 0"] += n == 0 and bool(last) and None in experts
+    assert min(seen.values()) > 0 and len(seen) == 4
+
+
+def test_community_crop_is_counted_once_and_only_for_the_community_expert(monkeypatch):
+    calls = []
+    monkeypatch.setattr(agents, "others_modal_crop", lambda actions, me: calls.append(me) or 1)
+    obs = make_obs(signals=(sig(0, 0),), last_actions=(2, 1, 1))
+    assert agents._safe_crops((0, 3), obs) == [0, None] and calls == []
+    assert agents._safe_crops((None, 0, None), obs) == [1, 0, 1] and calls == [0]
+
+
+class ScanCountingSignals(tuple):
+    """A step's signals, counting how often something iterates over all of them."""
+
+    scans = 0
+
+    def __iter__(self):
+        ScanCountingSignals.scans += 1
+        return super().__iter__()
+
+
+@pytest.mark.parametrize("k", [1, 5, 40])
+def test_learner_walks_the_signals_once_per_update_and_once_per_choice(k):
+    signals = ScanCountingSignals(sig(i, i % 3) for i in range(k))
+    obs = make_obs(last_actions=(1, 0, 2, 1), agent_index=0)._replace(signals=signals)
+    ns = agents.initial_state(range(k))
+    ScanCountingSignals.scans = 0
+    agents.wm_update(ns, obs, [(0, True), (1, False), (2, True)])
+    assert ScanCountingSignals.scans == 1
+    agents.normative_action(ns, obs)
+    assert ScanCountingSignals.scans == 2
+    newcomer = agents.NormativeAgent(0, range(k), observe_others=True)
+    ScanCountingSignals.scans = 0
+    newcomer.act(obs)  # one update from four outcomes, then one choice over three crops
+    assert ScanCountingSignals.scans == 2 and newcomer.state.weights != ns.weights
 
 
 def test_predict_sanction_oracle_values():
@@ -196,17 +260,17 @@ def test_wm_update_computes_community_crop_once(monkeypatch):
 def test_normative_action_finds_each_safe_crop_once(monkeypatch):
     calls = []
 
-    def counting_safe_crop(expert, obs):
-        calls.append(expert)
-        return safe_crop(expert, obs)
+    def counting_safe_crops(experts, obs):
+        calls.append(experts)
+        return safe_crops(experts, obs)
 
-    safe_crop = agents._safe_crop
-    monkeypatch.setattr(agents, "_safe_crop", counting_safe_crop)
+    safe_crops = agents._safe_crops
+    monkeypatch.setattr(agents, "_safe_crops", counting_safe_crops)
     ns = agents.initial_state([0, 1])
     obs = make_obs(signals=(sig(0, 0), sig(1, 1)), last_actions=(2, 1, 1, 4),
                    crop_names=institutions.CROP_NAMES)
     assert agents.normative_action(ns, obs) == 1
-    assert calls == list(ns.experts)  # once per expert, not once per scored crop
+    assert calls == [ns.experts]  # once for every expert, not once per scored crop
 
 
 class ScanCountingActions(tuple):
@@ -688,19 +752,23 @@ def test_defy_episode_discredits_institution():
 CLAIM_VILLAGES = [(n, observe) for n in (1, 5, 40) for observe in (True, False)] + [(80, False)]
 
 
+def claim_village(mode, n, num_institutions):
+    """Institution i declares crop i; institution 0 is the one followed or defied."""
+    return orchard.EnvConfig(
+        institutions=tuple(institutions.make_institution(i, crop=i, authoritative=i == 0)
+                           for i in range(num_institutions)),
+        num_background=n, background_mode=mode, seed=1)
+
+
 @pytest.mark.parametrize("mode", orchard.BACKGROUND_MODES)
 @pytest.mark.parametrize("n, observe_others", CLAIM_VILLAGES)
 @pytest.mark.parametrize("num_institutions", range(1, 6))
 def test_newcomer_aligns_with_the_enforced_norm(mode, n, observe_others, num_institutions):
     """The paper's claim: the normative newcomer ends aligned with what the
     village enforces, the authoritative institution (follow) or the community
-    (defy). Institution i declares crop i; institution 0 is the one followed
-    or defied. In follow mode the leader's share stays at 0.5, because the
+    (defy). In follow mode the leader's share stays at 0.5, because the
     community expert predicts the same crop, so no share bound is checked."""
-    cfg = orchard.EnvConfig(
-        institutions=tuple(institutions.make_institution(i, crop=i, authoritative=i == 0)
-                           for i in range(num_institutions)),
-        num_background=n, background_mode=mode, seed=1)
+    cfg = claim_village(mode, n, num_institutions)
     roster = agents.build_roster(cfg, "normative", observe_others=observe_others)
     history = orchard.run_episode(cfg, roster)
     if mode == "follow_authoritative":
@@ -708,3 +776,31 @@ def test_newcomer_aligns_with_the_enforced_norm(mode, n, observe_others, num_ins
         assert orchard.alignment_metric(history, cfg, 0) == 1.0
     else:
         assert orchard.alignment_metric(history, cfg, "community_modal") == 1.0
+
+
+@pytest.mark.parametrize("mode", orchard.BACKGROUND_MODES)
+@pytest.mark.parametrize("n", (1, 5, 40))
+@pytest.mark.parametrize("num_institutions", range(1, 6))
+def test_newcomer_keeps_the_weighted_majority_mistake_bound(mode, n, num_institutions):
+    """With one outcome per step (`observe_others` false) the newcomer is
+    textbook Weighted Majority over its experts' criticism predictions for its
+    own last crop: replaying each step's outcome through `run_weighted_majority`
+    gives its weights bit for bit, and the vote's mistakes keep the bound over
+    the rounds t >= 1, in which no expert abstains once N >= 1."""
+    cfg = claim_village(mode, n, num_institutions)
+    roster = agents.build_roster(cfg, "normative", observe_others=False)
+    history = orchard.run_episode(cfg, roster)
+    ns = roster[0].state
+    predictions, outcomes = [], []
+    for prev, state in zip(history, history[1:]):
+        obs = Observation(state.t, 0, orchard.roster_names(cfg), cfg.crop_names, state.signals,
+                          prev.actions, prev.criticisms, state.discussion_log)
+        (action, sanctioned), = agents.derive_outcomes(obs, observe_others=False)
+        crops = agents._safe_crops(ns.experts, obs)
+        assert None not in crops
+        predictions.append([action != crop for crop in crops])
+        outcomes.append(sanctioned)
+    mistakes, weights = agents.run_weighted_majority(predictions, outcomes, ns.beta)
+    assert weights == ns.weights
+    m_star = min(sum(p != o for p, o in zip(column, outcomes)) for column in zip(*predictions))
+    assert mistakes <= wm_bound(len(ns.experts), m_star, ns.beta)

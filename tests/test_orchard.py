@@ -73,6 +73,33 @@ def test_env_config_refuses_declarations_outside_the_crop_list():
     assert inside.crop_names == ("apples", "bananas")
 
 
+@pytest.mark.parametrize("seed", range(5))
+def test_signals_are_declared_once_per_config(seed, monkeypatch):
+    """A step picks each institution's signal out of its config's cycles, so an
+    episode declares each (institution, crop position) once, not once a step,
+    and every config, even one equal to another, declares its own."""
+    declared = Counter()
+    declare = institutions.declare
+    monkeypatch.setattr(orchard, "declare",
+                        lambda inst, t, names: declared.update([inst.id]) or declare(inst, t, names))
+    rng = np.random.default_rng(seed)
+    for _ in range(10):
+        rotations = [tuple(int(c) for c in rng.integers(5, size=int(rng.integers(1, 6))))
+                     for _ in range(int(rng.integers(1, 6)))]
+        insts = tuple(institutions.Institution(i, institutions.institution_name(i), crops)
+                      for i, crops in enumerate(rotations))
+        steps = int(rng.integers(1, 20))
+        twins = [orchard.EnvConfig(institutions=insts, num_background=2, max_timesteps=steps,
+                                   eval_window=1) for _ in range(2)]
+        assert twins[0] == twins[1] and twins[0] is not twins[1]
+        declared.clear()
+        for count, cfg in enumerate(twins, 1):
+            history = orchard.run_episode(cfg, [Scripted(i, [0] * steps) for i in range(3)])
+            assert declared == {inst.id: count * len(inst.crops) for inst in insts}
+            for state in history:
+                assert state.signals == tuple(declare(inst, state.t, cfg.crop_names) for inst in insts)
+
+
 def test_roster_names():
     assert orchard.roster_names(follow_cfg(num_background=2)) == ("Alice", "John", "Anthony")
     names = orchard.roster_names(follow_cfg(num_background=11))

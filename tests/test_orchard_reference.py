@@ -1,7 +1,7 @@
 """The O(N + criticisms) village step against the per-villager rescans it replaced.
 
 The `ref_*` functions and `Reference*Agent` classes below are the earlier
-implementations of `orchard.step`, the expert vote (now `agents._safe_crop`),
+implementations of `orchard.step`, the expert vote (now `agents._safe_crops`),
 `agents.predict_sanction`, `agents.sanction_criticisms`,
 `agents.normative_action`, `agents.wm_update`, `agents.background_policy` and
 the villagers calling them, kept verbatim as the reference. Seeded random
@@ -456,8 +456,7 @@ def test_votes_and_policies_match_reference(seed):
             sanction_threshold=float(rng.choice([0.1, 0.3, 0.6])),
         )
         assert agents.sanction_criticisms(ns, obs)[1] == ref_sanction_criticisms(ns, obs)
-        for expert in ns.experts:
-            crop = agents._safe_crop(expert, obs)
+        for expert, crop in zip(ns.experts, agents._safe_crops(ns.experts, obs), strict=True):
             for action in range(num_crops):
                 vote = None if crop is None else action != crop
                 assert vote == ref_expert_vote(expert, obs, action)
