@@ -336,9 +336,9 @@ class BackgroundAgent:
     member's turns from its crowd's script; `discuss` and `act` build the
     script themselves, for callers that step one villager alone."""
 
-    def __init__(self, index: int, mode: str, institution_id: int, defy_crop: int | None = None):
+    def __init__(self, index: int, crowd: Crowd):
         self.index = index
-        self.crowd = Crowd(mode, institution_id, defy_crop)
+        self.crowd = crowd
 
     def discuss(self, obs: Observation) -> tuple[str, tuple[Criticism, ...]]:
         return self.crowd.script(obs).turn(obs.agent_index)
@@ -429,9 +429,9 @@ def build_roster(
 ) -> list:
     """The episode's agent handles: the focal agent at index 0, then backgrounds.
 
-    Follow-mode backgrounds track the authoritative institution; defy-mode
-    backgrounds defy the first institution by harvesting the smallest crop
-    that differs from its first declaration.
+    The backgrounds share one `Crowd`: follow mode tracks the authoritative
+    institution; defy mode defies the first institution by harvesting the
+    smallest crop that differs from its first declaration.
     A config that breaks `roster_violations` raises one ValueError listing them.
     """
     crowd, violations = _village_crowd(cfg)
@@ -443,4 +443,4 @@ def build_roster(
         focal = BaselineAgent(0, cfg.seed)
     else:
         raise ValueError(f"unknown focal kind {focal_kind!r}")
-    return [focal] + [BackgroundAgent(1 + i, *crowd) for i in range(cfg.num_background)]
+    return [focal] + [BackgroundAgent(1 + i, crowd) for i in range(cfg.num_background)]

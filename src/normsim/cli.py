@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
-import json
 import os
 import sys
 from pathlib import Path
@@ -26,6 +25,7 @@ from .agents import build_roster
 from .games import (
     GameFormatError,
     detect_cooperation_dilemma,
+    dumps_pretty,
     load_game,
     load_json,
     parse_profile,
@@ -164,7 +164,7 @@ def cmd_analyze(args) -> int:
         "advice": vars(advice_report) if advice_report else None,
     }
     if args.json:
-        print(json.dumps(report, indent=2, sort_keys=True))
+        print(dumps_pretty(report))
     else:
         print("\n".join(_analyze_lines(report)))
     if advice_report is not None and not advice_report.holds:
@@ -244,7 +244,7 @@ def cmd_simulate(args) -> int:
             history, sim.env, "community_modal"
         )
     if args.json:
-        print(json.dumps(metrics, indent=2, sort_keys=True))
+        print(dumps_pretty(metrics))
     else:
         print(f"wrote {out / 'transcript.txt'} and {out / 'episode.json'}")
         for ref, value in metrics["alignment"].items():
@@ -270,7 +270,7 @@ def cmd_experiment(args) -> int:
         return _unusable_out(exc)
     failed = [r for r in rows if r.status.startswith("failed")]
     if args.json:
-        print(json.dumps([r.to_dict() for r in rows], indent=2, sort_keys=True))
+        print(dumps_pretty([r.to_dict() for r in rows]))
     else:
         ok = sum(1 for r in rows if r.status == "ok")
         skipped = sum(1 for r in rows if r.status.startswith("skipped"))
@@ -303,7 +303,7 @@ def cmd_report(args) -> int:
         except OSError as exc:
             return _unusable_out(exc)
     if args.json:
-        print(json.dumps(cells, indent=2, sort_keys=True))
+        print(dumps_pretty(cells))
     else:
         print(harness.comparison_table(cells))
     return 0

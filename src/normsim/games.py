@@ -236,6 +236,41 @@ def load_json(path, parse=None):
         raise GameFormatError(f"{path}: {exc}") from exc
 
 
+def dumps_pretty(obj) -> str:
+    """`json.dumps(obj, indent=2, sort_keys=True)`, byte for byte, without the pure-Python
+    encoder CPython may fall back to whenever `indent` is set. A subclass of a JSON type
+    (numpy.float64) is written as json.dumps writes it; a non-string key raises TypeError."""
+    return _WRITERS.get(type(obj), _json_subclass)(obj, "\n")
+
+
+def _json_array(items, nl: str) -> str:  # nl: a newline and the indent of the opening line
+    inner = nl + "  "
+    parts = [_WRITERS.get(type(v), _json_subclass)(v, inner) for v in items]
+    return "[" + inner + ("," + inner).join(parts) + nl + "]" if parts else "[]"
+
+
+def _json_object(obj: dict, nl: str) -> str:
+    inner = nl + "  "
+    parts = [f"{inner}{_ascii(k)}: {_WRITERS.get(type(v), _json_subclass)(v, inner)}"
+             for k, v in sorted(obj.items())]
+    return "{" + ",".join(parts) + nl + "}" if parts else "{}"
+
+
+def _json_subclass(value, nl: str) -> str:
+    for base, write in _WRITERS.items():  # in json.dumps's isinstance order
+        if isinstance(value, base):
+            return write(value, nl)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+_ascii = json.encoder.encode_basestring_ascii  # C; raises TypeError on a non-string
+_WRITERS = {str: lambda s, nl: _ascii(s), int: lambda i, nl: int.__repr__(i),
+            float: lambda x, nl: float.__repr__(x) if math.isfinite(x)
+            else "NaN" if x != x else "Infinity" if x > 0 else "-Infinity",
+            bool: lambda b, nl: "true" if b else "false", type(None): lambda n, nl: "null",
+            list: _json_array, tuple: _json_array, dict: _json_object}
+
+
 def _typed(values, *types) -> bool:
     """Whether each value's exact type is one of `types` (a bool is no int here)."""
     return set(map(type, values)) <= set(types)

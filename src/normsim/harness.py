@@ -20,7 +20,6 @@ across-trial std is the population std (ddof=0).
 from __future__ import annotations
 
 import csv
-import json
 import math
 import os
 from dataclasses import asdict, dataclass, fields
@@ -31,7 +30,7 @@ import numpy as np
 
 from .agents import _BETA, _OBSERVE_OTHERS, _SANCTION_THRESHOLD
 from .agents import build_roster, learner_violations, roster_violations
-from .games import _is_number, load_json
+from .games import _is_number, dumps_pretty, load_json
 from .institutions import CROP_NAMES, make_institution, parse_institution
 from .oracle import ChatConfig
 from .orchard import (
@@ -298,9 +297,7 @@ def write_metrics_json(cfg: ExperimentConfig, rows: list[MetricsRow], path) -> N
         "trials": cfg.trials,
         "rows": [row.to_dict() for row in rows],
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    Path(path).write_text(dumps_pretty(payload) + "\n", encoding="utf-8")
 
 
 def run_experiment(

@@ -27,7 +27,6 @@ played as one block. Only other handles get a copy of the log so far.
 """
 from __future__ import annotations
 
-import json
 import math
 import operator
 from dataclasses import dataclass, field, fields
@@ -35,6 +34,7 @@ from functools import cached_property, lru_cache
 from pathlib import Path
 from typing import NamedTuple, Protocol, Sequence
 
+from .games import dumps_pretty
 from .institutions import CROP_NAMES, Institution, InstitutionSignal, declare
 
 FOCAL_NAME = "Alice"
@@ -473,12 +473,9 @@ def episode_to_dict(history: Sequence[WorldState], cfg: EnvConfig) -> dict:
                     for s in state.signals
                 ],
                 "discussion": [
-                    {
-                        "speaker": entry.speaker,
-                        "text": entry.text,
-                        "criticisms": [{"sender": s, "target": j, "criticized_crop": crop, "basis": b,
-                                        "text": text} for s, j, crop, b, text in entry.criticisms],
-                    }
+                    {"speaker": entry.speaker, "text": entry.text, "criticisms": [
+                        {"sender": s, "target": j, "criticized_crop": crop, "basis": b, "text": text}
+                        for s, j, crop, b, text in entry.criticisms] if entry.criticisms else []}
                     for entry in state.discussion_log
                 ],
                 "actions": list(state.actions),
@@ -490,5 +487,4 @@ def episode_to_dict(history: Sequence[WorldState], cfg: EnvConfig) -> dict:
 
 
 def save_episode(history: Sequence[WorldState], cfg: EnvConfig, path) -> None:
-    text = json.dumps(episode_to_dict(history, cfg), indent=2, sort_keys=True) + "\n"
-    Path(path).write_text(text, encoding="utf-8")
+    Path(path).write_text(dumps_pretty(episode_to_dict(history, cfg)) + "\n", encoding="utf-8")

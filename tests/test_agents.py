@@ -6,7 +6,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from normsim import agents, institutions, orchard
+from normsim import agents, games, institutions, orchard
 from normsim.orchard import Criticism, DiscussionEntry, Observation
 
 CROPS3 = institutions.CROP_NAMES[:3]
@@ -419,14 +419,16 @@ def crowd_rosters():
 
     def two_crowds():
         followers = agents.build_roster(cfg, "normative", sanction_threshold=0.3)[:5]
-        return followers + [agents.BackgroundAgent(i, "defy_institution", 1, defy_crop=1)
+        return followers + [agents.BackgroundAgent(i, agents.Crowd("defy_institution", 1, 1))
                             for i in range(5, cfg.num_agents)]
 
     def interleaved():  # runs of one and two members; a defier with no crowd splits one
-        follower = functools.partial(agents.BackgroundAgent, mode="follow_authoritative",
-                                     institution_id=1)
-        defier = functools.partial(agents.BackgroundAgent, mode="defy_institution",
-                                   institution_id=1, defy_crop=1)
+        def follower(i):
+            return agents.BackgroundAgent(i, agents.Crowd("follow_authoritative", 1))
+
+        def defier(i):
+            return agents.BackgroundAgent(i, agents.Crowd("defy_institution", 1, 1))
+
         kinds = (follower, defier, follower, follower, defier, follower, defier, follower,
                  follower)
         roster = [agents.BaselineAgent(0, cfg.seed)] + [kind(i) for i, kind in enumerate(kinds, 1)]
@@ -435,7 +437,8 @@ def crowd_rosters():
 
     def no_signal():
         return [agents.BaselineAgent(0, cfg.seed)] + [
-            agents.BackgroundAgent(i, "follow_authoritative", 7) for i in range(1, cfg.num_agents)]
+            agents.BackgroundAgent(i, agents.Crowd("follow_authoritative", 7))
+            for i in range(1, cfg.num_agents)]
 
     return cases + [(cfg, interleaved), (cfg, two_crowds), (cfg, no_signal)]
 
@@ -474,6 +477,23 @@ def test_crowds_play_as_their_members_would_one_by_one():
                for c in entry["criticisms"])
     assert outcomes[-1][0]["steps"] == []
     assert outcomes[-1][2] == "ValueError: no signal from institution 7"
+
+
+def test_roster_members_share_one_crowd():
+    """build_roster gives every background villager the one Crowd it derived; a
+    roster built one villager at a time, with equal but distinct crowds, plays
+    to the same dump and transcript bytes."""
+    cases = crowd_rosters()[:-3]  # the build_roster rosters
+    assert {cfg.background_mode for cfg, _ in cases} == set(orchard.BACKGROUND_MODES)
+    for cfg, roster in cases:
+        shared = roster()
+        assert all(agent.crowd is shared[1].crowd for agent in shared[1:])
+        apart = roster()[:1] + [agents.BackgroundAgent(a.index, agents.Crowd(*a.crowd))
+                                for a in shared[1:]]
+        assert apart[1].crowd == apart[2].crowd and apart[1].crowd is not apart[2].crowd
+        (dump, transcript, failure), by_one = played(cfg, shared), played(cfg, apart)
+        assert (games.dumps_pretty(by_one[0]), by_one[1], by_one[2]) == (
+            games.dumps_pretty(dump), transcript, failure)
 
 
 def two_episodes():
@@ -607,7 +627,7 @@ def test_baseline_policy():
 
 
 def test_agent_handle_utterances():
-    follower = agents.BackgroundAgent(1, "follow_authoritative", 0)
+    follower = agents.BackgroundAgent(1, agents.Crowd("follow_authoritative", 0))
     text, crits = follower.discuss(make_obs(signals=(sig(0, 0),), t=0, agent_index=1))
     assert (text, crits) == (
         "Chieftain Ophilia has spoken; let's all harvest apples for the good of Skymeadow.",
@@ -618,7 +638,7 @@ def test_agent_handle_utterances():
     assert len(crits) == 1 and text == crits[0].text
     assert follower.act(obs) == 0
 
-    defier = agents.BackgroundAgent(1, "defy_institution", 0, defy_crop=1)
+    defier = agents.BackgroundAgent(1, agents.Crowd("defy_institution", 0, 1))
     text, _ = defier.discuss(make_obs(signals=(sig(0, 0),), t=0, agent_index=1))
     assert text == "Remember what the elders taught us; in Skymeadow we harvest bananas together."
 

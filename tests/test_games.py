@@ -1,6 +1,10 @@
 """Base-game analysis: welfare optimum, deviation incentives, Nash checks,
 and the JSON table format."""
+import collections
+import enum
 import json
+import math
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -156,6 +160,70 @@ def test_load_reads_text_with_universal_newlines(tmp_path):
     with pytest.raises(games.GameFormatError) as exc:
         games.load_game(path)
     assert str(exc.value) == f"{path}: invalid JSON (Expecting value: line 4 column 1 (char 30))"
+
+
+def pretty(obj) -> str:
+    return json.dumps(obj, indent=2, sort_keys=True)
+
+
+TEXTS = ["", "a", "players", "café", "naïve ☃", "\x00\x1f\x7f", "tab\tnew\nline\r",
+         'quote " back \\ slash /', "astral \U0001F600 \U00010000", "\u2028\u2029\ud800", "Ω" * 40]
+NUMBERS = [0, 1, -1, 2**70, -(2**70), 10**20, 0.0, -0.0, 1.0, -1.5, 0.1, 1e16, 1e-7, 5e-324,
+           1.7976931348623157e308, math.inf, -math.inf, math.nan, np.float64(0.1),
+           np.float64(-0.0), np.float64(math.inf), np.float64(math.nan), True, False, None]
+
+
+def random_json(rng, depth=0):
+    """A value of every JSON shape: nested dicts, lists and tuples (empty ones
+    too) over numbers, bools, None and strings."""
+    kind = int(rng.integers(6 if depth < 4 else 2))
+    if kind == 0:
+        return NUMBERS[int(rng.integers(len(NUMBERS)))]
+    if kind == 1:
+        return TEXTS[int(rng.integers(len(TEXTS)))]
+    items = [random_json(rng, depth + 1) for _ in range(int(rng.integers(4)))]
+    if kind in (2, 3):
+        return {TEXTS[int(rng.integers(len(TEXTS)))] + str(k): v for k, v in enumerate(items)}
+    return items if kind == 4 else tuple(items)
+
+
+def test_dumps_pretty_matches_json_dumps():
+    rng = np.random.default_rng(26)
+    for _ in range(2000):
+        obj = random_json(rng)
+        assert games.dumps_pretty(obj) == pretty(obj)
+    for obj in NUMBERS + TEXTS + [[], {}, (), [[]], {"": {}}, [{}, [], ()], {"b": 1, "a": [True, 1]},
+                                  {"\U0001F600": 0, "é": 1, "z": 2, "Z": 3, "": 4}]:
+        assert games.dumps_pretty(obj) == pretty(obj)
+
+
+def test_dumps_pretty_writes_subclasses_as_json_dumps_does():
+    class Label(str):
+        pass
+
+    class Count(int):
+        pass
+
+    class Pair(NamedTuple):
+        left: float
+        right: list
+
+    for obj in (Label("x"), Count(3), enum.IntEnum("Level", "LOW HIGH").HIGH, Pair(0.5, [1]),
+                collections.OrderedDict(b=1, a=Label("y")), [np.float64(1e16)],
+                {"p": np.float64(0.25), "q": (np.float64(-math.inf),)}):
+        assert games.dumps_pretty(obj) == pretty(obj)
+
+
+@pytest.mark.parametrize("obj", [
+    {1: "a"}, {None: 1}, {True: 1}, {1.5: 1}, {(1, 2): 0}, {"a": 1, 2: 3}, [{"ok": {3: 4}}],
+    np.int64(1), [np.int64(1)], {"n": np.int64(1)}, {1, 2}, {"s": {1}}, np.bool_(True), b"x",
+    object(),
+])
+def test_dumps_pretty_refuses_what_normsim_never_writes(obj):
+    """Non-string keys, which json.dumps would turn into strings, and values
+    json.dumps cannot write raise TypeError."""
+    with pytest.raises(TypeError):
+        games.dumps_pretty(obj)
 
 
 def _random_game(rng, num_players, num_actions):

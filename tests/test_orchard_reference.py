@@ -4,22 +4,25 @@ The `ref_*` functions and `Reference*Agent` classes below are the earlier
 implementations of `orchard.step`, the expert vote (now `agents._safe_crops`),
 `agents.predict_sanction`, `agents.sanction_criticisms`,
 `agents.normative_action`, `agents.wm_update`, `agents.background_policy` and
-the villagers calling them, kept verbatim as the reference. Seeded random
-episodes must give the same episode dump, transcript, failure text and final
-focal weights, float bits included: rewards too, which `orchard.step` prices
-from per-agent criticism counts with the reference's operands in its order.
-`agents.normative_action` returns only the crop, the first element of
-`ref_normative_action`'s pair.
+the villagers calling them, kept verbatim as the reference, and so are
+`orchard.episode_to_dict` (`ref_episode_to_dict`) and the `json.dumps` call
+that `orchard.save_episode` wrote with (`ref_saved_episode`). Seeded random
+episodes must give the same episode dump and `episode.json` bytes, transcript,
+failure text and final focal weights, float bits included: rewards too, which
+`orchard.step` prices from per-agent criticism counts with the reference's
+operands in its order. `agents.normative_action` returns only the crop, the
+first element of `ref_normative_action`'s pair.
 """
 import json
 import operator
+from pathlib import Path
 from collections import Counter
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
-from normsim import agents, institutions, orchard
+from normsim import agents, harness, institutions, orchard
 from normsim.agents import (
     COMMUNITY_CRITICISM,
     DEFY_IDLE,
@@ -278,7 +281,7 @@ def reference_roster(roster):
     out = []
     for agent in roster:
         if isinstance(agent, agents.BackgroundAgent):
-            agent = ReferenceBackgroundAgent(agent.index, *agent.crowd)
+            agent = ReferenceBackgroundAgent(agent.index, agent.crowd)
         elif isinstance(agent, agents.NormativeAgent):
             state = agent.state
             agent = ReferenceNormativeAgent(
@@ -290,6 +293,56 @@ def reference_roster(roster):
             )
         out.append(agent)
     return out
+
+
+def ref_episode_to_dict(history, cfg):
+    config = {f.name: getattr(cfg, f.name) for f in fields(cfg)}
+    config["institutions"] = [
+        {
+            "id": inst.id,
+            "name": inst.name,
+            "authoritative": inst.authoritative,
+            **({"crop": inst.crops[0]} if len(inst.crops) == 1 else {"rotation": list(inst.crops)}),
+        }
+        for inst in cfg.institutions
+    ]
+    return {
+        "config": config,
+        "agent_names": list(roster_names(cfg)),
+        "steps": [
+            {
+                "t": state.t,
+                "signals": [
+                    {"institution_id": s.institution_id, "crop": s.crop, "text": s.text}
+                    for s in state.signals
+                ],
+                "discussion": [
+                    {
+                        "speaker": entry.speaker,
+                        "text": entry.text,
+                        "criticisms": [{"sender": s, "target": j, "criticized_crop": crop, "basis": b,
+                                        "text": text} for s, j, crop, b, text in entry.criticisms],
+                    }
+                    for entry in state.discussion_log
+                ],
+                "actions": list(state.actions),
+                "rewards": list(state.rewards),
+            }
+            for state in history
+        ],
+    }
+
+
+def ref_saved_episode(history, cfg):
+    """(dump, episode.json bytes) as `orchard.save_episode` wrote them."""
+    dump = ref_episode_to_dict(history, cfg)
+    return dump, (json.dumps(dump, indent=2, sort_keys=True) + "\n").encode("utf-8")
+
+
+def saved_episode(history, cfg, path):
+    """(episode_to_dict, the bytes save_episode writes to `path`)."""
+    orchard.save_episode(history, cfg, path)
+    return orchard.episode_to_dict(history, cfg), path.read_bytes()
 
 
 # ---------------------------------------------------------------------------
@@ -353,11 +406,14 @@ def play(step, roster, cfg):
 EPISODES = {}
 
 
-def replay(seed):
-    """Both implementations on one seeded episode: (new, reference) outputs."""
+def replay(seed, path):
+    """Both implementations on one seeded episode: (new, reference) outputs.
+    The new side's `episode.json` is written to `path`."""
     cfg, focal, beta, observe_others = random_episode(np.random.default_rng(seed))
     outputs = []
-    for step, wrap in ((orchard.step, list), (ref_step, reference_roster)):
+    sides = ((orchard.step, list, lambda history: saved_episode(history, cfg, path)),
+             (ref_step, reference_roster, lambda history: ref_saved_episode(history, cfg)))
+    for step, wrap, saved in sides:
         try:  # a roster the config cannot staff fails the episode up front
             handles = wrap(agents.build_roster(cfg, focal, beta=beta, observe_others=observe_others))
         except ValueError as exc:
@@ -367,7 +423,7 @@ def replay(seed):
         weights = handles[0].state.weights if handles and focal == "normative" else None
         outputs.append(
             (
-                json.dumps(orchard.episode_to_dict(history, cfg), sort_keys=True),
+                saved(history),
                 orchard.render_transcript(history, cfg),
                 failure,
                 [w.hex() for w in weights] if weights is not None else None,
@@ -379,16 +435,30 @@ def replay(seed):
 
 
 @pytest.mark.parametrize("seed", range(300))
-def test_step_matches_reference(seed):
-    new, ref = replay(seed)
+def test_step_matches_reference(seed, tmp_path):
+    new, ref = replay(seed, tmp_path / "episode.json")
     assert new == ref
 
 
-def test_random_episodes_cover_the_axes():
+@pytest.mark.parametrize("mode", orchard.BACKGROUND_MODES)
+def test_crowd320_dump_matches_reference(mode, tmp_path):
+    """The N=320 follow and defy villages of the CI example runs, in which all
+    320 villagers criticize the baseline newcomer on some steps."""
+    example = json.loads((Path(__file__).parents[1] / "docs/examples/simulate.json").read_text())
+    example["env"].update(num_background=320, background_mode=mode)
+    sim = harness.parse_sim_config({**example, "focal": "baseline"})
+    history, failure = play(orchard.step, agents.build_roster(sim.env, "baseline"), sim.env)
+    assert failure is None and len(history) == sim.env.max_timesteps
+    assert any(len(state.criticisms) == 320 for state in history)
+    assert saved_episode(history, sim.env, tmp_path / "episode.json") == ref_saved_episode(
+        history, sim.env)
+
+
+def test_random_episodes_cover_the_axes(tmp_path):
     seen = Counter()
     for seed in range(300):
         if seed not in EPISODES:
-            replay(seed)
+            replay(seed, tmp_path / "episode.json")
         cfg, focal, failure, sanctioned = EPISODES[seed]
         seen[cfg.background_mode, focal] += 1
         seen["turns", cfg.discussion_turns] += 1
