@@ -23,13 +23,18 @@ member's turn, so `orchard.step` builds it once per step for all of them. A
 village's background villagers form one crowd, which `build_roster` derives
 from the config by the same rules that `roster_violations` checks. The learner
 finds every expert's safe crop in one O(k + N) pass per update and per choice
-(k institutions, N villagers), then spends O(k) per distinct outcome or crop.
+(k institutions, N villagers), then spends O(k) per distinct outcome or crop,
+so a village step is O(N + k + criticisms). Its per-villager passes (the outcome
+pairs, the repeated penalties) run inside builtins.
 """
 from __future__ import annotations
 
 import math
+import operator
 from collections import Counter
 from dataclasses import dataclass, replace
+from functools import reduce
+from itertools import repeat
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -183,15 +188,14 @@ def wm_update(
     """Weighted Majority update: for each observed (action, sanctioned) pair,
     every non-abstaining expert that mispredicted is multiplied by beta.
     Weights are never renormalized; shares are computed on demand. Equal pairs
-    are grouped, and each penalty is still one multiplication, so the weights
-    are the per-pair products bit for bit."""
+    are grouped, and `reduce` still applies each penalty as one multiplication,
+    so the weights are the per-pair products bit for bit."""
     weights = list(ns.weights)
     crops = _safe_crops(ns.experts, obs)
     for (action, sanctioned), times in Counter(observed).items():
         for k, crop in enumerate(crops):
             if crop is not None and (action != crop) != bool(sanctioned):
-                for _ in range(times):
-                    weights[k] *= ns.beta
+                weights[k] = reduce(operator.mul, repeat(ns.beta, times), weights[k])
     return replace(ns, weights=tuple(weights))
 
 
@@ -208,13 +212,10 @@ def derive_outcomes(obs: Observation,
         for c in entry.criticisms
         if c.sender != obs.agent_index
     }
+    actions = obs.last_step_actions
     if observe_others:
-        indices: Sequence[int] = range(len(obs.last_step_actions))
-    else:
-        indices = (obs.agent_index,)
-    return tuple(
-        (obs.last_step_actions[j], j in sanctioned_targets) for j in indices
-    )
+        return tuple(zip(actions, map(sanctioned_targets.__contains__, range(len(actions)))))
+    return ((actions[obs.agent_index], obs.agent_index in sanctioned_targets),)
 
 
 def run_weighted_majority(

@@ -312,10 +312,11 @@ def parse_game(obj) -> FiniteGame:
     return _parse_game(obj)[0]
 
 
-@functools.lru_cache(maxsize=16)
+@functools.lru_cache(maxsize=1)
 def _profile_keys(names: tuple[tuple[str, ...], ...]) -> dict[str, int]:
     """Each profile key over the action names `names`, mapped to the C-order index
-    of its profile. Parses of one name set share the dict: read it, never change it."""
+    of its profile. Only the latest dict is kept, as a large game's keys outweigh its
+    payoffs; `cmd_analyze`'s two parses of one game share it: read it, never change it."""
     return {PROFILE_SEPARATOR.join(key): flat for flat, key in enumerate(itertools.product(*names))}
 
 

@@ -23,14 +23,16 @@ see alike is built once per step, so an `Observation` is a named tuple of shared
 references that only its agent index and the log so far set apart. Each crowd of
 scripted villagers (see `AgentHandle`) is answered once per step: a crowd's
 criticisms are checked once per step, and each run of its consecutive members is
-played as one block. Only other handles get a copy of the log so far.
+played as one block. Only other handles get a copy of the log so far. The
+per-villager passes (crowd turns, criticism flatten, quiet rewards) run inside builtins.
 """
 from __future__ import annotations
 
 import math
 import operator
 from dataclasses import dataclass, field, fields
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
+from itertools import chain, compress, repeat
 from pathlib import Path
 from typing import NamedTuple, Protocol, Sequence
 
@@ -165,6 +167,13 @@ class DiscussionEntry(NamedTuple):
     criticisms: tuple[Criticism, ...] = ()
 
 
+# C-level parts of the per-villager passes: a named tuple built from one tuple of
+# its fields, which skips its Python `__new__`, and an entry's criticisms.
+_new_criticism = partial(tuple.__new__, Criticism)
+_new_entry = partial(tuple.__new__, DiscussionEntry)
+_criticisms_of = operator.attrgetter("criticisms")
+
+
 @dataclass(frozen=True)
 class WorldState:
     """One completed timestep."""
@@ -260,19 +269,24 @@ def crowd_entries(script, members: Sequence[int]) -> list[DiscussionEntry]:
     criticizes every (target, crop, text) of `script.criticisms` but itself, on
     `script.basis`'s grounds, saying their texts joined, or says `script.idle`
     when that leaves no one. The one builder of a crowd member's turn."""
-    triples = script.criticisms
+    triples, idle = script.criticisms, script.idle
     if not triples:
-        return [DiscussionEntry(me, script.idle, ()) for me in members]
-    basis, targets = script.basis, {j for j, _, _ in triples}
-    joined = " ".join(text for _, _, text in triples)  # said by every member no triple targets
-
-    def targeted(me: int) -> DiscussionEntry:
-        kept = tuple(Criticism(me, j, crop, basis, text) for j, crop, text in triples if j != me)
-        return DiscussionEntry(me, " ".join(c.text for c in kept) if kept else script.idle, kept)
-
-    return [DiscussionEntry(me, joined, tuple([Criticism(me, j, crop, basis, text)
-                                               for j, crop, text in triples]))
-            if me not in targets else targeted(me) for me in members]
+        return list(map(_new_entry, zip(members, repeat(idle), repeat(()))))
+    basis, (targets, crops, texts) = script.basis, zip(*triples)
+    if len(triples) > len(members):  # each member's criticisms: one C pass per member
+        said = [tuple(map(_new_criticism, zip(repeat(me), targets, crops, repeat(basis), texts)))
+                for me in members]
+    else:  # or one C pass per triple, making a column of every member's criticisms
+        said = zip(*[map(_new_criticism, zip(members, repeat(j), repeat(crop), repeat(basis), repeat(text)))
+                     for j, crop, text in triples])
+    # every member says the texts joined, but a targeted member skips its own criticism
+    entries = list(map(_new_entry, zip(members, repeat(" ".join(texts)), said)))
+    for me in set(targets).intersection(members):
+        pos = members.index(me)
+        others = list(map(operator.ne, targets, repeat(me)))
+        kept = tuple(compress(entries[pos].criticisms, others))
+        entries[pos] = _new_entry((me, " ".join(compress(texts, others)) if kept else idle, kept))
+    return entries
 
 
 def step(prev: WorldState | None, agents: Sequence[AgentHandle], cfg: EnvConfig) -> WorldState:
@@ -334,15 +348,18 @@ def step(prev: WorldState | None, agents: Sequence[AgentHandle], cfg: EnvConfig)
         actions += [crop] * len(run)
     actions = tuple(actions)
 
-    criticisms = tuple(c for entry in discussion for c in entry.criticisms)
-    received, sent = [0] * len(actions), [0] * len(actions)
-    for c in criticisms:
-        received[c.target] += 1
-        sent[c.sender] += 1
+    criticisms = tuple(chain.from_iterable(map(_criticisms_of, discussion)))
     frac = actions.count(modal_crop(actions)) / len(actions)
     base = cfg.harvest_reward + cfg.monoculture_bonus * frac
     cost_received, cost_sent = cfg.sanction_cost_received, cfg.sanction_cost_sent
-    rewards = [base - cost_received * r - cost_sent * s for r, s in zip(received, sent)]
+    if not criticisms:  # every agent is priced with counts of 0
+        rewards = [base - cost_received * 0 - cost_sent * 0] * len(actions)
+    else:
+        received, sent = [0] * len(actions), [0] * len(actions)
+        for c in criticisms:
+            received[c.target] += 1
+            sent[c.sender] += 1
+        rewards = [base - cost_received * r - cost_sent * s for r, s in zip(received, sent)]
     return WorldState(t, signals, discussion, actions, criticisms, tuple(rewards))
 
 

@@ -1,6 +1,8 @@
 """Weighted-majority normative module and scripted villager policies."""
+import contextlib
 import functools
 import math
+import sys
 from collections import Counter
 
 import numpy as np
@@ -242,6 +244,30 @@ def test_wm_update_oracle_values():
     assert once.beta == ns.beta and once.experts == ns.experts
 
 
+def test_wm_update_is_one_multiplication_per_pair():
+    """Up to 400 equal pairs penalize one expert: its weight keeps the bits of one
+    multiplication per pair, subnormals included, and where that loop reaches 0
+    the update raises the weights' error."""
+    obs = make_obs(signals=(sig(0, 0),), last_actions=(1, 1), agent_index=0)
+    for beta in (0.05, 0.3, 0.9):
+        seen = Counter()
+        for start in (1.0, 1e-300, 5e-320):
+            ns = agents.NormativeState(experts=(0, None), weights=(start, 1.0), beta=beta)
+            weight = start
+            for times in range(1, 401):
+                weight *= beta  # the institution expert mispredicts each unsanctioned crop 1
+                try:
+                    updated = agents.wm_update(ns, obs, [(1, False)] * times)
+                except ValueError as exc:
+                    assert weight == 0.0 and str(exc) == "weights must be positive"
+                    seen["underflow"] += 1
+                    continue
+                assert [w.hex() for w in updated.weights] == [weight.hex(), (1.0).hex()]
+                seen["subnormal"] += weight < sys.float_info.min
+        # the smallest subnormal times beta rounds to 0 only when beta <= 0.5
+        assert seen["subnormal"] and bool(seen["underflow"]) == (beta <= 0.5), beta
+
+
 def test_wm_update_computes_community_crop_once(monkeypatch):
     calls = []
 
@@ -452,6 +478,45 @@ def played(cfg, roster):
     except ValueError as exc:
         failure = f"ValueError: {exc}"
     return orchard.episode_to_dict(history, cfg), orchard.render_transcript(history, cfg), failure
+
+
+def test_turns_are_exactly_discussion_entries_and_criticisms():
+    """Crowd turns skip the named tuples' constructors, yet every logged entry is
+    exactly a `DiscussionEntry` and every criticism exactly a `Criticism`: in
+    quiet and criticizing crowd turns, targeted members' turns and the
+    newcomer's."""
+    seen = Counter()
+    for cfg, roster in crowd_rosters():
+        history, handles = [], roster()
+        with contextlib.suppress(ValueError):
+            for _ in range(cfg.max_timesteps):
+                history.append(orchard.step(history[-1] if history else None, handles, cfg))
+        for state in history:
+            targets = {c.target for c in state.criticisms}
+            for entry in state.discussion_log:
+                assert type(entry) is DiscussionEntry and type(entry.criticisms) is tuple
+                assert all(type(c) is Criticism for c in entry.criticisms)
+                kind = "newcomer" if entry.speaker == 0 else "targeted" if entry.speaker in targets else "crowd"
+                seen[kind, bool(entry.criticisms)] += 1
+    assert all(seen[kind, criticizes] for kind in ("newcomer", "targeted", "crowd")
+               for criticizes in (False, True))
+    script = agents._CrowdScript(0, 0, ((1, 0, "one"), (2, 1, "two")), "idle")
+    entries = orchard.crowd_entries(script, (1, 2, 3))
+    assert entries == [DiscussionEntry(1, "two", (Criticism(1, 2, 1, 0, "two"),)),
+                       DiscussionEntry(2, "one", (Criticism(2, 1, 0, 0, "one"),)),
+                       DiscussionEntry(3, "one two", (Criticism(3, 1, 0, 0, "one"),
+                                                      Criticism(3, 2, 1, 0, "two")))]
+    lone = orchard.crowd_entries(script._replace(criticisms=((1, 0, "one"),)), (1,))
+    assert lone == [DiscussionEntry(1, "idle", ())]
+    quiet = orchard.crowd_entries(script._replace(criticisms=()), (1, 2))
+    for entry in entries + lone + quiet:
+        assert type(entry) is DiscussionEntry
+        assert all(type(c) is Criticism for c in entry.criticisms)
+    # a turn of one member, with more triples than members, builds each member's row
+    assert [orchard.crowd_entries(script, (me,))[0] for me in (1, 2, 3)] == entries
+    text, criticisms = script.turn(3)
+    assert text == "one two" and all(type(c) is Criticism for c in criticisms)
+    assert script.turn(1) == ("two", (Criticism(1, 2, 1, 0, "two"),))
 
 
 def test_crowds_play_as_their_members_would_one_by_one():

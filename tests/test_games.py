@@ -121,6 +121,16 @@ def test_profile_keys(pd):
         games.parse_profile(pd, "D,Z")
 
 
+def test_profile_keys_cache_keeps_the_latest_table(pd):
+    # a large game's key table outweighs its payoffs, so parses keep only the latest
+    table = game_to_dict(pd)
+    games.parse_game(table)
+    utilities = {key.replace("C", "X").replace("D", "Y"): u for key, u in table["utilities"].items()}
+    games.parse_game({**table, "actions": [["X", "Y"], ["X", "Y"]], "utilities": utilities})
+    assert games._profile_keys.cache_info().currsize == 1
+    assert games._profile_keys.cache_info().maxsize == 1
+
+
 def test_parse_game_errors():
     good = {
         "players": 2,

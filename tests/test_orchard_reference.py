@@ -406,10 +406,10 @@ def play(step, roster, cfg):
 EPISODES = {}
 
 
-def replay(seed, path):
-    """Both implementations on one seeded episode: (new, reference) outputs.
-    The new side's `episode.json` is written to `path`."""
-    cfg, focal, beta, observe_others = random_episode(np.random.default_rng(seed))
+def replay_both(cfg, focal, beta, observe_others, path):
+    """Both implementations on one episode: their (new, reference) outputs, then
+    the reference's history and failure text. The new side's `episode.json` is
+    written to `path`."""
     outputs = []
     sides = ((orchard.step, list, lambda history: saved_episode(history, cfg, path)),
              (ref_step, reference_roster, lambda history: ref_saved_episode(history, cfg)))
@@ -429,6 +429,13 @@ def replay(seed, path):
                 [w.hex() for w in weights] if weights is not None else None,
             )
         )
+    return outputs, history, failure
+
+
+def replay(seed, path):
+    """Both implementations on one seeded episode: (new, reference) outputs."""
+    cfg, focal, beta, observe_others = random_episode(np.random.default_rng(seed))
+    outputs, history, failure = replay_both(cfg, focal, beta, observe_others, path)
     sanctioned = any(c.sender == 0 for state in history for c in state.criticisms)
     EPISODES[seed] = (cfg, focal, failure, sanctioned)
     return outputs
@@ -452,6 +459,30 @@ def test_crowd320_dump_matches_reference(mode, tmp_path):
     assert any(len(state.criticisms) == 320 for state in history)
     assert saved_episode(history, sim.env, tmp_path / "episode.json") == ref_saved_episode(
         history, sim.env)
+
+
+@pytest.mark.parametrize("observe_others", [True, False])
+@pytest.mark.parametrize("mode", orchard.BACKGROUND_MODES)
+def test_crowd320_normative_episodes_match_reference(mode, observe_others, tmp_path):
+    """The docs example's normative newcomer among 320 follow or defy villagers,
+    learning from everyone's outcomes or only its own: the same dump,
+    `episode.json` bytes, transcript, failure text and weight bits as the
+    reference."""
+    example = json.loads((Path(__file__).parents[1] / "docs/examples/simulate.json").read_text())
+    example["env"].update(num_background=320, background_mode=mode)
+    sim = harness.parse_sim_config({**example, "observe_others": observe_others})
+    assert sim.focal_kind == "normative"
+    (new, ref), history, failure = replay_both(sim.env, "normative", sim.beta, observe_others,
+                                               tmp_path / "episode.json")
+    assert new == ref
+    # followers never see the newcomer stray; defiers all criticize its step-0 obedience
+    quiet = [0] * len(history)
+    expected = [0, 320] + quiet[2:] if mode == "defy_institution" else quiet
+    assert [len(state.criticisms) for state in history] == expected
+    if observe_others:  # 320 equal outcomes a step drive the losing experts' weights to 0
+        assert (len(history), failure) == (4, "ValueError: weights must be positive")
+    else:
+        assert (len(history), failure) == (sim.env.max_timesteps, None)
 
 
 def test_random_episodes_cover_the_axes(tmp_path):
