@@ -28,11 +28,13 @@ x + -0.0 == x bit for bit, so a sum may run over every player, owner included.
 JSON format (docs/config.md): a sanction-game file is a game file plus
 "classifiers", one menu per player of {"sanctions": [{"profile": "C,D",
 "target": 1}], "cost", "self_cost"} entries; an advice file is {"support":
-[{"profile_indices": [1, 1], "p": 1.0}]}. Both are checked in whole-list passes.
-Sanction menus reach one compile as a table of (entry, profile, target) pairs,
-and a parsed game builds its classifier objects only when `menus` is read.
-Advice is held as an index array and a probability vector, filled straight from
-the decoded lists; its `support` tuple is built only when read.
+[{"profile_indices": [1, 1], "p": 1.0}]}. Menus are parsed in one scan, entry by
+entry, straight into the compile's table of (entry, profile, target) pairs; the
+scan names the first fault, and a parsed game builds its classifier objects only
+when `menus` is read. Advice and the payoffs keep whole-list checks, with a
+per-row scan to name a fault. Advice is held as an index array and a probability
+vector, filled straight from the decoded lists; its `support` tuple is built only
+when read.
 """
 from __future__ import annotations
 
@@ -80,20 +82,27 @@ class ClassificationFunction:
         )
         if self.owner < 0:
             raise ValueError("owner must be a player index")
-        if self.owner in map(operator.itemgetter(1), pairs):
-            raise ValueError(
-                "self-targeting sanctions are expressed through self_cost, "
-                f"not the sanction set (player {self.owner})"
-            )
-        for value, label in ((self.cost, "cost"), (self.self_cost, "self_cost")):
-            if not math.isfinite(value) or value < 0.0:
-                raise ValueError(f"{label} must be finite and >= 0, got {value}")
-            object.__setattr__(self, label, value + 0.0)  # -0.0 would sign a zero minimax
+        _check_classifier(self.owner, map(operator.itemgetter(1), pairs), self.cost, self.self_cost)
+        for label in ("cost", "self_cost"):  # -0.0 would sign a zero minimax
+            object.__setattr__(self, label, getattr(self, label) + 0.0)
         object.__setattr__(self, "sanctions", pairs)
 
     @property
     def is_never(self) -> bool:
         return not self.sanctions
+
+
+def _check_classifier(owner: int, targets, cost, self_cost) -> None:
+    """A classifier's own rules, in this order: no target is its owner, then
+    `cost` and `self_cost` are finite and >= 0. ValueError names the first fault."""
+    if owner in targets:
+        raise ValueError(
+            "self-targeting sanctions are expressed through self_cost, "
+            f"not the sanction set (player {owner})"
+        )
+    for value, label in ((cost, "cost"), (self_cost, "self_cost")):
+        if not math.isfinite(value) or value < 0.0:
+            raise ValueError(f"{label} must be finite and >= 0, got {value}")
 
 
 def never_sanction(owner: int) -> ClassificationFunction:
@@ -105,10 +114,12 @@ class SanctionGame:
     """A base game plus one finite classifier menu per player.
 
     Every menu must contain a never-sanction entry, so refusing to punish is
-    always an available strategy. The constructor and `parse_sanction_game` both
-    end in one compile, which sets `num_players`, `sizes` (the menu lengths),
-    `never` (each menu's first never-sanction index) and the read-only cost
-    arrays `self_cost` and `imposed` of the module docstring.
+    always an available strategy. The constructor checks its classifiers in one
+    scan in menu order; `parse_sanction_game` scans the JSON menus into the pair
+    table without building classifiers. Both end in one compile, which sets
+    `num_players`, `sizes` (the menu lengths), `never` (each menu's first
+    never-sanction index) and the read-only cost arrays `self_cost` and `imposed`
+    of the module docstring.
     """
 
     def __init__(self, base: FiniteGame, menus: Sequence[Sequence[ClassificationFunction]]):
@@ -116,34 +127,28 @@ class SanctionGame:
         n, counts = base.num_players, base.num_actions
         if len(menus) != n:
             raise ValueError(f"{len(menus)} menus for {n} players")
-        entries = [c for menu in menus for c in menu]
-        shape = (len(entries),) + counts + (n,)
-        # one row (entry, *profile, target) per sanctioned pair, entries numbered over
-        # all menus, range-checked before any indexing: numpy would wrap a negative index
-        rows = [(g, *profile, t) for g, c in enumerate(entries) for profile, t in c.sanctions]
-        try:
-            rows = np.array(rows, dtype=np.intp).reshape(len(rows), 2 + n)
-            owned = all(c.owner == i for i, menu in enumerate(menus) for c in menu)
-            valid = owned and bool(((rows >= 0) & (rows < shape)).all())
-        except (ValueError, OverflowError):  # a profile of the wrong length, a huge index
-            valid = False
-        for i, menu in enumerate(menus):
+        for i, menu in enumerate(menus):  # raise the first fault, in menu order
             if not menu:
                 raise ValueError(f"player {i} has an empty classifier menu")
             if not any(c.is_never for c in menu):
                 raise ValueError(f"player {i}'s menu lacks a never-sanction entry")
-            for c in () if valid else menu:  # raise the first fault, in menu order
+            for c in menu:
                 if c.owner != i:
                     raise ValueError(
                         f"classifier owned by player {c.owner} placed in player {i}'s menu"
                     )
-                for profile, target in c.sanctions:
+                for profile, target in c.sanctions:  # checked before indexing: numpy wraps -1
                     if not 0 <= target < n:
                         raise ValueError(f"sanction target {target} is not a player")
                     if len(profile) != n or not all(0 <= a < k for a, k in zip(profile, counts)):
                         raise ValueError(f"sanctioned profile {profile} not in the base game")
+        entries = [c for menu in menus for c in menu]
+        # one row (entry, *profile, target) per sanctioned pair, entries numbered over all menus
+        rows = [(g, *profile, t) for g, c in enumerate(entries) for profile, t in c.sanctions]
+        rows = np.array(rows, dtype=np.intp).reshape(len(rows), 2 + n)
         self.menus = menus  # the property builds only a parsed game's menus
         rates = np.array([(c.cost, c.self_cost) for c in entries], float).reshape(-1, 2).T
+        shape = (len(entries),) + counts + (n,)
         self._compile(base, list(map(len, menus)), np.ravel_multi_index(tuple(rows.T), shape), *rates)
 
     def _compile(self, base: FiniteGame, sizes, codes, cost, self_cost) -> None:
@@ -492,98 +497,76 @@ def verify_correlated_equilibrium(
     return CEReport(mode, False, worst, who, dev, rec)
 
 
-def institution_environment_check(
-    sg: SanctionGame, institutions: Sequence[AdviceDistribution], base_profile: Sequence[int]
-) -> bool:
-    """True iff at least one advice distribution passes the literal check."""
-    return any(
-        verify_correlated_equilibrium(sg, advice, base_profile, mode="literal").holds
-        for advice in institutions
-    )
-
-
 # ---------------------------------------------------------------------------
 # JSON format (see the module docstring)
 # ---------------------------------------------------------------------------
 
 
-def _pair_table(base: FiniteGame, keys: dict[str, int], raw_menus):
-    """The whole-list checks. Well-formed menus give `SanctionGame._compile`'s
-    arguments; others give None, a KeyError, a TypeError or an OverflowError."""
-    n, typed = base.num_players, games._typed
-    raw = list(itertools.chain.from_iterable(raw_menus))
-    if not (typed(raw_menus, list, tuple) and all(raw_menus) and typed(raw, dict)):
-        return None
-    sets = list(map(operator.itemgetter("sanctions"), raw))
-    entries = list(itertools.chain.from_iterable(sets))
-    profiles = list(map(operator.itemgetter("profile"), entries))
-    targets = list(map(operator.itemgetter("target"), entries))
-    rates = [c.get(label, 0.0) for label in ("cost", "self_cost") for c in raw]
-    if not (typed(sets, list, tuple) and typed(entries, dict) and typed(profiles, str)
-            and typed(targets, int) and typed(rates, int, float)):
-        return None
-    sizes, lengths = list(map(len, raw_menus)), list(map(len, sets))
-    entry = np.repeat(np.arange(len(raw)), lengths)
-    target = np.array(targets, dtype=np.intp)
-    rates = np.array(rates, dtype=float).reshape(2, -1) + 0.0  # -0.0 would sign a zero minimax
-    if not (
-        all(0 in lengths[end - size : end] for size, end in zip(sizes, itertools.accumulate(sizes)))
-        and np.isfinite(rates).all() and (rates >= 0.0).all()
-        and ((target >= 0) & (target < n) & (target != np.repeat(np.arange(n), sizes)[entry])).all()
-    ):
-        return None
-    flat = np.array(list(map(keys.__getitem__, profiles)), dtype=np.intp)
-    return sizes, (entry * math.prod(base.num_actions) + flat) * n + target, *rates
-
-
 def parse_sanction_game(obj) -> SanctionGame:
+    """Scan the menus entry by entry into the pair table and compile it. The scan names
+    the first fault; then, per menu, come the never-sanction and target range checks,
+    worded as the constructor words them. A classifier is built only to name a target."""
     base, keys = games._parse_game(obj)
-    raw_menus = obj.get("classifiers")
-    if not isinstance(raw_menus, (list, tuple)) or len(raw_menus) != base.num_players:
+    n, raw_menus = base.num_players, obj.get("classifiers")
+    if not isinstance(raw_menus, (list, tuple)) or len(raw_menus) != n:
         raise GameFormatError("'classifiers' must list one menu per player")
-    try:
-        table = _pair_table(base, keys, raw_menus)
-    except (KeyError, TypeError, OverflowError):  # OverflowError: an int too large for a float
-        table = None
-    if table is not None:  # the menus wait for a read
-        sg = SanctionGame.__new__(SanctionGame)
-        sg._compile(base, *table)
-        return sg
-    menus = []  # a whole-list check failed: scan every entry, naming the first fault
+    where = "'classifiers'[{}][{}]".format  # formatted only to raise
+    flats, targets = [], []  # one per sanctioned pair
+    lengths, costs, self_costs = [], [], []  # one per classifier
     for i, raw_menu in enumerate(raw_menus):
         if not isinstance(raw_menu, (list, tuple)) or not raw_menu:
             raise GameFormatError(f"'classifiers'[{i}] must be a non-empty array")
-        menu = []
         for k, raw in enumerate(raw_menu):
-            where = f"'classifiers'[{i}][{k}]"
             if not isinstance(raw, dict):
-                raise GameFormatError(f"{where} must be an object")
-            raw_sanctions = raw.get("sanctions")
+                raise GameFormatError(f"{where(i, k)} must be an object")
+            raw_sanctions, start = raw.get("sanctions"), len(targets)
             if not isinstance(raw_sanctions, (list, tuple)):
-                raise GameFormatError(f"{where} needs a 'sanctions' array")
-            pairs = set()
+                raise GameFormatError(f"{where(i, k)} needs a 'sanctions' array")
             for entry in raw_sanctions:
                 if not isinstance(entry, dict) or "profile" not in entry or "target" not in entry:
-                    raise GameFormatError(f"{where} sanctions need 'profile' and 'target'")
+                    raise GameFormatError(f"{where(i, k)} sanctions need 'profile' and 'target'")
                 key, target = entry["profile"], entry["target"]
                 if type(key) is not str:
-                    raise GameFormatError(f"{where} profile must be a profile key string")
-                profile = games.parse_profile(base, key)  # raises for a key naming no profile
+                    raise GameFormatError(f"{where(i, k)} profile must be a profile key string")
+                if key not in keys:
+                    games.parse_profile(base, key)  # raises: the key names no profile
                 if type(target) is not int:  # JSON integers only: not bool, not float
-                    raise GameFormatError(f"{where} target must be a player index")
-                pairs.add((profile, target))
+                    raise GameFormatError(f"{where(i, k)} target must be a player index")
+                flats.append(keys[key])
+                targets.append(target)
             cost, self_cost = raw.get("cost", 0.0), raw.get("self_cost", 0.0)
             if not games._is_number(cost) or not games._is_number(self_cost):
-                raise GameFormatError(f"{where} costs must be finite numbers")
+                raise GameFormatError(f"{where(i, k)} costs must be finite numbers")
+            cost, self_cost = float(cost), float(self_cost)
             try:
-                menu.append(ClassificationFunction(i, frozenset(pairs), float(cost), float(self_cost)))
+                _check_classifier(i, targets[start:], cost, self_cost)
             except ValueError as exc:
-                raise GameFormatError(f"{where}: {exc}") from exc
-        menus.append(tuple(menu))
-    try:
-        return SanctionGame(base=base, menus=tuple(menus))
-    except ValueError as exc:
-        raise GameFormatError(str(exc)) from exc
+                raise GameFormatError(f"{where(i, k)}: {exc}") from exc
+            lengths.append(len(raw_sanctions))
+            costs.append(cost)
+            self_costs.append(self_cost)
+    sizes = list(map(len, raw_menus))
+    in_range = min(targets, default=0) >= 0 and max(targets, default=0) < n
+    for i, (lo, hi) in enumerate(itertools.pairwise([0, *itertools.accumulate(sizes)])):
+        if 0 not in lengths[lo:hi]:
+            raise GameFormatError(f"player {i}'s menu lacks a never-sanction entry")
+        for g in () if in_range else range(lo, hi):
+            start = sum(lengths[:g])
+            flat, target = flats[start : start + lengths[g]], targets[start : start + lengths[g]]
+            if not all(0 <= t < n for t in target):
+                # the constructor names the first bad target in its pair set's order; that
+                # set is built from a set, as a frozenset of the list may order it differently
+                profiles = zip(*(a.tolist() for a in np.unravel_index(flat, base.num_actions)))
+                pairs = frozenset(set(zip(profiles, target)))
+                c = ClassificationFunction(i, pairs, costs[g], self_costs[g])
+                bad = next(t for _, t in c.sanctions if not 0 <= t < n)
+                raise GameFormatError(f"sanction target {bad} is not a player")
+    entry = np.repeat(np.arange(len(lengths)), lengths)
+    flat = entry * math.prod(base.num_actions) + np.array(flats, np.intp)  # (entry, *profile)
+    sg = SanctionGame.__new__(SanctionGame)  # the menus wait for a read
+    rates = np.array(costs) + 0.0, np.array(self_costs) + 0.0  # -0.0 would sign a zero minimax
+    sg._compile(base, sizes, flat * n + np.array(targets, np.intp), *rates)
+    return sg
 
 
 def load_sanction_game(path) -> SanctionGame:

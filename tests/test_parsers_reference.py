@@ -878,6 +878,139 @@ def test_analyze_builds_no_classifier(tmp_path, monkeypatch, capsys):
 
 
 # ---------------------------------------------------------------------------
+# Two faults in one file: the scan names the fault the reference names
+# ---------------------------------------------------------------------------
+
+
+def fault_game(rng, players):
+    """A valid sanction-game object of `players` players with 1 to 3 actions each,
+    whose menus hold the never entry and 1 to 3 classifiers of 0 to 4 valid pairs;
+    and its profile keys."""
+    actions = [list(rng.choice(NAMES, size=int(rng.integers(1, 4)), replace=False))
+               for _ in range(players)]
+    keys = [",".join(p) for p in itertools.product(*actions)]
+    classifiers = [[{"sanctions": []}] + [
+        {"sanctions": [pair(rng, keys, target) for target in valid_targets(rng, owner, players)],
+         "cost": 1.5, "self_cost": 0.25}
+        for _ in range(int(rng.integers(1, 4)))
+    ] for owner in range(players)]
+    utilities = {key: [k % 3] * players for k, key in enumerate(keys)}
+    return {"players": players, "actions": actions, "utilities": utilities,
+            "classifiers": classifiers}, keys
+
+
+def valid_targets(rng, owner, players):
+    others = [t for t in range(players) if t != owner]
+    return [others[int(rng.integers(len(others)))] for _ in range(int(rng.integers(5)) if others else 0)]
+
+
+def pair(rng, keys, target):
+    return {"profile": keys[int(rng.integers(len(keys)))], "target": target}
+
+
+def insert(rng, items, *new):
+    """Put `new` into `items` at seeded places, keeping their order."""
+    places = sorted(rng.choice(len(items) + len(new), size=len(new), replace=False).tolist())
+    for place, item in zip(places, new):
+        items.insert(place, item)
+
+
+def assert_error_as_reference(obj, fragment):
+    new = outcome(sanctions.parse_sanction_game, obj)
+    assert new == outcome(ref_parse_sanction_game, obj)
+    assert new[:2] == ("error", GameFormatError) and fragment in new[2], new
+    return new[2]
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_first_out_of_range_target_as_reference(seed):
+    """A classifier holding several distinct out-of-range targets, among valid
+    pairs, names the target the reference names: the first in its pair set's
+    order, which is often not the first in the file."""
+    rng = np.random.default_rng(seed)
+    players = 1 + seed % 3
+    obj, keys = fault_game(rng, players)
+    owner = int(rng.integers(players))
+    bad = [-3, -2, -1, players, players + 1, players + 4, 2**70]
+    bad = [bad[k] for k in rng.permutation(len(bad))[: int(rng.integers(2, 7))].tolist()]
+    sanctions_ = [pair(rng, keys, target) for target in valid_targets(rng, owner, players) + bad]
+    menu = obj["classifiers"][owner]
+    menu.insert(int(rng.integers(len(menu) + 1)),
+                {"sanctions": [sanctions_[k] for k in rng.permutation(len(sanctions_)).tolist()]})
+    assert_error_as_reference(obj, "is not a player")
+
+
+def two_faults(owner, players, key):
+    """Each case's name: the fragment of the fault that wins, and how to put both
+    faults into a classifier `c` of player `owner`, the first one earlier in the file."""
+    far, self_pair = players + 1, {"profile": key, "target": owner}
+    return {name: (fragment, put) for name, fragment, put in [
+        ("a self target, then a float target", "target must be a player index",
+         lambda rng, c: insert(rng, c["sanctions"], self_pair, {"profile": key, "target": float(owner)})),
+        ("a negative cost and a self target", "self-targeting",
+         lambda rng, c: (c.update(cost=-1), insert(rng, c["sanctions"], self_pair))),
+        ("a negative self_cost and a negative cost", ": cost must be finite and >= 0",
+         lambda rng, c: c.update(cost=-2, self_cost=-1)),
+        ("an out-of-range target, then an unknown profile key", "unknown action",
+         lambda rng, c: insert(rng, c["sanctions"], {"profile": key, "target": far},
+                               {"profile": "Z" + key, "target": 0})),
+        ("an out-of-range target, then a key of the wrong length", "actions for",
+         lambda rng, c: insert(rng, c["sanctions"], {"profile": key, "target": far},
+                               {"profile": key + ",C", "target": 0})),
+        ("an out-of-range target, then a self target", "self-targeting",
+         lambda rng, c: insert(rng, c["sanctions"], {"profile": key, "target": far}, self_pair)),
+        ("an out-of-range target and a negative cost", ": cost must be finite and >= 0",
+         lambda rng, c: (c.update(cost=-0.5), insert(rng, c["sanctions"], {"profile": key, "target": far}))),
+        ("an out-of-range target and a string cost", "costs must be finite numbers",
+         lambda rng, c: (c.update(cost="1"), insert(rng, c["sanctions"], {"profile": key, "target": far}))),
+        ("an out-of-range target, then an entry without a target", "need 'profile' and 'target'",
+         lambda rng, c: insert(rng, c["sanctions"], {"profile": key, "target": far}, {"profile": key})),
+    ]}
+
+
+@pytest.mark.parametrize("case", list(two_faults(0, 1, "C")))
+@pytest.mark.parametrize("seed", range(6))
+def test_two_faults_in_one_classifier_as_reference(case, seed):
+    rng = np.random.default_rng(seed)
+    players = 1 + seed % 3
+    obj, keys = fault_game(rng, players)
+    owner = int(rng.integers(players))
+    menu = obj["classifiers"][owner]
+    fragment, put = two_faults(owner, players, keys[int(rng.integers(len(keys)))])[case]
+    put(rng, menu[int(rng.integers(1, len(menu)))])
+    assert_error_as_reference(obj, fragment)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_a_scan_fault_in_menu_1_wins_over_a_menu_fault_in_menu_0(seed):
+    """The never-sanction and target checks run only after every menu is scanned."""
+    rng = np.random.default_rng(seed)
+    players = 2 + seed % 2
+    obj, keys = fault_game(rng, players)
+    menu0, menu1 = obj["classifiers"][:2]
+    if seed % 4 < 2:  # menu 0 lacks a never-sanction entry
+        menu0[0] = {"sanctions": [pair(rng, keys, 1)]}
+    else:
+        insert(rng, menu0[int(rng.integers(1, len(menu0)))]["sanctions"], pair(rng, keys, -1 - seed % 3))
+    c = menu1[int(rng.integers(1, len(menu1)))]
+    fault = int(rng.integers(6))
+    if fault == 0:
+        insert(rng, c["sanctions"], pair(rng, keys, 1))  # player 1's own index
+    elif fault == 1:
+        insert(rng, c["sanctions"], pair(rng, keys, 0.0))
+    elif fault == 2:
+        insert(rng, c["sanctions"], {"profile": "Z" + keys[0], "target": 0})
+    elif fault == 3:
+        c["self_cost"] = -1
+    elif fault == 4:
+        c["cost"] = None
+    else:
+        menu1.insert(int(rng.integers(len(menu1) + 1)), [])
+    message = assert_error_as_reference(obj, "")
+    assert "never-sanction" not in message and "is not a player" not in message, message
+
+
+# ---------------------------------------------------------------------------
 # Advice as arrays: parsed and hand-built, against the reference
 # ---------------------------------------------------------------------------
 

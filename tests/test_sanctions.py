@@ -244,14 +244,6 @@ def test_advice_validation(pd_sg3):
         )
 
 
-def test_institution_environment_check(pd):
-    sg = pointless_sanction_game(pd)
-    bad = sanctions.advice_point_mass((1, 0))
-    good = sanctions.advice_point_mass((0, 0))
-    assert sanctions.institution_environment_check(sg, [bad, good], (0, 0))
-    assert not sanctions.institution_environment_check(sg, [bad], (0, 0))
-
-
 def _random_sanction_game(rng):
     num_actions = int(rng.integers(2, 4))
     actions = [[f"a{k}" for k in range(num_actions)], [f"b{k}" for k in range(num_actions)]]
