@@ -23,8 +23,10 @@ see alike is built once per step, so an `Observation` is a named tuple of shared
 references that only its agent index and the log so far set apart. Each crowd of
 scripted villagers (see `AgentHandle`) is answered once per step: a crowd's
 criticisms are checked once per step, and each run of its consecutive members is
-played as one block. Only other handles get a copy of the log so far. The
-per-villager passes (crowd turns, criticism flatten, quiet rewards) run inside builtins.
+played as one block, which steps that play the same one share: a settled village's
+quiet step reuses last step's entries instead of building one per villager. Only
+other handles get a copy of the log so far. The per-villager passes (crowd turns,
+criticism flatten, quiet rewards) run inside builtins.
 """
 from __future__ import annotations
 
@@ -32,7 +34,7 @@ import math
 import operator
 from dataclasses import dataclass, field, fields
 from functools import cached_property, lru_cache, partial
-from itertools import chain, compress, repeat
+from itertools import chain, compress, pairwise, repeat
 from pathlib import Path
 from typing import NamedTuple, Protocol, Sequence
 
@@ -207,14 +209,14 @@ class AgentHandle(Protocol):
     actions; `act` returns a crop index.
 
     A handle whose `crowd` attribute is set (see `agents.Crowd`) is never asked
-    to discuss or act: `step` builds `crowd.script(obs)` once per step, from
-    the crowd's first member's observation. Every member harvests
-    `script.action` and takes its turn from `crowd_entries`, which reads the
-    script's `idle` line and its `criticisms`, (target, crop, text) triples on
-    `script.basis`'s grounds. A crowd's criticisms are checked once per step,
-    and each run of its consecutive members has its action checked once. So
-    members of one crowd must act alike, and a script may read only what a
-    step's observations share."""
+    to discuss or act: `step` builds `crowd.script(obs)` once per step, from the
+    crowd's first member's observation. Every member harvests `script.action`
+    and takes its turn from `crowd_entries`, which reads the script's `idle`
+    line and its `criticisms`, (target, crop, text) triples on `script.basis`'s
+    grounds, and shares the turns across steps that play them alike. A crowd's
+    criticisms are checked once per step, and each run of its consecutive
+    members has its action checked once. So members of one crowd must act
+    alike, and a script may read only what a step's observations share."""
 
     def discuss(self, obs: Observation) -> tuple[str, tuple[Criticism, ...]]: ...
 
@@ -264,15 +266,24 @@ def _validate_criticized(target: int, crop: int, basis: int | None, cfg: EnvConf
         raise EnvError(f"criticism cites unknown institution {basis}")
 
 
-def crowd_entries(script, members: Sequence[int]) -> list[DiscussionEntry]:
+def crowd_entries(script, members: range | tuple[int, ...]) -> list[DiscussionEntry]:
     """The turns of crowd `members` playing their crowd's `script`: each one
     criticizes every (target, crop, text) of `script.criticisms` but itself, on
     `script.basis`'s grounds, saying their texts joined, or says `script.idle`
-    when that leaves no one. The one builder of a crowd member's turn."""
-    triples, idle = script.criticisms, script.idle
+    when that leaves no one. The one builder of a crowd member's turn. Calls in
+    any step that play two or more members the same lines share the immutable
+    entries; the list returned is the caller's own."""
+    triples = script.criticisms  # `basis` is read only when a criticism needs it
+    key = (triples, script.basis if triples else None, script.idle, members)
+    # a lone member's turn is built afresh, so single turns evict no shared block
+    return list((_crowd_block.__wrapped__ if len(members) < 2 else _crowd_block)(*key))
+
+
+@lru_cache(maxsize=8)  # a fixed few blocks, so what they hold stays small
+def _crowd_block(triples, basis, idle, members) -> tuple[DiscussionEntry, ...]:
     if not triples:
-        return list(map(_new_entry, zip(members, repeat(idle), repeat(()))))
-    basis, (targets, crops, texts) = script.basis, zip(*triples)
+        return tuple(map(_new_entry, zip(members, repeat(idle), repeat(()))))
+    targets, crops, texts = zip(*triples)
     if len(triples) > len(members):  # each member's criticisms: one C pass per member
         said = [tuple(map(_new_criticism, zip(repeat(me), targets, crops, repeat(basis), texts)))
                 for me in members]
@@ -286,7 +297,7 @@ def crowd_entries(script, members: Sequence[int]) -> list[DiscussionEntry]:
         others = list(map(operator.ne, targets, repeat(me)))
         kept = tuple(compress(entries[pos].criticisms, others))
         entries[pos] = _new_entry((me, " ".join(compress(texts, others)) if kept else idle, kept))
-    return entries
+    return tuple(entries)
 
 
 def step(prev: WorldState | None, agents: Sequence[AgentHandle], cfg: EnvConfig) -> WorldState:
@@ -303,13 +314,13 @@ def step(prev: WorldState | None, agents: Sequence[AgentHandle], cfg: EnvConfig)
         return Observation(t, idx, names, cfg.crop_names, signals, last_actions,
                            last_criticisms, so_far)
 
-    runs, last = [], None  # (crowd, indices) of each maximal run of one crowd's consecutive members
+    runs, last = [], None  # (crowd, first index) of each maximal run of one crowd's consecutive members
     for idx, agent in enumerate(agents):
         crowd = getattr(agent, "crowd", None)
-        if crowd is None or crowd != last:
-            runs.append((crowd, []))
-        runs[-1][1].append(idx)
+        if crowd is None or crowd is not last and crowd != last:
+            runs.append((crowd, idx))
         last = crowd
+    runs.append((None, len(agents)))  # ends the last run: a run ends where the next starts
     scripts = {}  # each crowd's script for this step, built at its first member's turn
 
     def script_for(crowd, idx: int, so_far: Sequence[DiscussionEntry]):
@@ -322,11 +333,11 @@ def step(prev: WorldState | None, agents: Sequence[AgentHandle], cfg: EnvConfig)
 
     log: list[DiscussionEntry] = []
     for _ in range(cfg.discussion_turns):
-        for crowd, run in runs:
-            if crowd is not None:
-                log += crowd_entries(script_for(crowd, run[0], log), run)
+        for (crowd, idx), (_, end) in pairwise(runs):
+            if crowd is not None:  # its members as a range, which hashes in O(1)
+                log += crowd_entries(script_for(crowd, idx, log), range(idx, end))
                 continue
-            idx = run[0]  # a handle outside any crowd is a run of its own
+            # a handle outside any crowd is a run of its own
             text, criticisms = agents[idx].discuss(obs_for(idx, tuple(log)))
             criticisms = tuple(criticisms)
             for c in criticisms:
@@ -335,8 +346,7 @@ def step(prev: WorldState | None, agents: Sequence[AgentHandle], cfg: EnvConfig)
     discussion = tuple(log)
 
     actions = []
-    for crowd, run in runs:  # a crowd run's action is checked once, at its first member
-        idx = run[0]
+    for (crowd, idx), (_, end) in pairwise(runs):  # a crowd run's action is checked once, at idx
         chosen = (agents[idx].act(obs_for(idx, discussion)) if crowd is None
                   else script_for(crowd, idx, discussion).action)
         try:
@@ -345,7 +355,7 @@ def step(prev: WorldState | None, agents: Sequence[AgentHandle], cfg: EnvConfig)
             raise EnvError(f"agent {names[idx]} returned non-integer action {chosen!r}") from None
         if not 0 <= crop < cfg.num_crops:
             raise EnvError(f"agent {names[idx]} returned out-of-range crop {crop}")
-        actions += [crop] * len(run)
+        actions += [crop] * (end - idx)
     actions = tuple(actions)
 
     criticisms = tuple(chain.from_iterable(map(_criticisms_of, discussion)))

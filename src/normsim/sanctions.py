@@ -505,7 +505,7 @@ def verify_correlated_equilibrium(
 def parse_sanction_game(obj) -> SanctionGame:
     """Scan the menus entry by entry into the pair table and compile it. The scan names
     the first fault; then, per menu, come the never-sanction and target range checks,
-    worded as the constructor words them. A classifier is built only to name a target."""
+    worded as the constructor words them, naming the menu's first bad target in the file."""
     base, keys = games._parse_game(obj)
     n, raw_menus = base.num_players, obj.get("classifiers")
     if not isinstance(raw_menus, (list, tuple)) or len(raw_menus) != n:
@@ -545,22 +545,14 @@ def parse_sanction_game(obj) -> SanctionGame:
             lengths.append(len(raw_sanctions))
             costs.append(cost)
             self_costs.append(self_cost)
-    sizes = list(map(len, raw_menus))
+    sizes, starts = list(map(len, raw_menus)), [0, *itertools.accumulate(lengths)]
     in_range = min(targets, default=0) >= 0 and max(targets, default=0) < n
     for i, (lo, hi) in enumerate(itertools.pairwise([0, *itertools.accumulate(sizes)])):
         if 0 not in lengths[lo:hi]:
             raise GameFormatError(f"player {i}'s menu lacks a never-sanction entry")
-        for g in () if in_range else range(lo, hi):
-            start = sum(lengths[:g])
-            flat, target = flats[start : start + lengths[g]], targets[start : start + lengths[g]]
-            if not all(0 <= t < n for t in target):
-                # the constructor names the first bad target in its pair set's order; that
-                # set is built from a set, as a frozenset of the list may order it differently
-                profiles = zip(*(a.tolist() for a in np.unravel_index(flat, base.num_actions)))
-                pairs = frozenset(set(zip(profiles, target)))
-                c = ClassificationFunction(i, pairs, costs[g], self_costs[g])
-                bad = next(t for _, t in c.sanctions if not 0 <= t < n)
-                raise GameFormatError(f"sanction target {bad} is not a player")
+        for target in () if in_range else targets[starts[lo] : starts[hi]]:
+            if not 0 <= target < n:
+                raise GameFormatError(f"sanction target {target} is not a player")
     entry = np.repeat(np.arange(len(lengths)), lengths)
     flat = entry * math.prod(base.num_actions) + np.array(flats, np.intp)  # (entry, *profile)
     sg = SanctionGame.__new__(SanctionGame)  # the menus wait for a read

@@ -1,14 +1,18 @@
 """Weighted-majority normative module and scripted villager policies."""
 import contextlib
+import dataclasses
 import functools
+import json
 import math
+import operator
 import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from normsim import agents, games, institutions, orchard
+from normsim import agents, games, harness, institutions, orchard
 from normsim.orchard import Criticism, DiscussionEntry, Observation
 
 CROPS3 = institutions.CROP_NAMES[:3]
@@ -588,6 +592,92 @@ def test_alternating_episodes_match_each_episode_alone():
     assert [outputs(cfg, history) for cfg, _, history in episodes] == alone
     # both crowds criticize the focal agent at step 1
     assert all(dump["steps"][1]["discussion"][1]["criticisms"] for dump, _ in alone)
+
+
+def docs_village(num_background, mode):
+    """The docs example's village at `num_background` villagers in `mode`."""
+    example = json.loads((Path(__file__).parents[1] / "docs/examples/simulate.json").read_text())
+    example["env"].update(num_background=num_background, background_mode=mode)
+    return harness.parse_sim_config(example).env
+
+
+def saved_episode(cfg, focal, path, before_step):
+    """`episode.json` bytes, transcript, failure text and history of an episode
+    that calls `before_step(history)` before each step."""
+    roster, history, failure = agents.build_roster(cfg, focal), [], None
+    try:
+        for _ in range(cfg.max_timesteps):
+            before_step(history)
+            history.append(orchard.step(history[-1] if history else None, roster, cfg))
+    except ValueError as exc:
+        failure = f"ValueError: {exc}"
+    orchard.save_episode(history, cfg, path)
+    return path.read_bytes(), orchard.render_transcript(history, cfg), failure, history
+
+
+def clear_blocks(history):
+    orchard._crowd_block.cache_clear()
+
+
+def quiet_pairs(history):
+    """Consecutive steps whose crowd says the same lines and criticizes no one."""
+    return [(a, b) for a, b in zip(history, history[1:])
+            if not a.criticisms and not b.criticisms
+            and a.discussion_log[1].text == b.discussion_log[1].text]
+
+
+@pytest.mark.parametrize("focal", ["normative", "baseline"])
+@pytest.mark.parametrize("mode", orchard.BACKGROUND_MODES)
+@pytest.mark.parametrize("num_background", [5, 320])
+def test_shared_crowd_turns_give_the_bytes_of_fresh_ones(num_background, mode, focal, tmp_path):
+    """Crowd turns shared across steps give the `episode.json` bytes, transcript
+    and failure text of turns built afresh at every step; two consecutive quiet
+    steps hold the same entry objects for the crowd, and fresh ones do not."""
+    cfg = docs_village(num_background, mode)
+    fresh = saved_episode(cfg, focal, tmp_path / "fresh.json", clear_blocks)
+    orchard._crowd_block.cache_clear()
+    shared = saved_episode(cfg, focal, tmp_path / "shared.json", lambda history: None)
+    assert shared[:3] == fresh[:3]
+    assert orchard._crowd_block.cache_info().hits > 0
+    pairs = quiet_pairs(shared[3])
+    assert pairs and len(pairs) == len(quiet_pairs(fresh[3]))
+    for a, b in pairs:
+        assert all(map(operator.is_, a.discussion_log[1:], b.discussion_log[1:]))
+    for a, b in quiet_pairs(fresh[3]):
+        assert not any(map(operator.is_, a.discussion_log[1:], b.discussion_log[1:]))
+
+
+def test_shared_crowd_turns_stay_bounded_and_unchanged_by_callers(tmp_path):
+    """Episodes in many distinct villages leave at most `maxsize` blocks, and a
+    caller that mutates the list `crowd_entries` returns changes no later turn."""
+    orchard._crowd_block.cache_clear()
+    for num_background in range(2, 14):
+        for mode in orchard.BACKGROUND_MODES:
+            cfg = dataclasses.replace(docs_village(num_background, mode), max_timesteps=4,
+                                      eval_window=4)
+            orchard.run_episode(cfg, agents.build_roster(cfg, "baseline"))
+    info = orchard._crowd_block.cache_info()
+    assert info.misses > info.maxsize and info.currsize == info.maxsize <= 16
+    script = agents._CrowdScript(0, 0, ((1, 0, "one"), (2, 1, "two")), "idle")
+    for me in (1, 2, 3):
+        script.turn(me)
+    assert orchard._crowd_block.cache_info() == info  # single turns leave the blocks alone
+
+    cfg = docs_village(5, "follow_authoritative")
+
+    def vandalize(history):  # mutate the list of the lines a quiet step just played
+        if history and not history[-1].criticisms:
+            crowd = history[-1].discussion_log[1:]
+            script = agents._CrowdScript(0, None, (), crowd[0].text)
+            returned = orchard.crowd_entries(script, range(1, cfg.num_agents))
+            assert returned == list(crowd)
+            returned.reverse()
+            returned[0] = DiscussionEntry(1, "mutated")
+            del returned[1:]
+
+    vandalized = saved_episode(cfg, "normative", tmp_path / "vandalized.json", vandalize)
+    fresh = saved_episode(cfg, "normative", tmp_path / "fresh.json", clear_blocks)
+    assert vandalized[:3] == fresh[:3] and quiet_pairs(vandalized[3])
 
 
 def test_derive_outcomes():

@@ -93,7 +93,7 @@ def ref_parse_sanction_game(obj) -> SanctionGame:
     raw_menus = obj.get("classifiers")
     if not isinstance(raw_menus, (list, tuple)) or len(raw_menus) != base.num_players:
         raise GameFormatError("'classifiers' must list one menu per player")
-    menus = []
+    menus, targets = [], []  # targets: every sanction's, in file order
     for i, raw_menu in enumerate(raw_menus):
         if not isinstance(raw_menu, (list, tuple)) or not raw_menu:
             raise GameFormatError(f"'classifiers'[{i}] must be a non-empty array")
@@ -114,6 +114,7 @@ def ref_parse_sanction_game(obj) -> SanctionGame:
                 if not isinstance(target, int) or isinstance(target, bool):
                     raise GameFormatError(f"{where} target must be a player index")
                 pairs.add((profile, target))
+                targets.append(target)
             cost = raw.get("cost", 0.0)
             self_cost = raw.get("self_cost", 0.0)
             if not games._is_number(cost) or not games._is_number(self_cost):
@@ -130,6 +131,10 @@ def ref_parse_sanction_game(obj) -> SanctionGame:
     try:
         return SanctionGame(base=base, menus=tuple(menus))
     except ValueError as exc:
+        if "is not a player" in str(exc):  # it fails at the first menu with a bad target,
+            # naming one in its pair set's order; the file's first lies in that menu
+            bad = next(t for t in targets if not 0 <= t < base.num_players)
+            raise GameFormatError(f"sanction target {bad} is not a player") from exc
         raise GameFormatError(str(exc)) from exc
 
 
@@ -925,8 +930,8 @@ def assert_error_as_reference(obj, fragment):
 @pytest.mark.parametrize("seed", range(60))
 def test_first_out_of_range_target_as_reference(seed):
     """A classifier holding several distinct out-of-range targets, among valid
-    pairs, names the target the reference names: the first in its pair set's
-    order, which is often not the first in the file."""
+    pairs, names the target the reference names: the first in the file, which
+    is often not the first in its pair set's order."""
     rng = np.random.default_rng(seed)
     players = 1 + seed % 3
     obj, keys = fault_game(rng, players)
