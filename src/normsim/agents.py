@@ -230,8 +230,7 @@ def run_weighted_majority(
     non-abstaining experts are multiplied by beta. Returns (vote mistakes,
     final weights). Used to check the mistake bound directly.
     """
-    if not 0.0 < beta < 1.0:
-        raise ValueError("beta must be in (0, 1)")
+    raise_violations(learner_violations(beta, _SANCTION_THRESHOLD))
     num_experts = len(predictions[0]) if predictions else 0
     weights = [1.0] * num_experts
     mistakes = 0

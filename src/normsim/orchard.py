@@ -22,11 +22,11 @@ signals each config declares once (`EnvConfig.signal_cycles`). What all agents
 see alike is built once per step, so an `Observation` is a named tuple of shared
 references that only its agent index and the log so far set apart. Each crowd of
 scripted villagers (see `AgentHandle`) is answered once per step: a crowd's
-criticisms are checked once per step, and each run of its consecutive members is
-played as one block, which steps that play the same one share: a settled village's
-quiet step reuses last step's entries instead of building one per villager. Only
-other handles get a copy of the log so far. The per-villager passes (crowd turns,
-criticism flatten, quiet rewards) run inside builtins.
+criticisms are checked once per step, and each run of its consecutive members
+plays one cached tuple of turns, which every step and run playing the same script
+to the same members shares, so a settled village's quiet step builds no entries.
+Only other handles get a copy of the log so far. The per-villager passes (crowd
+turns, criticism flatten, quiet rewards) run inside builtins.
 """
 from __future__ import annotations
 
@@ -213,10 +213,11 @@ class AgentHandle(Protocol):
     crowd's first member's observation. Every member harvests `script.action`
     and takes its turn from `crowd_entries`, which reads the script's `idle`
     line and its `criticisms`, (target, crop, text) triples on `script.basis`'s
-    grounds, and shares the turns across steps that play them alike. A crowd's
-    criticisms are checked once per step, and each run of its consecutive
-    members has its action checked once. So members of one crowd must act
-    alike, and a script may read only what a step's observations share."""
+    grounds. The script must be hashable: turns are immutable tuples, cached on
+    it and shared by every step and run that plays it to the same members. A
+    crowd's criticisms are checked once per step, and each run of its
+    consecutive members has its action checked once. So members of one crowd
+    must act alike, and a script may read only what a step's observations share."""
 
     def discuss(self, obs: Observation) -> tuple[str, tuple[Criticism, ...]]: ...
 
@@ -266,37 +267,29 @@ def _validate_criticized(target: int, crop: int, basis: int | None, cfg: EnvConf
         raise EnvError(f"criticism cites unknown institution {basis}")
 
 
-def crowd_entries(script, members: range | tuple[int, ...]) -> list[DiscussionEntry]:
+@lru_cache(maxsize=8)  # a fixed few crowds' turns, so what they hold stays small
+def crowd_entries(script, members: range | tuple[int, ...]) -> tuple[DiscussionEntry, ...]:
     """The turns of crowd `members` playing their crowd's `script`: each one
     criticizes every (target, crop, text) of `script.criticisms` but itself, on
     `script.basis`'s grounds, saying their texts joined, or says `script.idle`
-    when that leaves no one. The one builder of a crowd member's turn. Calls in
-    any step that play two or more members the same lines share the immutable
-    entries; the list returned is the caller's own."""
+    when that leaves no one. The one builder of a crowd member's turn. Calls
+    with an equal script and members, in any step or run, share the immutable
+    tuple returned."""
     triples = script.criticisms  # `basis` is read only when a criticism needs it
-    key = (triples, script.basis if triples else None, script.idle, members)
-    # a lone member's turn is built afresh, so single turns evict no shared block
-    return list((_crowd_block.__wrapped__ if len(members) < 2 else _crowd_block)(*key))
-
-
-@lru_cache(maxsize=8)  # a fixed few blocks, so what they hold stays small
-def _crowd_block(triples, basis, idle, members) -> tuple[DiscussionEntry, ...]:
     if not triples:
-        return tuple(map(_new_entry, zip(members, repeat(idle), repeat(()))))
+        return tuple(map(_new_entry, zip(members, repeat(script.idle), repeat(()))))
     targets, crops, texts = zip(*triples)
-    if len(triples) > len(members):  # each member's criticisms: one C pass per member
-        said = [tuple(map(_new_criticism, zip(repeat(me), targets, crops, repeat(basis), texts)))
-                for me in members]
-    else:  # or one C pass per triple, making a column of every member's criticisms
-        said = zip(*[map(_new_criticism, zip(members, repeat(j), repeat(crop), repeat(basis), repeat(text)))
-                     for j, crop, text in triples])
+    basis = script.basis
+    # one C pass per triple, making a column of every member's criticisms
+    said = zip(*[map(_new_criticism, zip(members, repeat(j), repeat(crop), repeat(basis), repeat(text)))
+                 for j, crop, text in triples])
     # every member says the texts joined, but a targeted member skips its own criticism
     entries = list(map(_new_entry, zip(members, repeat(" ".join(texts)), said)))
     for me in set(targets).intersection(members):
         pos = members.index(me)
         others = list(map(operator.ne, targets, repeat(me)))
         kept = tuple(compress(entries[pos].criticisms, others))
-        entries[pos] = _new_entry((me, " ".join(compress(texts, others)) if kept else idle, kept))
+        entries[pos] = _new_entry((me, " ".join(compress(texts, others)) if kept else script.idle, kept))
     return tuple(entries)
 
 

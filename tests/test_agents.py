@@ -5,6 +5,7 @@ import functools
 import json
 import math
 import operator
+import random
 import sys
 from collections import Counter
 from pathlib import Path
@@ -506,21 +507,71 @@ def test_turns_are_exactly_discussion_entries_and_criticisms():
                for criticizes in (False, True))
     script = agents._CrowdScript(0, 0, ((1, 0, "one"), (2, 1, "two")), "idle")
     entries = orchard.crowd_entries(script, (1, 2, 3))
-    assert entries == [DiscussionEntry(1, "two", (Criticism(1, 2, 1, 0, "two"),)),
+    assert entries == (DiscussionEntry(1, "two", (Criticism(1, 2, 1, 0, "two"),)),
                        DiscussionEntry(2, "one", (Criticism(2, 1, 0, 0, "one"),)),
                        DiscussionEntry(3, "one two", (Criticism(3, 1, 0, 0, "one"),
-                                                      Criticism(3, 2, 1, 0, "two")))]
+                                                      Criticism(3, 2, 1, 0, "two"))))
     lone = orchard.crowd_entries(script._replace(criticisms=((1, 0, "one"),)), (1,))
-    assert lone == [DiscussionEntry(1, "idle", ())]
+    assert lone == (DiscussionEntry(1, "idle", ()),)
     quiet = orchard.crowd_entries(script._replace(criticisms=()), (1, 2))
     for entry in entries + lone + quiet:
         assert type(entry) is DiscussionEntry
         assert all(type(c) is Criticism for c in entry.criticisms)
-    # a turn of one member, with more triples than members, builds each member's row
-    assert [orchard.crowd_entries(script, (me,))[0] for me in (1, 2, 3)] == entries
+    # a turn of one member, with more triples than members, is that member's row
+    assert tuple(orchard.crowd_entries(script, (me,))[0] for me in (1, 2, 3)) == entries
     text, criticisms = script.turn(3)
     assert text == "one two" and all(type(c) is Criticism for c in criticisms)
     assert script.turn(1) == ("two", (Criticism(1, 2, 1, 0, "two"),))
+
+
+def reference_crowd_entries(script, members):
+    """The plain per-member builder of crowd turns that `orchard.crowd_entries`
+    replaced: each entry and criticism through its named tuple's constructor."""
+    triples = script.criticisms
+    if not triples:
+        return [DiscussionEntry(me, script.idle, ()) for me in members]
+    basis, targets = script.basis, {j for j, _, _ in triples}
+    joined = " ".join(text for _, _, text in triples)  # said by every member no triple targets
+
+    def targeted(me):
+        kept = tuple(Criticism(me, j, crop, basis, text) for j, crop, text in triples if j != me)
+        return DiscussionEntry(me, " ".join(c.text for c in kept) if kept else script.idle, kept)
+
+    return [DiscussionEntry(me, joined, tuple([Criticism(me, j, crop, basis, text)
+                                               for j, crop, text in triples]))
+            if me not in targets else targeted(me) for me in members]
+
+
+def test_crowd_entries_match_the_per_member_reference():
+    """Over 600 seeded scripts, `crowd_entries` returns the reference builder's
+    entries as a tuple of exactly `DiscussionEntry`s holding exactly
+    `Criticism`s, and an equal call returns the same tuple. Scripts name 0-4
+    distinct targets inside and outside the members, on community or
+    institution grounds; members are ranges and tuples of 1-6 villagers, some
+    with more triples than members."""
+    rng, seen = random.Random(30), set()
+    for _ in range(600):
+        size = rng.randint(1, 6)
+        first = rng.randrange(8)
+        members = (range(first, first + size) if rng.random() < 0.5
+                   else tuple(rng.sample(range(12), size)))
+        triples = tuple((j, rng.randrange(5), rng.choice(("one", "two", "three", "")))
+                        for j in rng.sample(range(12), rng.randint(0, 4)))
+        script = agents._CrowdScript(rng.randrange(5), rng.choice((None, 0, 3)), triples,
+                                     rng.choice(("idle", "hush")))
+        entries = orchard.crowd_entries(script, members)
+        assert type(entries) is tuple
+        assert entries == tuple(reference_crowd_entries(script, members))
+        assert orchard.crowd_entries(script, members) is entries
+        for entry in entries:
+            assert type(entry) is DiscussionEntry and type(entry.criticisms) is tuple
+            assert all(type(c) is Criticism for c in entry.criticisms)
+        targets = {j for j, _, _ in triples}
+        seen |= {("members", type(members)), ("triples", len(triples)),
+                 ("basis", script.basis is None), ("inside", bool(targets & set(members))),
+                 ("outside", bool(targets - set(members))), ("more", len(triples) > len(members))}
+    assert seen == {("members", range), ("members", tuple)} | {("triples", n) for n in range(5)} | {
+        (kind, b) for kind in ("basis", "inside", "outside", "more") for b in (True, False)}
 
 
 def test_crowds_play_as_their_members_would_one_by_one():
@@ -615,8 +666,8 @@ def saved_episode(cfg, focal, path, before_step):
     return path.read_bytes(), orchard.render_transcript(history, cfg), failure, history
 
 
-def clear_blocks(history):
-    orchard._crowd_block.cache_clear()
+def clear_turns(history):
+    orchard.crowd_entries.cache_clear()
 
 
 def quiet_pairs(history):
@@ -628,17 +679,18 @@ def quiet_pairs(history):
 
 @pytest.mark.parametrize("focal", ["normative", "baseline"])
 @pytest.mark.parametrize("mode", orchard.BACKGROUND_MODES)
-@pytest.mark.parametrize("num_background", [5, 320])
+@pytest.mark.parametrize("num_background", [1, 5, 320])
 def test_shared_crowd_turns_give_the_bytes_of_fresh_ones(num_background, mode, focal, tmp_path):
     """Crowd turns shared across steps give the `episode.json` bytes, transcript
     and failure text of turns built afresh at every step; two consecutive quiet
-    steps hold the same entry objects for the crowd, and fresh ones do not."""
+    steps hold the same entry objects for the crowd, and fresh ones do not, a
+    crowd of one villager included."""
     cfg = docs_village(num_background, mode)
-    fresh = saved_episode(cfg, focal, tmp_path / "fresh.json", clear_blocks)
-    orchard._crowd_block.cache_clear()
+    fresh = saved_episode(cfg, focal, tmp_path / "fresh.json", clear_turns)
+    orchard.crowd_entries.cache_clear()
     shared = saved_episode(cfg, focal, tmp_path / "shared.json", lambda history: None)
     assert shared[:3] == fresh[:3]
-    assert orchard._crowd_block.cache_info().hits > 0
+    assert orchard.crowd_entries.cache_info().hits > 0
     pairs = quiet_pairs(shared[3])
     assert pairs and len(pairs) == len(quiet_pairs(fresh[3]))
     for a, b in pairs:
@@ -647,37 +699,19 @@ def test_shared_crowd_turns_give_the_bytes_of_fresh_ones(num_background, mode, f
         assert not any(map(operator.is_, a.discussion_log[1:], b.discussion_log[1:]))
 
 
-def test_shared_crowd_turns_stay_bounded_and_unchanged_by_callers(tmp_path):
-    """Episodes in many distinct villages leave at most `maxsize` blocks, and a
-    caller that mutates the list `crowd_entries` returns changes no later turn."""
-    orchard._crowd_block.cache_clear()
+def test_shared_crowd_turns_stay_bounded_and_unchanged_by_callers():
+    """Episodes in many distinct villages leave at most `maxsize` cached turns,
+    and the turns they share are tuples, which no caller can change."""
+    orchard.crowd_entries.cache_clear()
     for num_background in range(2, 14):
         for mode in orchard.BACKGROUND_MODES:
             cfg = dataclasses.replace(docs_village(num_background, mode), max_timesteps=4,
                                       eval_window=4)
             orchard.run_episode(cfg, agents.build_roster(cfg, "baseline"))
-    info = orchard._crowd_block.cache_info()
+    info = orchard.crowd_entries.cache_info()
     assert info.misses > info.maxsize and info.currsize == info.maxsize <= 16
     script = agents._CrowdScript(0, 0, ((1, 0, "one"), (2, 1, "two")), "idle")
-    for me in (1, 2, 3):
-        script.turn(me)
-    assert orchard._crowd_block.cache_info() == info  # single turns leave the blocks alone
-
-    cfg = docs_village(5, "follow_authoritative")
-
-    def vandalize(history):  # mutate the list of the lines a quiet step just played
-        if history and not history[-1].criticisms:
-            crowd = history[-1].discussion_log[1:]
-            script = agents._CrowdScript(0, None, (), crowd[0].text)
-            returned = orchard.crowd_entries(script, range(1, cfg.num_agents))
-            assert returned == list(crowd)
-            returned.reverse()
-            returned[0] = DiscussionEntry(1, "mutated")
-            del returned[1:]
-
-    vandalized = saved_episode(cfg, "normative", tmp_path / "vandalized.json", vandalize)
-    fresh = saved_episode(cfg, "normative", tmp_path / "fresh.json", clear_blocks)
-    assert vandalized[:3] == fresh[:3] and quiet_pairs(vandalized[3])
+    assert type(orchard.crowd_entries(script, range(1, 4))) is tuple
 
 
 def test_derive_outcomes():
