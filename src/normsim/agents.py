@@ -39,8 +39,8 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .orchard import (Criticism, EnvConfig, Observation, crowd_entries, others_modal_crop,
-                      raise_violations, signal_from)
+from .orchard import (Criticism, EnvConfig, Observation, criticisms_in, crowd_entries,
+                      others_modal_crop, raise_violations, signal_from)
 
 INSTITUTION_CRITICISM = (
     "{target}, I'm extremely disappointed in your continued disobedience of "
@@ -206,16 +206,12 @@ def derive_outcomes(obs: Observation,
     sanctioning cannot feed back into its own learning."""
     if not obs.last_step_actions:
         return ()
-    sanctioned_targets = {
-        c.target
-        for entry in obs.discussion_so_far
-        for c in entry.criticisms
-        if c.sender != obs.agent_index
-    }
+    me = obs.agent_index
+    criticized = {c.target for c in criticisms_in(obs.discussion_so_far) if c.sender != me}
     actions = obs.last_step_actions
     if observe_others:
-        return tuple(zip(actions, map(sanctioned_targets.__contains__, range(len(actions)))))
-    return ((actions[obs.agent_index], obs.agent_index in sanctioned_targets),)
+        return tuple(zip(actions, map(criticized.__contains__, range(len(actions)))))
+    return ((actions[me], me in criticized),)
 
 
 def run_weighted_majority(

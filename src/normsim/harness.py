@@ -22,7 +22,7 @@ from __future__ import annotations
 import csv
 import math
 import os
-from dataclasses import asdict, dataclass, fields
+from dataclasses import MISSING, asdict, dataclass, fields
 from itertools import product, repeat, zip_longest
 from pathlib import Path
 
@@ -31,7 +31,7 @@ import numpy as np
 from .agents import _BETA, _OBSERVE_OTHERS, _SANCTION_THRESHOLD
 from .agents import build_roster, learner_violations, roster_violations
 from .games import _is_number, dumps_pretty, load_json
-from .institutions import CROP_NAMES, make_institution, parse_institution
+from .institutions import CROP_NAMES, Institution, institution_name, make_institution
 from .oracle import ChatConfig
 from .orchard import (
     WELFARE_OVERFLOW,
@@ -63,9 +63,11 @@ _JSON_KINDS = {
 
 
 def _settings(cls) -> dict[str, str]:
-    """The integer, number and boolean fields of a config dataclass, each with
-    its annotation, in declaration order."""
-    return {f.name: f.type for f in fields(cls) if f.init and f.type in _JSON_KINDS}
+    """The integer, number and boolean fields of a config dataclass that have a
+    default (so not `Institution.id`, an array position), each with its
+    annotation, in declaration order."""
+    return {f.name: f.type for f in fields(cls)
+            if f.init and f.type in _JSON_KINDS and f.default is not MISSING}
 
 
 # EnvConfig settings an experiment may override: all but those each cell sets.
@@ -352,7 +354,8 @@ def _read_settings(obj: dict, cls, errors: list[str], prefix: str = "", other_ke
     each checked against its JSON kind; numbers must be finite and become
     floats. Wrong types are reported in `errors` and left out, so defaults
     apply. Unless `other_keys` is None, every key that is neither a setting nor
-    one of `other_keys` is reported as unknown."""
+    one of `other_keys` is reported as unknown. Faults come in `obj`'s key
+    order. Every config section, institution entries included, is read here."""
     settings = _settings(cls)
     out = {}
     for key, value in obj.items():
@@ -377,30 +380,60 @@ def _fold(build, errors: list[str], prefix: str = ""):
         return None
 
 
-def parse_env_config(obj, errors: list[str], prefix: str = "") -> EnvConfig | None:
-    """Check an environment section's JSON shape and build it; every violation,
-    of shape, of EnvConfig's range rules or of the roster rules, is appended
-    to `errors`."""
-    if not isinstance(obj, dict):
-        errors.append(f"{prefix or 'env'} must be an object")
+def _read_institution(entry, idx: int, crop_names: tuple[str, ...], errors: list[str]):
+    """Build institution `idx` from its `env.institutions` entry, or append each
+    of its faults to `errors` and give None. An entry declares one "crop" or a
+    "rotation" of crops, named from `crop_names`; a rotation wins over a crop."""
+    where = f"env.institutions[{idx}]"
+    if not isinstance(entry, dict):
+        errors.append(f"{where} must be an object")
         return None
     found: list[str] = []
-    kwargs = _read_settings(obj, EnvConfig, found, prefix, ("institutions", "background_mode"))
+    name = entry.get("name", institution_name(idx))
+    if not isinstance(name, str) or not name:
+        found.append(f"{where}.name must be a non-empty string")
+    if "rotation" in entry:
+        labels = entry["rotation"]
+        if not isinstance(labels, (list, tuple)) or not labels:
+            found.append(f"{where}.rotation must be a non-empty array")
+            labels = ()
+    elif "crop" in entry:
+        labels = (entry["crop"],)
+    else:
+        found.append(f"{where} needs 'crop' or 'rotation'")
+        labels = ()
+    found += [
+        f"{where} names unknown crop {label!r}; expected one of {', '.join(crop_names)}"
+        for label in labels if not isinstance(label, str) or label not in crop_names
+    ]
+    settings = _read_settings(entry, Institution, found, where + ".", ("name", "crop", "rotation"))
+    errors.extend(found)
+    if found:
+        return None
+    return Institution(idx, name, tuple(map(crop_names.index, labels)), **settings)
+
+
+def parse_env_config(obj, errors: list[str]) -> EnvConfig | None:
+    """Check a simulate config's `env` section and build it; every violation,
+    of shape, of an institution entry, of EnvConfig's range rules or of the
+    roster rules, is appended to `errors` with the `env.` prefix."""
+    if not isinstance(obj, dict):
+        errors.append("env must be an object")
+        return None
+    found: list[str] = []
+    kwargs = _read_settings(obj, EnvConfig, found, "env.", ("institutions", "background_mode"))
     if "background_mode" in obj:
         kwargs["background_mode"] = obj["background_mode"]
     crop_names = CROP_NAMES[: kwargs.get("num_crops", EnvConfig.num_crops)]
 
-    institutions = []
     raw_institutions = obj.get("institutions", [])
     if not isinstance(raw_institutions, list):
-        found.append(f"{prefix}institutions must be an array")
-    else:
-        for idx, entry in enumerate(raw_institutions):
-            try:
-                institutions.append(parse_institution(entry, idx, crop_names))
-            except ValueError as exc:
-                found.append(f"{prefix}{exc}")
-    env = _fold(lambda: EnvConfig(institutions=tuple(institutions), **kwargs), found, prefix)
+        found.append("env.institutions must be an array")
+        raw_institutions = []
+    institutions = [_read_institution(entry, idx, crop_names, found)
+                    for idx, entry in enumerate(raw_institutions)]
+    institutions = tuple(inst for inst in institutions if inst is not None)
+    env = _fold(lambda: EnvConfig(institutions=institutions, **kwargs), found, "env.")
     if not found:  # the roster rules, once the environment itself is sound
         found += roster_violations(env)
     errors.extend(found)
@@ -428,7 +461,7 @@ def parse_sim_config(obj) -> SimConfig:
     learner = _read_settings(obj, SimConfig, errors, other_keys=("env", "focal", "oracle"))
     if "env" not in obj:
         errors.append("env section is required")
-    env = parse_env_config(obj.get("env", {}), errors, prefix="env.")
+    env = parse_env_config(obj.get("env", {}), errors)
 
     focal = obj.get("focal", "normative")
     if focal not in FOCAL_KINDS:

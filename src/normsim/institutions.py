@@ -102,37 +102,3 @@ def advice_profile(inst: Institution, sg: SanctionGame, t: int) -> AdviceDistrib
         indices.append(found)
     return sanctions.advice_point_mass(indices)
 
-
-def parse_institution(obj, idx: int, crop_names: tuple[str, ...]) -> Institution:
-    """Build an institution from its config entry.
-
-    Accepts {"name": ..., "crop": "<crop name>", "authoritative": bool} or a
-    "rotation" list of crop names in place of "crop".
-    """
-    if not isinstance(obj, dict):
-        raise ValueError(f"institutions[{idx}] must be an object")
-    name = obj.get("name", institution_name(idx))
-    if not isinstance(name, str) or not name:
-        raise ValueError(f"institutions[{idx}].name must be a non-empty string")
-
-    def crop_index(label) -> int:
-        if not isinstance(label, str) or label not in crop_names:
-            raise ValueError(
-                f"institutions[{idx}] names unknown crop {label!r}; "
-                f"expected one of {', '.join(crop_names)}"
-            )
-        return crop_names.index(label)
-
-    if "rotation" in obj:
-        rotation = obj["rotation"]
-        if not isinstance(rotation, (list, tuple)) or not rotation:
-            raise ValueError(f"institutions[{idx}].rotation must be a non-empty array")
-        crops = tuple(crop_index(label) for label in rotation)
-    elif "crop" in obj:
-        crops = (crop_index(obj["crop"]),)
-    else:
-        raise ValueError(f"institutions[{idx}] needs 'crop' or 'rotation'")
-    authoritative = obj.get("authoritative", False)
-    if not isinstance(authoritative, bool):
-        raise ValueError(f"institutions[{idx}].authoritative must be a boolean")
-    return Institution(idx, name, crops, authoritative)

@@ -36,7 +36,7 @@ from dataclasses import dataclass, field, fields
 from functools import cached_property, lru_cache, partial
 from itertools import chain, compress, pairwise, repeat
 from pathlib import Path
-from typing import NamedTuple, Protocol, Sequence
+from typing import Iterator, NamedTuple, Protocol, Sequence
 
 from .games import dumps_pretty
 from .institutions import CROP_NAMES, Institution, InstitutionSignal, declare
@@ -170,10 +170,14 @@ class DiscussionEntry(NamedTuple):
 
 
 # C-level parts of the per-villager passes: a named tuple built from one tuple of
-# its fields, which skips its Python `__new__`, and an entry's criticisms.
+# its fields, which skips its Python `__new__`.
 _new_criticism = partial(tuple.__new__, Criticism)
 _new_entry = partial(tuple.__new__, DiscussionEntry)
-_criticisms_of = operator.attrgetter("criticisms")
+
+
+def criticisms_in(log: Sequence[DiscussionEntry]) -> Iterator[Criticism]:
+    """The criticisms of a discussion log's entries, in log order, flattened in builtins."""
+    return chain.from_iterable(map(operator.attrgetter("criticisms"), log))
 
 
 @dataclass(frozen=True)
@@ -351,7 +355,7 @@ def step(prev: WorldState | None, agents: Sequence[AgentHandle], cfg: EnvConfig)
         actions += [crop] * (end - idx)
     actions = tuple(actions)
 
-    criticisms = tuple(chain.from_iterable(map(_criticisms_of, discussion)))
+    criticisms = tuple(criticisms_in(discussion))
     frac = actions.count(modal_crop(actions)) / len(actions)
     base = cfg.harvest_reward + cfg.monoculture_bonus * frac
     cost_received, cost_sent = cfg.sanction_cost_received, cfg.sanction_cost_sent

@@ -10,7 +10,7 @@ import pytest
 
 from normsim import harness
 from normsim.harness import ConfigError, ExperimentConfig, TrialResult
-from normsim.institutions import make_institution
+from normsim.institutions import Institution, make_institution
 from normsim.orchard import EnvConfig
 
 
@@ -497,6 +497,45 @@ def test_parse_sim_config_collects_every_error():
         harness.parse_sim_config([1])
 
 
+def test_parse_sim_config_institution_entries():
+    cfg = harness.parse_sim_config({"env": {"institutions": [
+        {"name": "Ophilia", "crop": "bananas", "authoritative": True},
+        {"rotation": ["plums", "apples"]},
+    ]}})
+    inst, rot = cfg.env.institutions
+    assert inst.authoritative
+    assert inst.crops == (1,)
+    assert rot.name == "Bram"
+    assert rot.crops == (4, 0)
+
+    def entry_errors(entry) -> tuple[str, ...]:
+        with pytest.raises(ConfigError) as exc:
+            harness.parse_sim_config({"env": {"institutions": [entry]}})
+        return exc.value.errors
+
+    for bad, message in [
+        ("nope", "must be an object"),
+        ({"name": ""}, "name"),
+        ({"crop": "mangoes"}, "unknown crop"),
+        ({}, "'crop' or 'rotation'"),
+        ({"crop": "apples", "authoritative": "yes"}, "authoritative"),
+        ({"rotation": []}, "rotation"),
+    ]:
+        errors = entry_errors(bad)
+        assert all(line.startswith("env.institutions[0]") for line in errors), errors
+        assert any(message in line for line in errors), (bad, errors)
+    # every fault of an entry is its own line: checks first, then its keys in order
+    assert entry_errors({"bogus": 1, "crop": "mangoes", "authoritative": "yes"}) == (
+        "env.institutions[0] names unknown crop 'mangoes'; "
+        "expected one of apples, bananas, peaches, oranges, plums",
+        "unknown key env.institutions[0].bogus",
+        "env.institutions[0].authoritative must be a boolean",
+    )
+    with pytest.raises(ConfigError) as exc:
+        harness.parse_sim_config({"env": 5})
+    assert exc.value.errors == ("env must be an object",)
+
+
 def test_parse_experiment_config():
     cfg = harness.parse_experiment_config({"experiment": "multi_institution"})
     assert cfg.focal_kinds == ("normative",)
@@ -596,6 +635,12 @@ EXPERIMENT_DOC = {
     "observe_others": (BOOL, False),
     "env": (None, {}),
 }
+INSTITUTION_DOC = {
+    "name": (None, "Ada"),
+    "crop": (None, "bananas"),
+    "rotation": (None, ["peaches", "plums"]),
+    "authoritative": (BOOL, True),
+}
 OVERRIDE_DOC = {
     "discussion_turns": (INT, 2),
     "max_timesteps": (INT, 10),
@@ -635,6 +680,12 @@ SECTIONS = {
         ORACLE_DOC, harness.ChatConfig, "oracle.", {"kind": "scripted"},
         lambda s: {"env": {"institutions": INSTITUTIONS}, "oracle": s},
         harness.parse_sim_config, "unknown key oracle.{}",
+    ),
+    "institution": Section(
+        INSTITUTION_DOC, Institution, "env.institutions[0].",
+        {"crop": "apples", "authoritative": True},
+        lambda s: {"env": {"institutions": [s]}}, harness.parse_sim_config,
+        "unknown key env.institutions[0].{}",
     ),
     "experiment": Section(
         EXPERIMENT_DOC, ExperimentConfig, "", {"experiment": "single_nonauthoritative"},

@@ -59,26 +59,3 @@ def test_advice_profile_missing_classifier(pd):
     with pytest.raises(LookupError):
         institutions.advice_profile(inst, sg, 0)
 
-
-def test_parse_institution():
-    crops = institutions.CROP_NAMES
-    inst = institutions.parse_institution(
-        {"name": "Ophilia", "crop": "bananas", "authoritative": True}, 0, crops
-    )
-    assert inst.authoritative
-    assert inst.crops == (1,)
-
-    rot = institutions.parse_institution({"rotation": ["plums", "apples"]}, 1, crops)
-    assert rot.name == "Bram"
-    assert rot.crops == (4, 0)
-
-    for bad, message in [
-        ("nope", "must be an object"),
-        ({"name": ""}, "name"),
-        ({"crop": "mangoes"}, "unknown crop"),
-        ({}, "'crop' or 'rotation'"),
-        ({"crop": "apples", "authoritative": "yes"}, "authoritative"),
-        ({"rotation": []}, "rotation"),
-    ]:
-        with pytest.raises(ValueError, match=message):
-            institutions.parse_institution(bad, 0, crops)
