@@ -11,11 +11,11 @@ Three kinds of villager:
 - The normative newcomer keeps one expert per institution, named by that
   institution's id, plus a community-majority expert, named None. Each expert
   predicts whether a given crop draws criticism. Expert weights update by the
-  Weighted Majority rule (wrong, non-abstaining experts are multiplied by
-  beta). The agent harvests the crop with the lowest weighted criticism vote
-  and, once a single institution expert holds more than `sanction_threshold`
-  of the total weight, criticizes deviations from that institution's
-  declaration itself.
+  Weighted Majority rule: a non-abstaining expert is multiplied by beta once
+  per observed villager it mispredicted. The agent harvests the crop with the
+  lowest weighted criticism vote and, once a single institution expert holds
+  more than `sanction_threshold` of the total weight, criticizes deviations
+  from that institution's declaration itself.
 
 Villagers of one kind (mode, institution, defiance crop) form a `Crowd` and act
 alike: the crowd's script for a step (crop, criticisms, idle line) gives every
@@ -23,15 +23,15 @@ member's turn, so `orchard.step` builds it once per step for all of them. A
 village's background villagers form one crowd, which `build_roster` derives
 from the config by the same rules that `roster_violations` checks. The learner
 finds every expert's safe crop in one O(k + N) pass per update and per choice
-(k institutions, N villagers), then spends O(k) per distinct outcome or crop,
-so a village step is O(N + k + criticisms). Its per-villager passes (the outcome
-pairs, the repeated penalties) run inside builtins.
+(k institutions, N villagers). An update then counts each expert's mistakes
+with `tuple.count` and applies them with `reduce`, so a village step is
+O(N + k + criticisms) in Python, plus O(k·N) builtin work for those counts and
+penalties.
 """
 from __future__ import annotations
 
 import math
 import operator
-from collections import Counter
 from dataclasses import dataclass, replace
 from functools import reduce
 from itertools import repeat
@@ -182,36 +182,36 @@ def normative_action(ns: NormativeState, obs: Observation) -> int:
     return tied[0]
 
 
-def wm_update(
-    ns: NormativeState, obs: Observation, observed: Sequence[tuple[int, bool]]
-) -> NormativeState:
-    """Weighted Majority update: for each observed (action, sanctioned) pair,
-    every non-abstaining expert that mispredicted is multiplied by beta.
-    Weights are never renormalized; shares are computed on demand. Equal pairs
-    are grouped, and `reduce` still applies each penalty as one multiplication,
-    so the weights are the per-pair products bit for bit."""
+def wm_update(ns: NormativeState, obs: Observation,
+              observed: tuple[Sequence[int], Sequence[int]]) -> NormativeState:
+    """Weighted Majority update from `derive_outcomes`' (observed crops,
+    criticized crops). A non-abstaining expert with safe crop s mispredicted
+    every uncriticized villager off s and every criticized villager on s, and
+    its weight is multiplied by beta once per mistake. Weights are never
+    renormalized; shares are computed on demand. `reduce` applies each penalty
+    as one multiplication, so the weights are the per-villager products bit for
+    bit."""
+    crops, criticized = observed
     weights = list(ns.weights)
-    crops = _safe_crops(ns.experts, obs)
-    for (action, sanctioned), times in Counter(observed).items():
-        for k, crop in enumerate(crops):
-            if crop is not None and (action != crop) != bool(sanctioned):
-                weights[k] = reduce(operator.mul, repeat(ns.beta, times), weights[k])
+    for k, safe in enumerate(_safe_crops(ns.experts, obs)):
+        if safe is not None:
+            mistakes = len(crops) - len(criticized) - crops.count(safe) + 2 * criticized.count(safe)
+            weights[k] = reduce(operator.mul, repeat(ns.beta, mistakes), weights[k])
     return replace(ns, weights=tuple(weights))
 
 
-def derive_outcomes(obs: Observation,
-                    observe_others: bool = _OBSERVE_OTHERS) -> tuple[tuple[int, bool], ...]:
-    """(last-step action, was it criticized this step?) pairs, the learning signal
-    for wm_update. The observer's own sent criticisms are excluded so its
-    sanctioning cannot feed back into its own learning."""
-    if not obs.last_step_actions:
-        return ()
-    me = obs.agent_index
+def derive_outcomes(obs: Observation, observe_others: bool = _OBSERVE_OTHERS
+                    ) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The learning signal for wm_update: the last-step crops of the villagers
+    observed (all of them, or the observer alone), and the crops of those among
+    them criticized this step. The observer's own sent criticisms are excluded
+    so its sanctioning cannot feed back into its own learning."""
+    me, actions = obs.agent_index, obs.last_step_actions
     criticized = {c.target for c in criticisms_in(obs.discussion_so_far) if c.sender != me}
-    actions = obs.last_step_actions
     if observe_others:
-        return tuple(zip(actions, map(criticized.__contains__, range(len(actions)))))
-    return ((actions[me], me in criticized),)
+        return actions, tuple(map(actions.__getitem__, criticized))
+    own = actions[me:me + 1]
+    return own, own if me in criticized else ()
 
 
 def run_weighted_majority(
@@ -380,9 +380,7 @@ class NormativeAgent:
         return sanction_criticisms(self._state, obs)
 
     def act(self, obs: Observation) -> int:
-        outcomes = derive_outcomes(obs, self.observe_others)
-        if outcomes:
-            self._state = wm_update(self._state, obs, outcomes)
+        self._state = wm_update(self._state, obs, derive_outcomes(obs, self.observe_others))
         return normative_action(self._state, obs)
 
 

@@ -148,7 +148,7 @@ def test_learner_walks_the_signals_once_per_update_and_once_per_choice(k):
     obs = make_obs(last_actions=(1, 0, 2, 1), agent_index=0)._replace(signals=signals)
     ns = agents.initial_state(range(k))
     ScanCountingSignals.scans = 0
-    agents.wm_update(ns, obs, [(0, True), (1, False), (2, True)])
+    agents.wm_update(ns, obs, ((0, 1, 2), (0, 2)))  # crops 0 and 2 criticized, crop 1 not
     assert ScanCountingSignals.scans == 1
     agents.normative_action(ns, obs)
     assert ScanCountingSignals.scans == 2
@@ -234,25 +234,28 @@ def test_wm_update_oracle_values():
     ns = agents.initial_state([0])
     obs = make_obs(signals=(sig(0, 0),), last_actions=(0, 1, 1), agent_index=0)
     # crop 1 went unsanctioned: the institution predicted wrongly, half its weight
-    once = agents.wm_update(ns, obs, [(1, False)])
+    once = agents.wm_update(ns, obs, ((1,), ()))
     assert once.weights == (0.5, 1.0)
-    # four such rounds compound to 1/16
-    worn = agents.wm_update(ns, obs, [(1, False)] * 4)
+    # four such villagers compound to 1/16
+    worn = agents.wm_update(ns, obs, ((1,) * 4, ()))
     assert worn.weights == (0.0625, 1.0)
     # both right: no change
-    assert agents.wm_update(ns, obs, [(2, True)]).weights == (1.0, 1.0)
+    assert agents.wm_update(ns, obs, ((2,), (2,))).weights == (1.0, 1.0)
     # community wrong, institution right
-    assert agents.wm_update(ns, obs, [(1, True)]).weights == (1.0, 0.5)
+    assert agents.wm_update(ns, obs, ((1,), (1,))).weights == (1.0, 0.5)
     # an abstaining expert is never penalized
     blind = make_obs(last_actions=(0, 1, 1), agent_index=0)
-    assert agents.wm_update(ns, blind, [(1, True)]).weights == (1.0, 0.5)
+    assert agents.wm_update(ns, blind, ((1,), (1,))).weights == (1.0, 0.5)
+    # nothing observed: every expert keeps its weight
+    assert agents.wm_update(ns, obs, ((), ())).weights == (1.0, 1.0)
     assert once.beta == ns.beta and once.experts == ns.experts
 
 
 def test_wm_update_is_one_multiplication_per_pair():
-    """Up to 400 equal pairs penalize one expert: its weight keeps the bits of one
-    multiplication per pair, subnormals included, and where that loop reaches 0
-    the update raises the weights' error."""
+    """Up to 400 uncriticized villagers off its crop penalize one expert: its
+    weight keeps the bits of one multiplication per villager, subnormals
+    included, and where that loop reaches 0 the update raises the weights'
+    error."""
     obs = make_obs(signals=(sig(0, 0),), last_actions=(1, 1), agent_index=0)
     for beta in (0.05, 0.3, 0.9):
         seen = Counter()
@@ -262,7 +265,7 @@ def test_wm_update_is_one_multiplication_per_pair():
             for times in range(1, 401):
                 weight *= beta  # the institution expert mispredicts each unsanctioned crop 1
                 try:
-                    updated = agents.wm_update(ns, obs, [(1, False)] * times)
+                    updated = agents.wm_update(ns, obs, ((1,) * times, ()))
                 except ValueError as exc:
                     assert weight == 0.0 and str(exc) == "weights must be positive"
                     seen["underflow"] += 1
@@ -283,7 +286,7 @@ def test_wm_update_computes_community_crop_once(monkeypatch):
     monkeypatch.setattr(agents, "others_modal_crop", counting_modal_crop)
     actions = tuple(j % 3 for j in range(321))
     obs = make_obs(signals=(sig(0, 0),), last_actions=actions, agent_index=0)
-    observed = [(actions[j], j % 2 == 0) for j in range(1, 321)]
+    observed = (actions[1:], actions[2::2])  # every other villager criticized
     agents.wm_update(agents.initial_state([0]), obs, observed)
     assert len(calls) == 1  # not once per observed outcome
 
@@ -344,6 +347,29 @@ def test_step_scans_last_actions_a_fixed_number_of_times(mode, focal_kind):
     scans = scans_in_one_step(320, mode, focal_kind)
     assert scans == scans_in_one_step(20, mode, focal_kind)
     assert scans <= 8
+
+
+@pytest.mark.parametrize("observe_others", [True, False])
+def test_quiet_step_makes_as_many_python_calls_at_n80_as_at_n320(observe_others):
+    """A settled step of the docs example, in which nobody criticizes, makes the
+    same number of Python-level calls at N = 80 as at N = 320. Only "call"
+    events count: `step` still looks up each villager's handle with a builtin
+    `getattr`, so its "c_call" events grow with N."""
+    def python_calls(num_background):
+        cfg = docs_village(num_background, "follow_authoritative")
+        roster = agents.build_roster(cfg, "normative", observe_others=observe_others)
+        history = [orchard.step(None, roster, cfg)]
+        history.append(orchard.step(history[-1], roster, cfg))
+        calls = []
+        sys.setprofile(lambda frame, event, arg: event == "call" and calls.append(frame))
+        try:
+            state = orchard.step(history[-1], roster, cfg)
+        finally:
+            sys.setprofile(None)
+        assert state.t == 2 and not state.criticisms
+        return len(calls)
+
+    assert python_calls(80) == python_calls(320)
 
 
 @pytest.mark.parametrize("mode", orchard.BACKGROUND_MODES)
@@ -726,9 +752,20 @@ def test_derive_outcomes():
         ),
     )
     # own sent criticisms never count as observed sanctions
-    assert agents.derive_outcomes(obs) == ((0, False), (1, True), (2, False))
-    assert agents.derive_outcomes(obs, observe_others=False) == ((0, False),)
-    assert agents.derive_outcomes(make_obs(t=0)) == ()
+    assert agents.derive_outcomes(obs) == ((0, 1, 2), (1,))
+    assert agents.derive_outcomes(obs)[0] is obs.last_step_actions
+    assert agents.derive_outcomes(obs, observe_others=False) == ((0,), ())
+    # a step in which only the observer criticizes shows it no criticized villager
+    alone = obs._replace(discussion_so_far=obs.discussion_so_far[1:])
+    assert agents.derive_outcomes(alone) == ((0, 1, 2), ())
+    # the observer criticized by another villager, seen alone or among the others
+    crit_me = Criticism(sender=1, target=0, criticized_crop=0, basis=None, text="z")
+    hit = obs._replace(discussion_so_far=obs.discussion_so_far
+                       + (DiscussionEntry(speaker=1, text="z", criticisms=(crit_me,)),))
+    assert agents.derive_outcomes(hit, observe_others=False) == ((0,), (0,))
+    assert sorted(agents.derive_outcomes(hit)[1]) == [0, 1]
+    for observe_others in (True, False):
+        assert agents.derive_outcomes(make_obs(t=0), observe_others) == ((), ())
 
 
 def test_run_weighted_majority_steps():
@@ -1004,7 +1041,8 @@ def test_newcomer_keeps_the_weighted_majority_mistake_bound(mode, n, num_institu
     for prev, state in zip(history, history[1:]):
         obs = Observation(state.t, 0, orchard.roster_names(cfg), cfg.crop_names, state.signals,
                           prev.actions, prev.criticisms, state.discussion_log)
-        (action, sanctioned), = agents.derive_outcomes(obs, observe_others=False)
+        (action,), criticized = agents.derive_outcomes(obs, observe_others=False)
+        sanctioned = bool(criticized)
         crops = agents._safe_crops(ns.experts, obs)
         assert None not in crops
         predictions.append([action != crop for crop in crops])

@@ -6,12 +6,16 @@ implementations of `orchard.step`, the expert vote (now `agents._safe_crops`),
 `agents.normative_action`, `agents.wm_update`, `agents.background_policy` and
 the villagers calling them, kept verbatim as the reference, and so are
 `orchard.episode_to_dict` (`ref_episode_to_dict`) and the `json.dumps` call
-that `orchard.save_episode` wrote with (`ref_saved_episode`). Seeded random
-episodes must give the same episode dump and `episode.json` bytes, transcript,
-failure text and final focal weights, float bits included: rewards too, which
-`orchard.step` prices from per-agent criticism counts with the reference's
-operands in its order. `agents.normative_action` returns only the crop, the
-first element of `ref_normative_action`'s pair.
+that `orchard.save_episode` wrote with (`ref_saved_episode`). The reference
+learner reads the (action, criticized) outcome pair of each observed villager
+from its own loop, `ref_derive_outcomes`, where `agents.derive_outcomes` now
+returns crop tuples, so the newcomer's outcomes and update are both checked
+against separate code. Seeded random episodes must give the same episode dump
+and `episode.json` bytes, transcript, failure text and final focal weights,
+float bits included: rewards too, which `orchard.step` prices from per-agent
+criticism counts with the reference's operands in its order.
+`agents.normative_action` returns only the crop, the first element of
+`ref_normative_action`'s pair.
 """
 import json
 import operator
@@ -30,7 +34,6 @@ from normsim.agents import (
     INSTITUTION_CRITICISM,
     NORMATIVE_ARRIVAL,
     NORMATIVE_IDLE,
-    derive_outcomes,
     leading_institution,
 )
 from normsim.institutions import declare
@@ -177,6 +180,25 @@ def ref_normative_action(ns, obs):
     return action, ref_sanction_criticisms(ns, obs)
 
 
+def ref_derive_outcomes(obs, observe_others):
+    """(last-step action, criticized this step by another villager?) per observed villager."""
+    if not obs.last_step_actions:
+        return ()
+    me = obs.agent_index
+    criticized = set()
+    for entry in obs.discussion_so_far:
+        for c in entry.criticisms:
+            if c.sender != me:
+                criticized.add(c.target)
+    observed = range(len(obs.last_step_actions)) if observe_others else (me,)
+    return tuple((obs.last_step_actions[j], j in criticized) for j in observed)
+
+
+def crop_tuples(pairs):
+    """`agents.derive_outcomes`' (observed crops, criticized crops) for outcome pairs."""
+    return tuple(a for a, _ in pairs), tuple(a for a, sanctioned in pairs if sanctioned)
+
+
 def ref_wm_update(ns, obs, observed):
     weights = list(ns.weights)
     for action, sanctioned in observed:
@@ -269,7 +291,7 @@ class ReferenceNormativeAgent(agents.NormativeAgent):
         return (NORMATIVE_ARRIVAL if obs.t == 0 else NORMATIVE_IDLE), ()
 
     def act(self, obs):
-        outcomes = derive_outcomes(obs, self.observe_others)
+        outcomes = ref_derive_outcomes(obs, self.observe_others)
         if outcomes:
             self._state = ref_wm_update(self._state, obs, outcomes)
         action, _ = ref_normative_action(self._state, obs)
@@ -566,7 +588,7 @@ def test_votes_and_policies_match_reference(seed):
         if obs.agent_index < len(obs.last_step_actions):
             assert agents.normative_action(ns, obs) == ref_normative_action(ns, obs)[0]
         observed = [(int(rng.integers(num_crops)), bool(rng.integers(2))) for _ in range(5)]
-        assert agents.wm_update(ns, obs, observed) == ref_wm_update(ns, obs, observed)
+        assert agents.wm_update(ns, obs, crop_tuples(observed)) == ref_wm_update(ns, obs, observed)
         for mode in orchard.BACKGROUND_MODES + ("riot",):
             inst = int(rng.integers(4)) if rng.random() < 0.9 else None
             defy = int(rng.integers(num_crops)) if rng.random() < 0.9 else None
