@@ -21,12 +21,12 @@ Villagers of one kind (mode, institution, defiance crop) form a `Crowd` and act
 alike: the crowd's script for a step (crop, criticisms, idle line) gives every
 member's turn, so `orchard.step` builds it once per step for all of them. A
 village's background villagers form one crowd, which `build_roster` derives
-from the config by the same rules that `roster_violations` checks. The learner
-finds every expert's safe crop in one O(k + N) pass per update and per choice
-(k institutions, N villagers). An update then counts each expert's mistakes
-with `tuple.count` and applies them with `reduce`, so a village step is
-O(N + k + criticisms) in Python, plus O(k·N) builtin work for those counts and
-penalties.
+from the config by the same rules that `roster_violations` checks. A crowd
+picks the villagers it criticizes with `compress`. The learner finds its k
+experts' safe crops once per step, for both its update and its choice; the
+update counts each expert's mistakes with `tuple.count` and applies them with
+`reduce`. So a village step's Python work is O(k·crops + criticisms), plus
+O(k·N) builtin work for N villagers.
 """
 from __future__ import annotations
 
@@ -34,7 +34,7 @@ import math
 import operator
 from dataclasses import dataclass, replace
 from functools import reduce
-from itertools import repeat
+from itertools import compress, repeat
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -169,12 +169,11 @@ def sanction_criticisms(ns: NormativeState, obs: Observation) -> tuple[str, tupl
     return follow.script(obs)._replace(idle=idle).turn(obs.agent_index)
 
 
-def normative_action(ns: NormativeState, obs: Observation) -> int:
-    """The crop minimizing the criticism vote (ties: previous own action, then
-    lowest index)."""
+def normative_action(ns: NormativeState, obs: Observation, safe_crops: Sequence[int | None]) -> int:
+    """The crop minimizing the criticism vote of experts with `safe_crops` for
+    `obs` (ties: previous own action, then lowest index)."""
     num_crops = len(obs.crop_names)
-    crops = _safe_crops(ns.experts, obs)
-    probs = [_sanction_vote(ns.weights, crops, c) for c in range(num_crops)]
+    probs = [_sanction_vote(ns.weights, safe_crops, c) for c in range(num_crops)]
     best = min(probs)
     tied = [c for c in range(num_crops) if probs[c] == best]
     if obs.last_step_actions and obs.last_step_actions[obs.agent_index] in tied:
@@ -182,18 +181,18 @@ def normative_action(ns: NormativeState, obs: Observation) -> int:
     return tied[0]
 
 
-def wm_update(ns: NormativeState, obs: Observation,
+def wm_update(ns: NormativeState, safe_crops: Sequence[int | None],
               observed: tuple[Sequence[int], Sequence[int]]) -> NormativeState:
-    """Weighted Majority update from `derive_outcomes`' (observed crops,
-    criticized crops). A non-abstaining expert with safe crop s mispredicted
-    every uncriticized villager off s and every criticized villager on s, and
-    its weight is multiplied by beta once per mistake. Weights are never
-    renormalized; shares are computed on demand. `reduce` applies each penalty
-    as one multiplication, so the weights are the per-villager products bit for
-    bit."""
+    """Weighted Majority update of experts with `safe_crops` (None abstains)
+    from `derive_outcomes`' (observed crops, criticized crops). An expert with
+    safe crop s mispredicted every uncriticized villager off s and every
+    criticized villager on s, and its weight is multiplied by beta once per
+    mistake. Weights are never renormalized; shares are computed on demand.
+    `reduce` applies each penalty as one multiplication, so the weights are the
+    per-villager products bit for bit."""
     crops, criticized = observed
     weights = list(ns.weights)
-    for k, safe in enumerate(_safe_crops(ns.experts, obs)):
+    for k, safe in enumerate(safe_crops):
         if safe is not None:
             mistakes = len(crops) - len(criticized) - crops.count(safe) + 2 * criticized.count(safe)
             weights[k] = reduce(operator.mul, repeat(ns.beta, mistakes), weights[k])
@@ -272,31 +271,29 @@ class Crowd(NamedTuple):
     defy_crop: int | None = None
 
     def script(self, obs: Observation) -> _CrowdScript:
-        """The crowd's script for `obs`'s step; O(N + criticisms)."""
+        """The crowd's script for `obs`'s step: O(criticisms) Python work, O(N) in builtins."""
         mode, my_institution, defy_crop = self
         if my_institution is None:
             raise ValueError(f"{mode} mode needs an institution to react to")
         sig = signal_from(obs.signals, my_institution)
         if sig is None:
             raise ValueError(f"no signal from institution {my_institution}")
-        names, crops = obs.agent_names, obs.crop_names
-        follow = mode == "follow_authoritative"
-        if follow:  # criticize last step's strays from the declaration
-            action, basis = sig.crop, my_institution
+        names, crops, actions = obs.agent_names, obs.crop_names, obs.last_step_actions
+        if mode == "follow_authoritative":  # criticize last step's strays from the declaration
+            action, basis, judged = sig.crop, my_institution, operator.ne
             idle = FOLLOW_IDLE.format(institution=sig.name, crop=crops[sig.crop])
             template, fields = INSTITUTION_CRITICISM, {"institution": sig.name}
         elif mode == "defy_institution":  # criticize last step's obeyers on community grounds
             if defy_crop is None or defy_crop == sig.crop:
                 raise ValueError("defy mode needs a defy_crop different from the declaration")
-            action, basis = defy_crop, None
+            action, basis, judged = defy_crop, None, operator.eq
             idle = DEFY_IDLE.format(crop=crops[defy_crop])
             template, fields = COMMUNITY_CRITICISM, {"expected": crops[defy_crop]}
         else:
             raise ValueError(f"unknown background mode {mode!r}")
-        criticisms = tuple(
-            (j, crop, template.format(target=names[j], crop=crops[crop], **fields))
-            for j, crop in enumerate(obs.last_step_actions) if (crop != sig.crop) == follow
-        )
+        criticized = compress(enumerate(actions), map(judged, actions, repeat(sig.crop)))
+        criticisms = tuple((j, crop, template.format(target=names[j], crop=crops[crop], **fields))
+                           for j, crop in criticized)
         return _CrowdScript(action, basis, criticisms, idle)
 
 
@@ -380,8 +377,9 @@ class NormativeAgent:
         return sanction_criticisms(self._state, obs)
 
     def act(self, obs: Observation) -> int:
-        self._state = wm_update(self._state, obs, derive_outcomes(obs, self.observe_others))
-        return normative_action(self._state, obs)
+        safe_crops = _safe_crops(self._state.experts, obs)  # an update keeps the experts
+        self._state = wm_update(self._state, safe_crops, derive_outcomes(obs, self.observe_others))
+        return normative_action(self._state, obs, safe_crops)
 
 
 def _village_crowd(cfg: EnvConfig) -> tuple[Crowd | None, list[str]]:

@@ -21,12 +21,12 @@ A step costs O(N + k + criticisms) for N agents and k institutions, whose
 signals each config declares once (`EnvConfig.signal_cycles`). What all agents
 see alike is built once per step, so an `Observation` is a named tuple of shared
 references that only its agent index and the log so far set apart. Each crowd of
-scripted villagers (see `AgentHandle`) is answered once per step: a crowd's
-criticisms are checked once per step, and each run of its consecutive members
-plays one cached tuple of turns, which every step and run playing the same script
-to the same members shares, so a settled village's quiet step builds no entries.
-Only other handles get a copy of the log so far. The per-villager passes (crowd
-turns, criticism flatten, quiet rewards) run inside builtins.
+scripted villagers (see `AgentHandle`) is answered once per step: its criticisms
+are checked once, and each run of its consecutive members plays one cached tuple
+of turns, shared by every step and run that plays the same script to the same
+members. Only other handles get a copy of the log so far. Finding the runs, the
+crowd turns, the criticism flatten and the quiet rewards pass over the villagers
+inside builtins, so a settled step's Python work does not grow with N.
 """
 from __future__ import annotations
 
@@ -34,7 +34,7 @@ import math
 import operator
 from dataclasses import dataclass, field, fields
 from functools import cached_property, lru_cache, partial
-from itertools import chain, compress, pairwise, repeat
+from itertools import chain, compress, groupby, repeat
 from pathlib import Path
 from typing import Iterator, NamedTuple, Protocol, Sequence
 
@@ -219,8 +219,8 @@ class AgentHandle(Protocol):
     line and its `criticisms`, (target, crop, text) triples on `script.basis`'s
     grounds. The script must be hashable: turns are immutable tuples, cached on
     it and shared by every step and run that plays it to the same members. A
-    crowd's criticisms are checked once per step, and each run of its
-    consecutive members has its action checked once. So members of one crowd
+    crowd's criticisms are checked once per step, and each run of consecutive
+    handles with equal crowds has its action checked once. So members of one crowd
     must act alike, and a script may read only what a step's observations share."""
 
     def discuss(self, obs: Observation) -> tuple[str, tuple[Criticism, ...]]: ...
@@ -311,13 +311,13 @@ def step(prev: WorldState | None, agents: Sequence[AgentHandle], cfg: EnvConfig)
         return Observation(t, idx, names, cfg.crop_names, signals, last_actions,
                            last_criticisms, so_far)
 
-    runs, last = [], None  # (crowd, first index) of each maximal run of one crowd's consecutive members
-    for idx, agent in enumerate(agents):
-        crowd = getattr(agent, "crowd", None)
-        if crowd is None or crowd is not last and crowd != last:
-            runs.append((crowd, idx))
-        last = crowd
-    runs.append((None, len(agents)))  # ends the last run: a run ends where the next starts
+    runs, end = [], 0  # (crowd, members) of each maximal run of one crowd's consecutive members
+    for crowd, run in groupby(map(getattr, agents, repeat("crowd"), repeat(None))):
+        start, end = end, end + len(tuple(run))
+        if crowd is not None:  # its members as a range, which hashes in O(1)
+            runs.append((crowd, range(start, end)))
+        else:  # a handle outside any crowd is a run of its own
+            runs += [(None, range(idx, idx + 1)) for idx in range(start, end)]
     scripts = {}  # each crowd's script for this step, built at its first member's turn
 
     def script_for(crowd, idx: int, so_far: Sequence[DiscussionEntry]):
@@ -330,11 +330,11 @@ def step(prev: WorldState | None, agents: Sequence[AgentHandle], cfg: EnvConfig)
 
     log: list[DiscussionEntry] = []
     for _ in range(cfg.discussion_turns):
-        for (crowd, idx), (_, end) in pairwise(runs):
-            if crowd is not None:  # its members as a range, which hashes in O(1)
-                log += crowd_entries(script_for(crowd, idx, log), range(idx, end))
+        for crowd, members in runs:
+            idx = members.start
+            if crowd is not None:
+                log += crowd_entries(script_for(crowd, idx, log), members)
                 continue
-            # a handle outside any crowd is a run of its own
             text, criticisms = agents[idx].discuss(obs_for(idx, tuple(log)))
             criticisms = tuple(criticisms)
             for c in criticisms:
@@ -343,7 +343,8 @@ def step(prev: WorldState | None, agents: Sequence[AgentHandle], cfg: EnvConfig)
     discussion = tuple(log)
 
     actions = []
-    for (crowd, idx), (_, end) in pairwise(runs):  # a crowd run's action is checked once, at idx
+    for crowd, members in runs:  # a crowd run's action is checked once, at its first member
+        idx = members.start
         chosen = (agents[idx].act(obs_for(idx, discussion)) if crowd is None
                   else script_for(crowd, idx, discussion).action)
         try:
@@ -352,7 +353,7 @@ def step(prev: WorldState | None, agents: Sequence[AgentHandle], cfg: EnvConfig)
             raise EnvError(f"agent {names[idx]} returned non-integer action {chosen!r}") from None
         if not 0 <= crop < cfg.num_crops:
             raise EnvError(f"agent {names[idx]} returned out-of-range crop {crop}")
-        actions += [crop] * (end - idx)
+        actions += [crop] * len(members)
     actions = tuple(actions)
 
     criticisms = tuple(criticisms_in(discussion))

@@ -143,19 +143,20 @@ class ScanCountingSignals(tuple):
 
 
 @pytest.mark.parametrize("k", [1, 5, 40])
-def test_learner_walks_the_signals_once_per_update_and_once_per_choice(k):
+def test_learner_walks_the_signals_once_per_step(k):
     signals = ScanCountingSignals(sig(i, i % 3) for i in range(k))
     obs = make_obs(last_actions=(1, 0, 2, 1), agent_index=0)._replace(signals=signals)
     ns = agents.initial_state(range(k))
     ScanCountingSignals.scans = 0
-    agents.wm_update(ns, obs, ((0, 1, 2), (0, 2)))  # crops 0 and 2 criticized, crop 1 not
+    safe_crops = agents._safe_crops(ns.experts, obs)
     assert ScanCountingSignals.scans == 1
-    agents.normative_action(ns, obs)
-    assert ScanCountingSignals.scans == 2
+    agents.wm_update(ns, safe_crops, ((0, 1, 2), (0, 2)))  # crops 0 and 2 criticized, crop 1 not
+    agents.normative_action(ns, obs, safe_crops)
+    assert ScanCountingSignals.scans == 1
     newcomer = agents.NormativeAgent(0, range(k), observe_others=True)
     ScanCountingSignals.scans = 0
     newcomer.act(obs)  # one update from four outcomes, then one choice over three crops
-    assert ScanCountingSignals.scans == 2 and newcomer.state.weights != ns.weights
+    assert ScanCountingSignals.scans == 1 and newcomer.state.weights != ns.weights
 
 
 def test_predict_sanction_oracle_values():
@@ -212,42 +213,46 @@ def test_sanction_criticisms_gate():
 
 
 def test_normative_action_tie_breaks():
+    def choice(ns, obs):
+        return agents.normative_action(ns, obs, agents._safe_crops(ns.experts, obs))
+
     ns = state_for([0, None], (1.0, 1.0))
     # fresh world: only the institution speaks, so its declaration is safest
-    assert agents.normative_action(ns, make_obs(signals=(sig(0, 0),), t=0)) == 0
+    assert choice(ns, make_obs(signals=(sig(0, 0),), t=0)) == 0
 
     # institution and community disagree; the tie keeps the previous action
     obs = make_obs(signals=(sig(0, 0),), last_actions=(1, 0, 1, 1), agent_index=0)
-    assert agents.normative_action(ns, obs) == 1
+    assert choice(ns, obs) == 1
 
     # previous action not among the tied minimizers: lowest index wins
     comm_only = state_for([None], (1.0,))
     obs = make_obs(last_actions=(2, 0, 0), agent_index=0)
-    assert agents.normative_action(comm_only, obs) == 0
+    assert choice(comm_only, obs) == 0
 
     # everyone abstains and the agent has history: stick with it
     lone = make_obs(last_actions=(2,), agent_index=0, num_agents=1)
-    assert agents.normative_action(comm_only, lone) == 2
+    assert choice(comm_only, lone) == 2
 
 
 def test_wm_update_oracle_values():
     ns = agents.initial_state([0])
     obs = make_obs(signals=(sig(0, 0),), last_actions=(0, 1, 1), agent_index=0)
+    crops = agents._safe_crops(ns.experts, obs)
     # crop 1 went unsanctioned: the institution predicted wrongly, half its weight
-    once = agents.wm_update(ns, obs, ((1,), ()))
+    once = agents.wm_update(ns, crops, ((1,), ()))
     assert once.weights == (0.5, 1.0)
     # four such villagers compound to 1/16
-    worn = agents.wm_update(ns, obs, ((1,) * 4, ()))
+    worn = agents.wm_update(ns, crops, ((1,) * 4, ()))
     assert worn.weights == (0.0625, 1.0)
     # both right: no change
-    assert agents.wm_update(ns, obs, ((2,), (2,))).weights == (1.0, 1.0)
+    assert agents.wm_update(ns, crops, ((2,), (2,))).weights == (1.0, 1.0)
     # community wrong, institution right
-    assert agents.wm_update(ns, obs, ((1,), (1,))).weights == (1.0, 0.5)
+    assert agents.wm_update(ns, crops, ((1,), (1,))).weights == (1.0, 0.5)
     # an abstaining expert is never penalized
     blind = make_obs(last_actions=(0, 1, 1), agent_index=0)
-    assert agents.wm_update(ns, blind, ((1,), (1,))).weights == (1.0, 0.5)
+    assert agents.wm_update(ns, agents._safe_crops(ns.experts, blind), ((1,), (1,))).weights == (1.0, 0.5)
     # nothing observed: every expert keeps its weight
-    assert agents.wm_update(ns, obs, ((), ())).weights == (1.0, 1.0)
+    assert agents.wm_update(ns, crops, ((), ())).weights == (1.0, 1.0)
     assert once.beta == ns.beta and once.experts == ns.experts
 
 
@@ -257,6 +262,7 @@ def test_wm_update_is_one_multiplication_per_pair():
     included, and where that loop reaches 0 the update raises the weights'
     error."""
     obs = make_obs(signals=(sig(0, 0),), last_actions=(1, 1), agent_index=0)
+    crops = agents._safe_crops((0, None), obs)
     for beta in (0.05, 0.3, 0.9):
         seen = Counter()
         for start in (1.0, 1e-300, 5e-320):
@@ -265,7 +271,7 @@ def test_wm_update_is_one_multiplication_per_pair():
             for times in range(1, 401):
                 weight *= beta  # the institution expert mispredicts each unsanctioned crop 1
                 try:
-                    updated = agents.wm_update(ns, obs, ((1,) * times, ()))
+                    updated = agents.wm_update(ns, crops, ((1,) * times, ()))
                 except ValueError as exc:
                     assert weight == 0.0 and str(exc) == "weights must be positive"
                     seen["underflow"] += 1
@@ -276,35 +282,35 @@ def test_wm_update_is_one_multiplication_per_pair():
         assert seen["subnormal"] and bool(seen["underflow"]) == (beta <= 0.5), beta
 
 
-def test_wm_update_computes_community_crop_once(monkeypatch):
-    calls = []
+@pytest.mark.parametrize("observe_others", [True, False])
+def test_act_finds_the_expert_crops_once_per_step(observe_others, monkeypatch):
+    """A step's update and choice share one `_safe_crops` call, and so one count
+    of the community's modal crop: not one per expert, per observed outcome or
+    per scored crop."""
+    calls = Counter()
 
-    def counting_modal_crop(actions, me):
-        calls.append(actions)
-        return orchard.others_modal_crop(actions, me)
+    def counting(name):
+        def counted(*args):
+            calls[name] += 1
+            return real(*args)
 
-    monkeypatch.setattr(agents, "others_modal_crop", counting_modal_crop)
-    actions = tuple(j % 3 for j in range(321))
-    obs = make_obs(signals=(sig(0, 0),), last_actions=actions, agent_index=0)
-    observed = (actions[1:], actions[2::2])  # every other villager criticized
-    agents.wm_update(agents.initial_state([0]), obs, observed)
-    assert len(calls) == 1  # not once per observed outcome
+        real = getattr(agents, name)
+        monkeypatch.setattr(agents, name, counted)
 
-
-def test_normative_action_finds_each_safe_crop_once(monkeypatch):
-    calls = []
-
-    def counting_safe_crops(experts, obs):
-        calls.append(experts)
-        return safe_crops(experts, obs)
-
-    safe_crops = agents._safe_crops
-    monkeypatch.setattr(agents, "_safe_crops", counting_safe_crops)
-    ns = agents.initial_state([0, 1])
-    obs = make_obs(signals=(sig(0, 0), sig(1, 1)), last_actions=(2, 1, 1, 4),
+    counting("_safe_crops")
+    counting("others_modal_crop")
+    actions = tuple(j % 5 for j in range(321))
+    criticized = [Criticism(1, j, actions[j], None, "") for j in range(2, 321, 2)]
+    obs = make_obs(signals=(sig(0, 0), sig(1, 1)), last_actions=actions, agent_index=0,
+                   discussion=(DiscussionEntry(1, "", tuple(criticized)),),
                    crop_names=institutions.CROP_NAMES)
-    assert agents.normative_action(ns, obs) == 1
-    assert calls == [ns.experts]  # once for every expert, not once per scored crop
+    newcomer = agents.NormativeAgent(0, [0, 1], observe_others=observe_others)
+    crops = agents._safe_crops(newcomer.state.experts, obs)
+    expected = agents.wm_update(newcomer.state, crops, agents.derive_outcomes(obs, observe_others))
+    calls.clear()
+    assert newcomer.act(obs) == agents.normative_action(expected, obs, crops)
+    assert newcomer.state == expected
+    assert calls == {"_safe_crops": 1, "others_modal_crop": 1}
 
 
 class ScanCountingActions(tuple):
@@ -351,25 +357,35 @@ def test_step_scans_last_actions_a_fixed_number_of_times(mode, focal_kind):
 
 @pytest.mark.parametrize("observe_others", [True, False])
 def test_quiet_step_makes_as_many_python_calls_at_n80_as_at_n320(observe_others):
-    """A settled step of the docs example, in which nobody criticizes, makes the
-    same number of Python-level calls at N = 80 as at N = 320. Only "call"
-    events count: `step` still looks up each villager's handle with a builtin
-    `getattr`, so its "c_call" events grow with N."""
-    def python_calls(num_background):
+    """A settled step of the docs example, in which nobody criticizes, makes as
+    many Python-level calls ("call"), builtin calls ("c_call") and executed
+    lines ("line") at N = 80 as at N = 320: each pass over the villagers runs
+    inside one builtin call."""
+    def events(num_background):
         cfg = docs_village(num_background, "follow_authoritative")
         roster = agents.build_roster(cfg, "normative", observe_others=observe_others)
         history = [orchard.step(None, roster, cfg)]
         history.append(orchard.step(history[-1], roster, cfg))
-        calls = []
-        sys.setprofile(lambda frame, event, arg: event == "call" and calls.append(frame))
+        seen = Counter()
+
+        def profile(frame, event, arg):
+            seen[event] += event in ("call", "c_call")
+
+        def trace(frame, event, arg):
+            seen[event] += event == "line"
+            return trace
+
+        sys.setprofile(profile)
+        sys.settrace(trace)
         try:
             state = orchard.step(history[-1], roster, cfg)
         finally:
+            sys.settrace(None)
             sys.setprofile(None)
         assert state.t == 2 and not state.criticisms
-        return len(calls)
+        return {event: seen[event] for event in ("call", "c_call", "line")}
 
-    assert python_calls(80) == python_calls(320)
+    assert events(80) == events(320)
 
 
 @pytest.mark.parametrize("mode", orchard.BACKGROUND_MODES)
@@ -623,6 +639,33 @@ def test_crowds_play_as_their_members_would_one_by_one():
                for c in entry["criticisms"])
     assert outcomes[-1][0]["steps"] == []
     assert outcomes[-1][2] == "ValueError: no signal from institution 7"
+
+
+def test_step_plays_each_maximal_run_of_equal_crowds_once_per_turn(monkeypatch):
+    """On the interleaved roster, every discussion turn hands `crowd_entries` one
+    range per maximal run of consecutive handles with equal crowds: the two
+    equal but distinct follower crowds at 3 and 4 form one run, and the handle
+    without a crowd at 7 splits the followers 6, 8 and 9."""
+    cfg, roster = crowd_rosters()[-3]
+    handles = roster()
+    assert handles[3].crowd == handles[4].crowd and handles[3].crowd is not handles[4].crowd
+    assert not hasattr(handles[0], "crowd") and not hasattr(handles[7], "crowd")
+    played_members = []
+
+    def recording_entries(script, members):
+        played_members.append(members)
+        return crowd_entries(script, members)
+
+    crowd_entries = orchard.crowd_entries
+    monkeypatch.setattr(orchard, "crowd_entries", recording_entries)
+    state = None
+    for _ in range(cfg.max_timesteps):
+        played_members.clear()
+        state = orchard.step(state, handles, cfg)
+        assert played_members == [range(1, 2), range(2, 3), range(3, 5), range(5, 6), range(6, 7),
+                                  range(8, 10)] * cfg.discussion_turns
+        assert all(type(members) is range for members in played_members)
+    assert cfg.discussion_turns == 2 and state.t == cfg.max_timesteps - 1
 
 
 def test_roster_members_share_one_crowd():

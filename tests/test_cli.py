@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from normsim import cli, games, sanctions
+from normsim import cli, games, harness, institutions, sanctions
 from tests.conftest import advice_to_dict, game_to_dict, sanction_game_to_dict
 
 
@@ -706,6 +706,60 @@ def test_experiment_json_prints_the_rows_of_metrics_json(tmp_path, capsys, jobs)
     rows = json.loads((out_dir / "metrics.json").read_text())["rows"]
     assert len(rows) == 4
     assert out == json.dumps(rows, indent=2, sort_keys=True) + "\n"
+
+
+def cell_simulate_config(experiment, focal_kind, coords):
+    """The simulate config of one grid cell, as the README describes it: the
+    cell's village (institution i declares crop i, and the first is followed in
+    `multi_institution` and defied in `single_nonauthoritative`), the
+    experiment's `env` overrides and its learner settings."""
+    cfg = harness.parse_experiment_config(experiment)
+    num_crops, num_background, num_institutions = harness.cell_shape(cfg, coords)
+    follow = cfg.experiment == "multi_institution"
+    return {
+        "env": {
+            "institutions": [{"crop": institutions.CROP_NAMES[i], "authoritative": follow and i == 0}
+                             for i in range(num_institutions)],
+            "num_background": num_background,
+            "background_mode": "follow_authoritative" if follow else "defy_institution",
+            "num_crops": num_crops,
+            **experiment["env"],
+        },
+        "focal": focal_kind,
+        **{key: experiment[key] for key in ("beta", "sanction_threshold", "observe_others")},
+    }
+
+
+@pytest.mark.parametrize("experiment", [
+    {"experiment": "single_nonauthoritative", "num_crops_grid": [2, 3], "num_background_grid": [1, 2],
+     "beta": 0.3, "sanction_threshold": 0.4, "observe_others": False,
+     "env": {"max_timesteps": 6, "eval_window": 3}},
+    {"experiment": "multi_institution", "num_institutions_grid": [1, 2, 3], "num_background_grid": [2],
+     "num_crops": 3, "beta": 0.5, "sanction_threshold": 0.6, "observe_others": True,
+     "env": {"max_timesteps": 6, "eval_window": 3, "discussion_turns": 2}},
+], ids=lambda experiment: experiment["experiment"])
+def test_simulate_reruns_an_experiment_trial_from_its_seed(experiment, tmp_path, capsys):
+    """The README's reproduction recipe: the cell's simulate config, run with
+    `--seed harness.trial_seed(...)`, writes the trial's `ep_*.txt` byte for byte."""
+    experiment = {**experiment, "focal": ["normative", "baseline"], "trials": 2, "seed_base": 7}
+    code, _, err = run(capsys, "experiment", str(write_config(tmp_path, experiment, "exp.json")),
+                       "--out", str(tmp_path / "grid"), "--jobs", "1")
+    assert (code, err) == (0, "")
+    episodes = sorted((tmp_path / "grid").glob("ep_*.txt"))
+    assert len(episodes) == 2 * 2 * len(harness.parse_experiment_config(experiment).grid())
+    by_cell = {}
+    for episode in episodes:
+        kind, c1, c2, trial = re.fullmatch(r"ep_(\w+)-(\d+)-(\d+)_(\d+)\.txt", episode.name).groups()
+        coords = (int(c1), int(c2))
+        config = write_config(tmp_path, cell_simulate_config(experiment, kind, coords))
+        seed = harness.trial_seed(experiment["seed_base"], experiment["experiment"], coords, int(trial))
+        out = tmp_path / "rerun" / episode.stem
+        assert run(capsys, "simulate", str(config), "--seed", str(seed), "--out", str(out))[0] == 0
+        assert (out / "transcript.txt").read_bytes() == episode.read_bytes(), episode.name
+        by_cell.setdefault((kind, coords), set()).add(episode.read_bytes())
+    # a seed draws only the baseline newcomer's choice among several signals
+    drawn = any(len(transcripts) == 2 for transcripts in by_cell.values())
+    assert drawn == (experiment["experiment"] == "multi_institution")
 
 
 def test_experiment_config_error(tmp_path, capsys):

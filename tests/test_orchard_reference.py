@@ -15,7 +15,8 @@ and `episode.json` bytes, transcript, failure text and final focal weights,
 float bits included: rewards too, which `orchard.step` prices from per-agent
 criticism counts with the reference's operands in its order.
 `agents.normative_action` returns only the crop, the first element of
-`ref_normative_action`'s pair.
+`ref_normative_action`'s pair. It and `agents.wm_update` take the experts'
+`agents._safe_crops` for the observation, which the checks compute themselves.
 """
 import json
 import operator
@@ -579,16 +580,17 @@ def test_votes_and_policies_match_reference(seed):
             sanction_threshold=float(rng.choice([0.1, 0.3, 0.6])),
         )
         assert agents.sanction_criticisms(ns, obs)[1] == ref_sanction_criticisms(ns, obs)
-        for expert, crop in zip(ns.experts, agents._safe_crops(ns.experts, obs), strict=True):
+        safe_crops = agents._safe_crops(ns.experts, obs)
+        for expert, crop in zip(ns.experts, safe_crops, strict=True):
             for action in range(num_crops):
                 vote = None if crop is None else action != crop
                 assert vote == ref_expert_vote(expert, obs, action)
         for action in range(num_crops):
             assert agents.predict_sanction(ns, obs, action) == ref_predict_sanction(ns, obs, action)
         if obs.agent_index < len(obs.last_step_actions):
-            assert agents.normative_action(ns, obs) == ref_normative_action(ns, obs)[0]
+            assert agents.normative_action(ns, obs, safe_crops) == ref_normative_action(ns, obs)[0]
         observed = [(int(rng.integers(num_crops)), bool(rng.integers(2))) for _ in range(5)]
-        assert agents.wm_update(ns, obs, crop_tuples(observed)) == ref_wm_update(ns, obs, observed)
+        assert agents.wm_update(ns, safe_crops, crop_tuples(observed)) == ref_wm_update(ns, obs, observed)
         for mode in orchard.BACKGROUND_MODES + ("riot",):
             inst = int(rng.integers(4)) if rng.random() < 0.9 else None
             defy = int(rng.integers(num_crops)) if rng.random() < 0.9 else None
